@@ -71,7 +71,6 @@ def _add_data_options(sub: argparse.ArgumentParser) -> None:
         "--shuffle-seed", type=int, default=None,
         help="permute row order reproducibly before streaming",
     )
-    sub.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
 
 def build_parser() -> _Parser:

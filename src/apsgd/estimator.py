@@ -1,16 +1,20 @@
 """Online projected-SGD state machine with iterate averaging.
 
-One ``EstimatorState`` owns a single stream: call ``step`` once per
-observation, in order.  Each step projects the gradient update back onto the
-affine feasible set, folds the new iterate into the running average, and
-advances the streaming curvature / gradient-outer-product averages that
-inference consumes later.  States may be handed between threads between
-steps; distinct states (for example the constrained and unconstrained sides
-of a specification test) can advance fully in parallel.
+An ``EstimatorState`` advances one stream, or a stack of independent streams
+in lockstep: the shape of ``theta0`` without its last axis is the batch
+shape, so a CSV fit is a ``(p,)`` state and a Monte Carlo cell is a single
+``(R, p)`` state.  Call ``step`` once per observation, in order.  Each step
+projects the gradient update back onto the affine feasible set, folds the new
+iterate into the running average, and advances the streaming curvature /
+gradient-outer-product averages that inference consumes later.  States may
+be handed between threads between steps; distinct states (for example the
+constrained and unconstrained sides of a specification test) can advance
+fully in parallel.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -20,10 +24,8 @@ from .exceptions import ApsgdError, DimensionError, DomainError, NumericalError
 from .linalg import Constraint
 from .models import LossModel
 
-#: Steps between feasibility re-projections of the iterate.  Mathematically a
-#: no-op; keeps floating-point drift off the affine set bounded on very long
-#: streams.
-REPROJECT_EVERY = 10_000
+#: The per-stream arrays of a state; their leading axes are the batch shape.
+_STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
 
 
 @dataclass(frozen=True)
@@ -49,33 +51,37 @@ class LearningRate:
 
 
 class EstimatorState:
-    """Iterate, running average, and moment recursions for one stream.
+    """Iterate, running average, and moment recursions for a batch of streams.
 
     Parameters
     ----------
     model : LossModel
-        Per-observation loss with gradient and Hessian.
+        Loss with gradient and Hessian.
     constraint : Constraint
         Feasible set; use ``Constraint.unconstrained(p)`` for plain averaged
         SGD.
     schedule : LearningRate, optional
         Defaults to ``gamma=1, rho=0.505``.
     theta0 : array-like, optional
-        Starting point; it is projected onto the feasible set.  Defaults to
-        the constraint's minimum-norm feasible point, so feasibility holds
-        from step zero.
+        Starting point of shape ``(..., p)``; it is projected onto the
+        feasible set, and its leading axes set the batch shape.  Defaults to
+        the constraint's minimum-norm feasible point (a single stream), so
+        feasibility holds from step zero.
 
     Attributes
     ----------
     t : int
-        Number of observations consumed.
-    theta : ndarray
+        Number of observations consumed by each stream.
+    theta : ndarray, shape (..., p)
         Current iterate (always feasible).
-    theta_bar : ndarray
+    theta_bar : ndarray, shape (..., p)
         Running average of the iterates; this is the estimate.
-    g_hat, s_hat : ndarray
+    g_hat, s_hat : ndarray, shape (..., p, p)
         Streaming averages of per-observation Hessians and of gradient outer
         products, both evaluated at the running average.
+
+    ``theta_bar``, ``g_hat`` and ``s_hat`` are updated in place by every
+    step; copy them to keep a trajectory.
     """
 
     def __init__(
@@ -93,54 +99,70 @@ class EstimatorState:
         self.model = model
         self.constraint = constraint
         self.schedule = schedule if schedule is not None else LearningRate()
-        if theta0 is None:
-            theta = constraint.c.copy()
-        else:
-            theta = np.asarray(theta0, dtype=float)
-            if theta.shape != (p,):
-                raise DimensionError(
-                    f"theta0 has shape {theta.shape}, expected ({p},)"
-                )
-            theta = constraint.project(theta)
+        theta = np.array(constraint.c if theta0 is None else theta0, dtype=float)
+        if theta.shape[-1:] != (p,):
+            raise DimensionError(f"theta0 has shape {theta.shape}, expected (..., {p})")
         self.t = 0
-        self.theta = theta
-        self.theta_bar = theta.copy()
-        self.g_hat = np.zeros((p, p))
-        self.s_hat = np.zeros((p, p))
+        self.theta = constraint.project(theta)
+        self.theta_bar = self.theta.copy()
+        self.g_hat = np.zeros(theta.shape + (p,))
+        self.s_hat = np.zeros(theta.shape + (p,))
+
+    def __getitem__(self, index) -> "EstimatorState":
+        """The streams at ``index`` of the batch, as an independent state."""
+        part = copy.copy(self)
+        for name in _STREAM_ARRAYS:
+            setattr(part, name, getattr(self, name)[index].copy())
+        return part
+
+    @classmethod
+    def concatenate(cls, states) -> "EstimatorState":
+        """Join batched states along their first batch axis.
+
+        The states must share ``t``, model, constraint and schedule, as the
+        replication chunks of one Monte Carlo cell do.
+        """
+        joined = copy.copy(states[0])
+        for name in _STREAM_ARRAYS:
+            setattr(joined, name, np.concatenate([getattr(s, name) for s in states]))
+        return joined
 
     def step(self, z) -> "EstimatorState":
-        """Consume one observation and return the (mutated) state.
+        """Consume one observation per stream and return the (mutated) state.
 
-        Order of operations: projected iterate update, then the average,
-        then the moment recursions evaluated at the new average.
+        ``z`` has shape ``batch_shape + (obs_dim,)``; the model's checked
+        ``gradient`` and ``hessian`` validate it.  Order of operations:
+        projected iterate update, then the average, then the moment
+        recursions evaluated at the new average.
         """
-        z = np.asarray(z, dtype=float)
-        t_next = self.t + 1
-        grad = self.model.gradient(self.theta, z)
-        if not np.all(np.isfinite(grad)):
-            raise NumericalError(
-                f"non-finite gradient at step {t_next} (theta={self.theta.tolist()})"
-            )
-        gamma_t = self.schedule.at(t_next)
-        self.theta = self.constraint.project(self.theta - gamma_t * grad)
-        if t_next % REPROJECT_EVERY == 0:
-            self.theta = self.constraint.project(self.theta)
-
-        w_old = (t_next - 1.0) / t_next
-        w_new = 1.0 / t_next
-        self.theta_bar = w_old * self.theta_bar + w_new * self.theta
-
-        hess = self.model.hessian(self.theta_bar, z)
-        grad_bar = self.model.gradient(self.theta_bar, z)
-        if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(grad_bar))):
-            raise NumericalError(
-                f"non-finite moment update at step {t_next} "
-                f"(theta={self.theta.tolist()})"
-            )
-        self.g_hat = w_old * self.g_hat + w_new * hess
-        self.s_hat = w_old * self.s_hat + w_new * np.outer(grad_bar, grad_bar)
-        self.t = t_next
+        self._advance(z, self.model.gradient, self.model.hessian)
         return self
+
+    def _advance(self, z, gradient, hessian) -> None:
+        """The recursion, evaluating the model through ``gradient``/``hessian``:
+        its checked public methods from ``step``, its unchecked kernels from the
+        Monte Carlo lockstep, which validates each block once with ``_check_obs``."""
+        t = self.t + 1
+        grad = gradient(self.theta, z)
+        if not np.isfinite(grad).all():
+            raise NumericalError(f"non-finite gradient at step {t} (theta={self.theta.tolist()})")
+        self.theta = self.constraint.project(self.theta - self.schedule.at(t) * grad)
+
+        w_old = (t - 1.0) / t
+        w_new = 1.0 / t
+        self.theta_bar *= w_old
+        self.theta_bar += w_new * self.theta
+
+        hess = hessian(self.theta_bar, z)
+        grad_bar = gradient(self.theta_bar, z)
+        if not (np.isfinite(hess).all() and np.isfinite(grad_bar).all()):
+            theta = self.theta.tolist()
+            raise NumericalError(f"non-finite moment update at step {t} (theta={theta})")
+        self.g_hat *= w_old
+        self.g_hat += w_new * hess
+        self.s_hat *= w_old
+        self.s_hat += w_new * (grad_bar[..., :, None] @ grad_bar[..., None, :])
+        self.t = t
 
     def run_stream(self, observations) -> "EstimatorState":
         """Fold ``step`` over an iterable of observations, in order.
@@ -192,17 +214,18 @@ class EstimatorState:
             c=np.asarray(con_rec["c"], dtype=float),
             d=int(con_rec["d"]),
         )
-        schedule = LearningRate(**record["schedule"])
-        return cls._restore(
-            model,
-            constraint,
-            schedule,
-            t=int(record["t"]),
-            theta=np.asarray(record["theta"], dtype=float),
-            theta_bar=np.asarray(record["theta_bar"], dtype=float),
-            g_hat=np.asarray(record["g_hat"], dtype=float),
-            s_hat=np.asarray(record["s_hat"], dtype=float),
-        )
+        theta = np.array(record["theta"], dtype=float)
+        state = cls(model, constraint, LearningRate(**record["schedule"]), theta0=theta)
+        state.t = int(record["t"])
+        # the stored iterate is feasible already; keep its exact bits
+        state.theta = theta
+        for name in _STREAM_ARRAYS[1:]:
+            value = np.array(record[name], dtype=float)
+            expected = getattr(state, name).shape
+            if value.shape != expected:
+                raise DimensionError(f"{name} has shape {value.shape}, expected {expected}")
+            setattr(state, name, value)
+        return state
 
     def to_json(self) -> str:
         return json.dumps(self.to_record())
@@ -210,28 +233,3 @@ class EstimatorState:
     @classmethod
     def from_json(cls, text: str, model: LossModel) -> "EstimatorState":
         return cls.from_record(json.loads(text), model)
-
-    @classmethod
-    def _restore(
-        cls, model, constraint, schedule, t, theta, theta_bar, g_hat, s_hat
-    ) -> "EstimatorState":
-        """Assemble a state from already-computed parts (no projection)."""
-        p = model.param_dim
-        for name, arr, shape in (
-            ("theta", theta, (p,)),
-            ("theta_bar", theta_bar, (p,)),
-            ("g_hat", g_hat, (p, p)),
-            ("s_hat", s_hat, (p, p)),
-        ):
-            if arr.shape != shape:
-                raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
-        state = cls.__new__(cls)
-        state.model = model
-        state.constraint = constraint
-        state.schedule = schedule
-        state.t = t
-        state.theta = theta
-        state.theta_bar = theta_bar
-        state.g_hat = g_hat
-        state.s_hat = s_hat
-        return state

@@ -250,6 +250,9 @@ def test_from_states(
     )
 
 
+test_from_states.__test__ = False  # a library function, not a pytest test
+
+
 def specification_test(
     observations,
     model,

@@ -194,8 +194,14 @@ class Constraint:
         return self.P.shape[0]
 
     def project(self, theta: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``theta`` onto the feasible set."""
-        return self.c + self.P @ (theta - self.c)
+        """Orthogonal projection of ``theta`` (shape ``(..., p)``) onto the feasible set.
+
+        Without effective constraints (``d == p``) the input comes back as a
+        float array, which may be the input itself.
+        """
+        if self.d == self.p:
+            return np.asarray(theta, dtype=float)
+        return self.c + (theta - self.c) @ self.P.T
 
     def violation(self, theta: np.ndarray) -> float:
         """Euclidean norm of ``B theta - b`` (0.0 when there are no rows)."""

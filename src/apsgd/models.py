@@ -1,10 +1,12 @@
-"""Per-observation loss models: loss value, gradient, and Hessian.
+"""Loss models: loss value, gradient, and Hessian, over leading batch axes.
 
 A model knows its parameter dimension ``param_dim`` and the layout of one
 observation (``obs_dim``).  Regression observations are the concatenation
-``(y, x)`` with the response first.  Models are immutable after construction
-and their evaluations are pure, so instances are safe to share across
-threads.
+``(y, x)`` with the response first.  Every evaluation takes ``theta`` of
+shape ``(..., param_dim)`` and ``z`` of shape ``(..., obs_dim)`` with the same
+leading axes, so one call serves a single stream or a stack of replications.
+Models are immutable after construction and their evaluations are pure, so
+instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,42 +22,69 @@ from .exceptions import DataError, DimensionError
 class LossModel:
     """Interface: a twice-differentiable loss of (parameters, observation).
 
-    Subclasses provide ``loss``, ``gradient`` and ``hessian``, each taking a
-    parameter vector of length ``param_dim`` and an observation vector of
-    length ``obs_dim``.  The Hessian must be symmetric.
+    The public ``loss``, ``gradient`` and ``hessian`` validate their inputs
+    and return arrays of shape ``(...)``, ``(..., p)`` and ``(..., p, p)``;
+    the Hessian must be symmetric.  Subclasses implement the unchecked kernels
+    ``_loss``, ``_gradient`` and ``_hessian``, which the Monte Carlo lockstep
+    calls directly on blocks of observations it has validated once with
+    ``_check_obs``.
     """
 
     param_dim: int
     obs_dim: int
     family: str = "custom"
 
-    def loss(self, theta: np.ndarray, z: np.ndarray) -> float:
-        raise NotImplementedError
+    def loss(self, theta, z):
+        return self._loss(*self._check(theta, z))
 
-    def gradient(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def gradient(self, theta, z) -> np.ndarray:
+        return self._gradient(*self._check(theta, z))
 
-    def hessian(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def hessian(self, theta, z) -> np.ndarray:
+        return self._hessian(*self._check(theta, z))
 
     def _check(self, theta, z) -> tuple[np.ndarray, np.ndarray]:
         theta = np.asarray(theta, dtype=float)
+        if theta.shape[-1:] != (self.param_dim,):
+            raise DimensionError(
+                f"theta has shape {theta.shape}, expected (..., {self.param_dim})"
+            )
+        return theta, self._check_obs(z, theta.shape[:-1])
+
+    def _check_obs(self, z, batch_shape=()) -> np.ndarray:
+        """``z`` as floats of shape ``batch_shape + (obs_dim,)``, values checked."""
         z = np.asarray(z, dtype=float)
-        if theta.shape != (self.param_dim,):
+        if z.shape != (*batch_shape, self.obs_dim):
             raise DimensionError(
-                f"theta has shape {theta.shape}, expected ({self.param_dim},)"
+                f"observation has shape {z.shape}, "
+                f"expected {(*batch_shape, self.obs_dim)}"
             )
-        if z.shape != (self.obs_dim,):
-            raise DimensionError(
-                f"observation has shape {z.shape}, expected ({self.obs_dim},)"
-            )
-        return theta, z
+        return z
+
+    def _loss(self, theta: np.ndarray, z: np.ndarray):
+        raise NotImplementedError
+
+    def _gradient(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _hessian(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
 
 def _positive_dim(p: int) -> int:
     if int(p) != p or p < 1:
         raise DimensionError(f"parameter dimension must be a positive integer, got {p}")
     return int(p)
+
+
+def _outer(x: np.ndarray) -> np.ndarray:
+    return x[..., :, None] @ x[..., None, :]
+
+
+def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # response and features; one observation's response comes back as a numpy
+    # scalar, whose arithmetic is several times cheaper than a 0-d array's
+    return z[..., 0][()], z[..., 1:]
 
 
 class MeanModel(LossModel):
@@ -69,18 +98,15 @@ class MeanModel(LossModel):
         self._eye = np.eye(self.param_dim)
         self._eye.setflags(write=False)
 
-    def loss(self, theta, z) -> float:
-        theta, z = self._check(theta, z)
+    def _loss(self, theta, z):
         diff = z - theta
-        return 0.5 * float(diff @ diff)
+        return 0.5 * np.vecdot(diff, diff)
 
-    def gradient(self, theta, z) -> np.ndarray:
-        theta, z = self._check(theta, z)
+    def _gradient(self, theta, z):
         return theta - z
 
-    def hessian(self, theta, z) -> np.ndarray:
-        self._check(theta, z)
-        return self._eye
+    def _hessian(self, theta, z):
+        return np.broadcast_to(self._eye, theta.shape + (self.param_dim,))
 
 
 class LinearModel(LossModel):
@@ -95,20 +121,16 @@ class LinearModel(LossModel):
         self.param_dim = _positive_dim(p)
         self.obs_dim = self.param_dim + 1
 
-    def loss(self, theta, z) -> float:
-        theta, z = self._check(theta, z)
-        resid = z[0] - z[1:] @ theta
-        return 0.5 * float(resid * resid)
+    def _loss(self, theta, z):
+        resid = z[..., 0] - np.vecdot(z[..., 1:], theta)
+        return 0.5 * (resid * resid)
 
-    def gradient(self, theta, z) -> np.ndarray:
-        theta, z = self._check(theta, z)
-        x = z[1:]
-        return -(z[0] - x @ theta) * x
+    def _gradient(self, theta, z):
+        y, x = _split(z)
+        return (np.vecdot(x, theta) - y)[..., None] * x
 
-    def hessian(self, theta, z) -> np.ndarray:
-        theta, z = self._check(theta, z)
-        x = z[1:]
-        return np.outer(x, x)
+    def _hessian(self, theta, z):
+        return _outer(z[..., 1:])
 
 
 class LogisticModel(LossModel):
@@ -126,40 +148,38 @@ class LogisticModel(LossModel):
         self.param_dim = _positive_dim(p)
         self.obs_dim = self.param_dim + 1
 
-    def _split(self, z) -> tuple[float, np.ndarray]:
-        y = z[0]
-        if y != 1.0 and y != -1.0:
-            raise DataError(f"logistic label must be -1 or +1, got {y}")
-        return y, z[1:]
+    def _check_obs(self, z, batch_shape=()) -> np.ndarray:
+        z = LossModel._check_obs(self, z, batch_shape)
+        y = z[..., 0]
+        bad = np.abs(y) != 1.0
+        if np.count_nonzero(bad):
+            raise DataError(f"logistic label must be -1 or +1, got {y[bad][0]}")
+        return z
 
-    def loss(self, theta, z) -> float:
-        theta, z = self._check(theta, z)
-        y, x = self._split(z)
-        u = y * (x @ theta)
-        return float(np.logaddexp(0.0, -u))
+    def _loss(self, theta, z):
+        return np.logaddexp(0.0, -(z[..., 0] * np.vecdot(z[..., 1:], theta)))
 
-    def gradient(self, theta, z) -> np.ndarray:
-        theta, z = self._check(theta, z)
-        y, x = self._split(z)
-        u = y * (x @ theta)
-        return (-y * expit(-u)) * x
+    def _gradient(self, theta, z):
+        y, x = _split(z)
+        u = y * np.vecdot(x, theta)
+        return (-y * expit(-u))[..., None] * x
 
-    def hessian(self, theta, z) -> np.ndarray:
-        theta, z = self._check(theta, z)
-        _, x = self._split(z)
-        u = z[0] * (x @ theta)
-        s = expit(-u)
-        return (s * (1.0 - s)) * np.outer(x, x)
+    def _hessian(self, theta, z):
+        y, x = _split(z)
+        s = expit(-(y * np.vecdot(x, theta)))
+        return (s * (1.0 - s))[..., None, None] * _outer(x)
 
 
 class CustomModel(LossModel):
     """User-supplied loss/gradient/Hessian callables behind the same interface.
 
-    The Hessian callable is required even though the iteration itself only
-    consumes gradients: the streaming curvature average needs it, and making
-    it mandatory keeps inference available for every model.  Output shapes
-    are validated on every evaluation, so a mismatch surfaces at the first
-    call rather than deep inside the estimator.
+    The callables take one parameter vector and one observation; batched
+    evaluations call them once per row.  The Hessian callable is required
+    even though the iteration itself only consumes gradients: the streaming
+    curvature average needs it, and making it mandatory keeps inference
+    available for every model.  Output shapes are validated on every
+    evaluation, so a mismatch surfaces at the first call rather than deep
+    inside the estimator.
     """
 
     def __init__(
@@ -176,29 +196,26 @@ class CustomModel(LossModel):
         self._gradient_fn = gradient_fn
         self._hessian_fn = hessian_fn
 
-    def loss(self, theta, z) -> float:
-        theta, z = self._check(theta, z)
-        return float(self._loss_fn(theta, z))
+    def _rows(self, what: str, fn, theta, z, shape: tuple[int, ...]):
+        out = np.empty(theta.shape[:-1] + shape)
+        for row in np.ndindex(theta.shape[:-1]):
+            value = np.asarray(fn(theta[row], z[row]), dtype=float)
+            if value.shape != shape:
+                raise DimensionError(
+                    f"{what} callable returned shape {value.shape}, expected {shape}"
+                )
+            out[row] = value
+        return out[()]
 
-    def gradient(self, theta, z) -> np.ndarray:
-        theta, z = self._check(theta, z)
-        g = np.asarray(self._gradient_fn(theta, z), dtype=float)
-        if g.shape != (self.param_dim,):
-            raise DimensionError(
-                f"gradient callable returned shape {g.shape}, "
-                f"expected ({self.param_dim},)"
-            )
-        return g
+    def _loss(self, theta, z):
+        return self._rows("loss", self._loss_fn, theta, z, ())
 
-    def hessian(self, theta, z) -> np.ndarray:
-        theta, z = self._check(theta, z)
-        h = np.asarray(self._hessian_fn(theta, z), dtype=float)
-        if h.shape != (self.param_dim, self.param_dim):
-            raise DimensionError(
-                f"hessian callable returned shape {h.shape}, "
-                f"expected ({self.param_dim}, {self.param_dim})"
-            )
-        return h
+    def _gradient(self, theta, z):
+        return self._rows("gradient", self._gradient_fn, theta, z, (self.param_dim,))
+
+    def _hessian(self, theta, z):
+        p = self.param_dim
+        return self._rows("hessian", self._hessian_fn, theta, z, (p, p))
 
 
 #: Model families constructible from a name and a parameter dimension.

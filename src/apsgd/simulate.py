@@ -6,10 +6,9 @@ variates are produced by inverse-CDF from open-interval uniforms, so any
 implementation of the same documented scheme reproduces the streams.
 
 For throughput the runner advances all replications of a cell in lockstep as
-``(R, p)`` arrays; the per-replication arithmetic is the same as
-``EstimatorState.step`` (the test suite checks agreement), and chunking the
-replications over worker threads cannot change any number because every
-replication owns its seed.
+one batched ``(R, p)`` ``EstimatorState``, so a replication runs the same
+recursion as a CSV stream.  Chunking the replications over worker processes
+cannot change any number because every replication owns its seed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .estimator import REPROJECT_EVERY, EstimatorState, LearningRate
+from .estimator import EstimatorState, LearningRate
 from .exceptions import ConfigError, DimensionError, DomainError
 from .inference import asymptotic_covariance, test_from_states
 from .distributions import normal_quantile
@@ -125,7 +124,7 @@ def draw_block(dgp: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
         return theta + dgp.noise_sd * ndtri(u)
     u = uniform_open(rng, (n, k + 1))
     x = ndtri(u[:, :k])
-    lin = x @ theta
+    lin = np.vecdot(x, theta)
     if dgp.kind == "linear":
         y = lin + dgp.noise_sd * ndtri(u[:, k])
     else:
@@ -321,53 +320,6 @@ def full_scale(config: ExperimentConfig) -> ExperimentConfig:
 # -- lockstep replication engine ---------------------------------------------------
 
 
-@dataclass
-class StreamMoments:
-    """Final state of every replication of one stream, stacked on axis 0."""
-
-    theta: np.ndarray  # (R, p) final iterates
-    theta_bar: np.ndarray  # (R, p) averaged estimates
-    g_hat: np.ndarray  # (R, p, p)
-    s_hat: np.ndarray  # (R, p, p)
-
-    def state(self, k: int, model, constraint, schedule, t: int) -> EstimatorState:
-        """Materialise replication ``k`` as a regular estimator state."""
-        return EstimatorState._restore(
-            model,
-            constraint,
-            schedule,
-            t=t,
-            theta=self.theta[k].copy(),
-            theta_bar=self.theta_bar[k].copy(),
-            g_hat=self.g_hat[k].copy(),
-            s_hat=self.s_hat[k].copy(),
-        )
-
-
-def _batch_gradient(kind: str, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if kind == "mean":
-        return theta - z
-    y = z[:, 0]
-    x = z[:, 1:]
-    if kind == "linear":
-        resid = y - np.einsum("rj,rj->r", x, theta)
-        return -resid[:, None] * x
-    u = y * np.einsum("rj,rj->r", x, theta)
-    return (-y * expit(-u))[:, None] * x
-
-
-def _batch_hessian(kind: str, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if kind == "mean":
-        return np.broadcast_to(np.eye(theta.shape[1]), (theta.shape[0],) + (theta.shape[1],) * 2)
-    x = z[:, 1:]
-    outer = np.einsum("ri,rj->rij", x, x)
-    if kind == "linear":
-        return outer
-    u = z[:, 0] * np.einsum("rj,rj->r", x, theta)
-    s = expit(-u)
-    return (s * (1.0 - s))[:, None, None] * outer
-
-
 def _advance_chunk(
     dgp: DgpSpec,
     constraint: Constraint,
@@ -377,57 +329,25 @@ def _advance_chunk(
     base_seed: int,
     cell: int,
     include_unconstrained: bool,
-) -> tuple[StreamMoments, StreamMoments | None]:
-    p = constraint.p
-    n_reps = len(reps)
+) -> list[EstimatorState]:
     rngs = [replication_rng(base_seed, cell, k) for k in reps]
-    kind = dgp.kind
-
-    def fresh(start: np.ndarray):
-        return [
-            np.tile(start, (n_reps, 1)),
-            np.tile(start, (n_reps, 1)),
-            np.zeros((n_reps, p, p)),
-            np.zeros((n_reps, p, p)),
-        ]
-
-    # both streams start from the constraint's feasible point (projected into
-    # each stream's own feasible set, which is a no-op for the unconstrained one)
-    projected = [constraint.P, constraint.c, fresh(constraint.c)]
-    streams = [projected]
+    model = dgp.model()
+    # both streams start from the constraint's feasible point
+    start = np.tile(constraint.c, (len(reps), 1))
+    states = [EstimatorState(model, constraint, schedule, theta0=start)]
     if include_unconstrained:
-        streams.append([None, None, fresh(constraint.c.copy())])
+        free = Constraint.unconstrained(constraint.p)
+        states.append(EstimatorState(model, free, schedule, theta0=start))
 
-    t = 0
-    obs = np.empty((_BLOCK, n_reps, dgp.obs_dim))
-    while t < T:
+    obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
+    for t in range(0, T, _BLOCK):
         n = min(_BLOCK, T - t)
         for i, rng in enumerate(rngs):
             obs[:n, i, :] = draw_block(dgp, rng, n)
-        for i in range(n):
-            t += 1
-            z = obs[i]
-            gamma_t = schedule.at(t)
-            w_old = (t - 1.0) / t
-            w_new = 1.0 / t
-            for P, c, (theta, theta_bar, g_hat, s_hat) in streams:
-                grad = _batch_gradient(kind, theta, z)
-                v = theta - gamma_t * grad
-                if P is not None:
-                    v = c + (v - c) @ P.T
-                    if t % REPROJECT_EVERY == 0:
-                        v = c + (v - c) @ P.T
-                theta[...] = v
-                theta_bar *= w_old
-                theta_bar += w_new * theta
-                g_hat *= w_old
-                g_hat += w_new * _batch_hessian(kind, theta_bar, z)
-                grad_bar = _batch_gradient(kind, theta_bar, z)
-                s_hat *= w_old
-                s_hat += w_new * np.einsum("ri,rj->rij", grad_bar, grad_bar)
-
-    out = [StreamMoments(*arrays) for _, _, arrays in streams]
-    return out[0], (out[1] if include_unconstrained else None)
+        for z in model._check_obs(obs[:n], (n, len(reps))):
+            for state in states:
+                state._advance(z, model._gradient, model._hessian)
+    return states
 
 
 def _chunk_task(args):
@@ -444,47 +364,31 @@ def replicate_streams(
     cell: int = 0,
     include_unconstrained: bool = False,
     workers: int = 1,
-) -> tuple[StreamMoments, StreamMoments | None]:
+) -> tuple[EstimatorState, EstimatorState | None]:
     """Advance every replication of one grid cell for ``T`` steps.
 
-    Returns the constrained stream's final moments and, when requested, the
-    unconstrained stream advanced on the same observations.  ``workers``
-    only chunks the replications across worker processes; every replication
-    owns its seed, so results are identical for any worker count.
+    Returns the constrained stream as one batched state whose leading axis
+    indexes the replications (``state[k]`` is replication ``k``) and, when
+    requested, the unconstrained stream advanced on the same observations.
+    ``workers`` only chunks the replications across worker processes; every
+    replication owns its seed, so results are identical for any worker count.
     """
-
-    def merge(parts):
-        if parts[0][1] is None:
-            uncon = None
-        else:
-            uncon = StreamMoments(
-                *(
-                    np.concatenate([getattr(part[1], name) for part in parts])
-                    for name in ("theta", "theta_bar", "g_hat", "s_hat")
-                )
-            )
-        con = StreamMoments(
-            *(
-                np.concatenate([getattr(part[0], name) for part in parts])
-                for name in ("theta", "theta_bar", "g_hat", "s_hat")
-            )
-        )
-        return con, uncon
-
     if workers <= 1 or replications == 1:
-        return _advance_chunk(
+        states = _advance_chunk(
             dgp, constraint, schedule, T, range(replications), base_seed, cell,
             include_unconstrained,
         )
-    bounds = np.linspace(0, replications, min(workers, replications) + 1).astype(int)
-    chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    tasks = [
-        (dgp, constraint, schedule, T, reps, base_seed, cell, include_unconstrained)
-        for reps in chunks
-    ]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(_chunk_task, tasks))
-    return merge(parts)
+    else:
+        bounds = np.linspace(0, replications, min(workers, replications) + 1).astype(int)
+        chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        tasks = [
+            (dgp, constraint, schedule, T, reps, base_seed, cell, include_unconstrained)
+            for reps in chunks
+        ]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_chunk_task, tasks))
+        states = [EstimatorState.concatenate(side) for side in zip(*parts)]
+    return states[0], (states[1] if include_unconstrained else None)
 
 
 # -- experiment runners -------------------------------------------------------------
@@ -560,8 +464,8 @@ def run_estimation_error(config: ExperimentConfig) -> ExperimentResult:
             dgp, constraint, schedule, T, R, config.base_seed, cell,
             include_unconstrained=True, workers=config.workers,
         )
-        for metric, moments in (("mae_constrained", con), ("mae_unconstrained", uncon)):
-            err = np.abs(moments.theta_bar - theta_star)
+        for metric, state in (("mae_constrained", con), ("mae_unconstrained", uncon)):
+            err = np.abs(state.theta_bar - theta_star)
             means = err.mean(axis=0)
             stderrs = err.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros_like(means)
             for j, name in enumerate(names):
@@ -583,7 +487,6 @@ def run_coverage(config: ExperimentConfig) -> ExperimentResult:
     dgp = preset.spec(0.0)
     constraint = preset.constraint()
     schedule = config.schedule()
-    model = dgp.model()
     theta_star = dgp.theta()
     p = len(theta_star)
     R = config.replications
@@ -598,8 +501,7 @@ def run_coverage(config: ExperimentConfig) -> ExperimentResult:
         )
         covered = np.zeros((R, p), dtype=bool)
         for k in range(R):
-            state = con.state(k, model, constraint, schedule, T)
-            cov = asymptotic_covariance(state)
+            cov = asymptotic_covariance(con[k])
             se = np.sqrt(np.clip(np.diag(cov), 0.0, None) / T)
             covered[k] = np.abs(con.theta_bar[k] - theta_star) <= z * se
         freq = covered.mean(axis=0)
@@ -633,21 +535,14 @@ def run_size_power(config: ExperimentConfig) -> ExperimentResult:
     cell = 0
     for T in config.sample_sizes:
         for r in config.r_grid:
-            dgp = preset.spec(r)
-            model = dgp.model()
-            uncon_constraint = Constraint.unconstrained(constraint.p)
             con, uncon = replicate_streams(
-                dgp, constraint, schedule, T, R, config.base_seed, cell,
+                preset.spec(r), constraint, schedule, T, R, config.base_seed, cell,
                 include_unconstrained=True, workers=config.workers,
             )
             kappas = np.empty(R)
             rejects = np.empty(R, dtype=bool)
             for k in range(R):
-                outcome = test_from_states(
-                    con.state(k, model, constraint, schedule, T),
-                    uncon.state(k, model, uncon_constraint, schedule, T),
-                    alpha=config.alpha,
-                )
+                outcome = test_from_states(con[k], uncon[k], alpha=config.alpha)
                 kappas[k] = outcome.kappa
                 rejects[k] = outcome.reject
             freq = float(rejects.mean())

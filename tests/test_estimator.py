@@ -10,16 +10,28 @@ from apsgd import (
     EstimatorState,
     LearningRate,
     LinearModel,
+    LogisticModel,
     MeanModel,
     NumericalError,
 )
-from apsgd.simulate import PRESETS, draw, replication_rng
+from apsgd.simulate import PRESETS, draw, draw_block, replication_rng
 
 
 def dgp1_stream(n, seed=0):
     dgp = PRESETS["linear"].spec(0.0)
     rng = replication_rng(seed, 0, 0)
     return [draw(dgp, rng) for _ in range(n)]
+
+
+def batched_stream(n, streams, seed=0, preset="linear"):
+    """``n`` draws for each of ``streams`` replications, shape (n, streams, obs_dim)."""
+    dgp = PRESETS[preset].spec(0.0)
+    return np.stack(
+        [draw_block(dgp, replication_rng(seed, 0, k), n) for k in range(streams)], axis=1
+    )
+
+
+STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
 
 
 class TestLearningRate:
@@ -205,3 +217,65 @@ class TestSnapshots:
         np.testing.assert_array_equal(resumed.theta_bar, straight.theta_bar)
         np.testing.assert_array_equal(resumed.g_hat, straight.g_hat)
         np.testing.assert_array_equal(resumed.s_hat, straight.s_hat)
+
+
+class TestBatchedState:
+    """A state whose theta0 has leading axes advances that many streams at once."""
+
+    def test_custom_model_matches_single_streams(self):
+        lin = LinearModel(4)
+        model = CustomModel(4, 5, lin.loss, lin.gradient, lin.hessian)
+        con = PRESETS["linear"].constraint()
+        obs = batched_stream(200, 3, seed=10)
+        batch = EstimatorState(model, con, theta0=np.tile(con.c, (3, 1))).run_stream(obs)
+        assert batch.theta.shape == (3, 4) and batch.g_hat.shape == (3, 4, 4)
+        for k in range(3):
+            single = EstimatorState(model, con).run_stream(obs[:, k])
+            for name in STREAM_ARRAYS:
+                np.testing.assert_allclose(
+                    getattr(batch[k], name), getattr(single, name), rtol=1e-12, atol=1e-14
+                )
+
+    @pytest.mark.parametrize(
+        "model", [LinearModel(4), LogisticModel(4)], ids=["linear", "logistic"]
+    )
+    def test_json_roundtrip_and_indexing_are_exact(self, model):
+        """Without a projection the batched arithmetic is row-wise, so each
+        stream of the batch matches its own single-stream run bit for bit."""
+        obs = batched_stream(150, 3, seed=11, preset=model.family)
+        free = Constraint.unconstrained(4)
+        batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream(obs)
+        restored = EstimatorState.from_json(batch.to_json(), model)
+        assert restored.t == batch.t == 150
+        for name in STREAM_ARRAYS:
+            np.testing.assert_array_equal(getattr(restored, name), getattr(batch, name))
+        for k in range(3):
+            single = EstimatorState(model, free).run_stream(obs[:, k])
+            assert batch[k].t == single.t
+            for name in STREAM_ARRAYS:
+                np.testing.assert_array_equal(getattr(batch[k], name), getattr(single, name))
+
+    def test_from_record_copies_the_stream_arrays(self):
+        model = LinearModel(4)
+        obs = batched_stream(20, 2, seed=12)
+        record = EstimatorState(
+            model, Constraint.unconstrained(4), theta0=np.zeros((2, 4))
+        ).run_stream(obs).to_record()
+        record = {k: np.array(v) if k in STREAM_ARRAYS else v for k, v in record.items()}
+        kept = {name: record[name].copy() for name in STREAM_ARRAYS}
+        EstimatorState.from_record(record, model).run_stream(obs)
+        for name in STREAM_ARRAYS:
+            np.testing.assert_array_equal(record[name], kept[name])
+
+    def test_non_finite_gradient_in_one_stream_names_the_step(self):
+        def gradient(theta, z):
+            return np.full(2, np.nan) if z[0] > 0.5 else theta - z
+
+        model = CustomModel(2, 2, lambda t, z: 0.0, gradient, lambda t, z: np.eye(2))
+        state = EstimatorState(model, Constraint.unconstrained(2), theta0=np.zeros((3, 2)))
+        obs = np.zeros((4, 3, 2))
+        obs[2, 1, 0] = 1.0
+        with pytest.raises(NumericalError, match=r"non-finite gradient at step 3 "):
+            for z in obs:
+                state.step(z)
+        assert state.t == 2

@@ -137,7 +137,7 @@ class TestStandardization:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(400)
         x = (x - x.mean()) / x.std(ddof=1)
-        body = "\n".join(f"0,{v!r}" for v in x)
+        body = "\n".join(f"0,{float(v)!r}" for v in x)
         path = write_csv(tmp_path / "std.csv", "y,x\n" + body + "\n")
         resolved = resolve_schema(RowSource(path), CsvSchema())
         means, sds = feature_moments(RowSource(path), resolved)

@@ -174,6 +174,11 @@ class TestConstraint:
         assert np.array_equal(con.project(v), v)
         assert con.violation(v) == 0.0
 
+    def test_unconstrained_projection_returns_a_float_array(self):
+        out = Constraint.unconstrained(2).project([[1, 2], [3, 4]])
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestKernelRestrictedInverseIdentities:
     """pinv(PAP) absorbs P on either side and inverts PAP on the range of P."""

@@ -227,3 +227,16 @@ class TestGradientOracleSweep:
                 1.0, np.linalg.norm(h, 2)
             )
             np.testing.assert_array_equal(h, h.T)
+
+    @pytest.mark.parametrize("factory", [MeanModel, LinearModel, LogisticModel])
+    def test_leading_axes_match_row_by_row(self, factory):
+        model = factory(4)
+        rng = np.random.default_rng(43)
+        theta = rng.standard_normal((2, 3, 4))
+        z = np.array(
+            [[random_observation(model, rng) for _ in range(3)] for _ in range(2)]
+        )
+        for method in (model.loss, model.gradient, model.hessian):
+            batch = method(theta, z)
+            for row in np.ndindex(2, 3):
+                np.testing.assert_array_equal(batch[row], method(theta[row], z[row]))

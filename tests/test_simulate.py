@@ -8,7 +8,6 @@ from apsgd import (
     Constraint,
     EstimatorState,
     LearningRate,
-    LinearModel,
     chi2_quantile,
 )
 from apsgd.simulate import (
@@ -48,7 +47,8 @@ class TestDraws:
 
     def test_blocking_does_not_change_the_stream(self):
         dgp = PRESETS["linear"].spec(0.0)
-        one = np.vstack([draw(dgp, replication_rng(3, 0, 0)) for _ in range(64)])
+        one_rng = replication_rng(3, 0, 0)
+        one = np.vstack([draw(dgp, one_rng) for _ in range(64)])
         whole = draw_block(dgp, replication_rng(3, 0, 0), 64)
         split_rng = replication_rng(3, 0, 0)
         split = np.vstack([draw_block(dgp, split_rng, 20), draw_block(dgp, split_rng, 44)])
@@ -63,9 +63,10 @@ class TestDraws:
 
 
 class TestEngineEquivalence:
-    def test_lockstep_matches_sequential_estimator(self):
+    @pytest.mark.parametrize("preset_name", ["linear", "logistic"])
+    def test_lockstep_matches_sequential_estimator(self, preset_name):
         """The batched engine reproduces step-by-step states at 1e-12."""
-        preset = PRESETS["linear"]
+        preset = PRESETS[preset_name]
         dgp = preset.spec(0.0)
         con = preset.constraint()
         schedule = LearningRate()
@@ -75,9 +76,9 @@ class TestEngineEquivalence:
         )
         for k in range(3):
             rng = replication_rng(17, 0, k)
-            seq_c = EstimatorState(LinearModel(4), con, schedule, theta0=con.c)
+            seq_c = EstimatorState(dgp.model(), con, schedule, theta0=con.c)
             seq_i = EstimatorState(
-                LinearModel(4), Constraint.unconstrained(4), schedule, theta0=con.c
+                dgp.model(), Constraint.unconstrained(4), schedule, theta0=con.c
             )
             for _ in range(250):
                 z = draw(dgp, rng)
