@@ -4,9 +4,12 @@ An ``EstimatorState`` advances one stream, or a stack of independent streams
 in lockstep: the shape of ``theta0`` without its last axis is the batch
 shape, so a CSV fit is a ``(p,)`` state and a Monte Carlo cell is a single
 ``(R, p)`` state.  Call ``step`` once per observation, in order.  Each step
-projects the gradient update back onto the affine feasible set, folds the new
-iterate into the running average, and advances the streaming curvature /
-gradient-outer-product averages that inference consumes later.  States may
+projects the gradient update back onto the affine feasible set and folds the
+new iterate into the running average; only this part is sequential.  The
+curvature and gradient-outer-product averages that inference consumes later
+are plain averages over the path of running averages: ``step`` folds them in
+per row, and the Monte Carlo lockstep (``simulate``) stores a block's path
+and folds the whole block at once.  States may
 be handed between threads between steps; distinct states (for example the
 constrained and unconstrained sides of a specification test) can advance
 fully in parallel.
@@ -82,6 +85,15 @@ class EstimatorState:
 
     ``theta_bar``, ``g_hat`` and ``s_hat`` are updated in place by every
     step; copy them to keep a trajectory.
+
+    A ``NumericalError`` names the step at which a gradient or a moment first
+    went non-finite, and the state is then not meant to be resumed.  After a
+    non-finite gradient at step ``s``, everything still describes step
+    ``s - 1``.  After a non-finite moment, ``t``, ``theta`` and ``theta_bar``
+    have moved on (to ``s`` in ``step``; in the lockstep, as far into the
+    block as its moves got), while ``g_hat`` and ``s_hat`` hold the averages
+    before the failed fold: up to step ``s - 1`` in ``step``, up to the end
+    of the previous block in the lockstep.
     """
 
     def __init__(
@@ -132,37 +144,50 @@ class EstimatorState:
 
         ``z`` has shape ``batch_shape + (obs_dim,)``; the model's checked
         ``gradient`` and ``hessian`` validate it.  Order of operations:
-        projected iterate update, then the average, then the moment
-        recursions evaluated at the new average.
+        projected iterate update, then the average, then the moments
+        evaluated at the new average and folded in with weight ``1/t``.
         """
-        self._advance(z, self.model.gradient, self.model.hessian)
+        model = self.model
+        self._move(z, model.gradient)
+        hess = model.hessian(self.theta_bar, z)
+        grad = model.gradient(self.theta_bar, z)
+        self._fold(1, hess, grad[..., :, None] @ grad[..., None, :])
         return self
 
-    def _advance(self, z, gradient, hessian) -> None:
-        """The recursion, evaluating the model through ``gradient``/``hessian``:
-        its checked public methods from ``step``, its unchecked kernels from the
-        Monte Carlo lockstep, which validates each block once with ``_check_obs``."""
+    def _move(self, z, gradient) -> None:
+        """One projected SGD step and one update of the average: the only
+        sequential part of the recursion.  ``gradient`` is the model's checked
+        public method from ``step`` and its unchecked kernel from the Monte
+        Carlo lockstep, which validates each block once with ``_check_obs``."""
         t = self.t + 1
         grad = gradient(self.theta, z)
         if not np.isfinite(grad).all():
             raise NumericalError(f"non-finite gradient at step {t} (theta={self.theta.tolist()})")
         self.theta = self.constraint.project(self.theta - self.schedule.at(t) * grad)
-
-        w_old = (t - 1.0) / t
-        w_new = 1.0 / t
-        self.theta_bar *= w_old
-        self.theta_bar += w_new * self.theta
-
-        hess = hessian(self.theta_bar, z)
-        grad_bar = gradient(self.theta_bar, z)
-        if not (np.isfinite(hess).all() and np.isfinite(grad_bar).all()):
-            theta = self.theta.tolist()
-            raise NumericalError(f"non-finite moment update at step {t} (theta={theta})")
-        self.g_hat *= w_old
-        self.g_hat += w_new * hess
-        self.s_hat *= w_old
-        self.s_hat += w_new * (grad_bar[..., :, None] @ grad_bar[..., None, :])
+        self.theta_bar *= (t - 1.0) / t
+        self.theta_bar += (1.0 / t) * self.theta
         self.t = t
+
+    def _fold(self, n: int, hess_sum, outer_sum, first_bad_row=None) -> None:
+        """Fold the sums over the last ``n`` moved rows of the Hessians and of
+        the gradient outer products, both at the average after each row, into
+        ``g_hat`` and ``s_hat``.
+
+        A non-finite sum raises ``NumericalError`` and leaves both untouched.
+        The error names step ``t - n + 1 + first_bad_row()``, so a caller
+        folding several rows at once passes a function that finds the first
+        row whose running sum is non-finite.
+        """
+        t = self.t
+        if not (np.isfinite(hess_sum).all() and np.isfinite(outer_sum).all()):
+            row = first_bad_row() if first_bad_row is not None else n - 1
+            raise NumericalError(f"non-finite moment update at step {t - n + 1 + row}")
+        w_old = (t - n) / t
+        w_new = 1.0 / t
+        self.g_hat *= w_old
+        self.g_hat += w_new * hess_sum
+        self.s_hat *= w_old
+        self.s_hat += w_new * outer_sum
 
     def run_stream(self, observations) -> "EstimatorState":
         """Fold ``step`` over an iterable of observations, in order.

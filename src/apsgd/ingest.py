@@ -102,6 +102,12 @@ class RowSource:
 
     def rows(self):
         """Yield ``(line_number, fields)`` pairs, 1-based line numbers."""
+        try:
+            yield from self._rows()
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{self.path}: not a UTF-8 CSV file: {exc}") from exc
+
+    def _rows(self):
         if self.path == "-":
             if self._stdin_cache is None:
                 self._stdin_cache = [row for row in csv.reader(sys.stdin)]

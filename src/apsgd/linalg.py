@@ -203,8 +203,11 @@ class Constraint:
             return np.asarray(theta, dtype=float)
         return self.c + (theta - self.c) @ self.P.T
 
-    def violation(self, theta: np.ndarray) -> float:
-        """Euclidean norm of ``B theta - b`` (0.0 when there are no rows)."""
-        if self.B.shape[0] == 0:
-            return 0.0
-        return float(np.linalg.norm(self.B @ theta - self.b))
+    def violation(self, theta: np.ndarray) -> float | np.ndarray:
+        """Euclidean norm of ``B theta - b`` over the last axis of ``theta``.
+
+        A ``(p,)`` input gives a float and a ``(..., p)`` batch one norm per
+        stream; both are 0.0 when there are no rows.
+        """
+        norms = np.linalg.norm(np.asarray(theta, dtype=float) @ self.B.T - self.b, axis=-1)
+        return float(norms) if norms.ndim == 0 else norms

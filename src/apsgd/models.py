@@ -27,7 +27,9 @@ class LossModel:
     the Hessian must be symmetric.  Subclasses implement the unchecked kernels
     ``_loss``, ``_gradient`` and ``_hessian``, which the Monte Carlo lockstep
     calls directly on blocks of observations it has validated once with
-    ``_check_obs``.
+    ``_check_obs``.  The lockstep sums a block's Hessians with
+    ``_hessian_sum``, which the families override so that no per-row
+    ``(n, ..., p, p)`` array is built.
     """
 
     param_dim: int
@@ -70,6 +72,10 @@ class LossModel:
     def _hessian(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _hessian_sum(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Sum of ``_hessian(theta, z)`` over the first axis (the rows of a block)."""
+        return self._hessian(theta, z).sum(0)
+
 
 def _positive_dim(p: int) -> int:
     if int(p) != p or p < 1:
@@ -81,10 +87,21 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return x[..., :, None] @ x[..., None, :]
 
 
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_i outer(a[i], b[i])`` over the first axis, as one batched matmul."""
+    return np.moveaxis(a, 0, -1) @ np.moveaxis(b, 0, -2)
+
+
 def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # response and features; one observation's response comes back as a numpy
     # scalar, whose arithmetic is several times cheaper than a 0-d array's
     return z[..., 0][()], z[..., 1:]
+
+
+def _curvature(y, x, theta):
+    """The logistic Hessian's weight ``s (1 - s)`` with ``s = expit(-y x @ theta)``."""
+    s = expit(-(y * np.vecdot(x, theta)))
+    return s * (1.0 - s)
 
 
 class MeanModel(LossModel):
@@ -107,6 +124,9 @@ class MeanModel(LossModel):
 
     def _hessian(self, theta, z):
         return np.broadcast_to(self._eye, theta.shape + (self.param_dim,))
+
+    def _hessian_sum(self, theta, z):
+        return np.broadcast_to(len(theta) * self._eye, theta.shape[1:] + (self.param_dim,))
 
 
 class LinearModel(LossModel):
@@ -131,6 +151,10 @@ class LinearModel(LossModel):
 
     def _hessian(self, theta, z):
         return _outer(z[..., 1:])
+
+    def _hessian_sum(self, theta, z):
+        x = z[..., 1:]
+        return _gram(x, x)
 
 
 class LogisticModel(LossModel):
@@ -166,8 +190,12 @@ class LogisticModel(LossModel):
 
     def _hessian(self, theta, z):
         y, x = _split(z)
-        s = expit(-(y * np.vecdot(x, theta)))
-        return (s * (1.0 - s))[..., None, None] * _outer(x)
+        s = _curvature(y, x, theta)
+        return s[..., None, None] * _outer(x)
+
+    def _hessian_sum(self, theta, z):
+        y, x = _split(z)
+        return _gram(_curvature(y, x, theta)[..., None] * x, x)
 
 
 class CustomModel(LossModel):

@@ -7,8 +7,12 @@ implementation of the same documented scheme reproduces the streams.
 
 For throughput the runner advances all replications of a cell in lockstep as
 one batched ``(R, p)`` ``EstimatorState``, so a replication runs the same
-recursion as a CSV stream.  Chunking the replications over worker processes
-cannot change any number because every replication owns its seed.
+recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows: each step
+of a block only moves the iterate and its average, whose path it stores, and
+the curvature and gradient-outer-product sums of the whole block are then
+evaluated along that path with a few batched matmuls and folded in at once.
+Chunking the replications over worker processes cannot change any number
+because every replication owns its seed.
 """
 
 from __future__ import annotations
@@ -22,16 +26,18 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .estimator import EstimatorState, LearningRate
-from .exceptions import ConfigError, DimensionError, DomainError
+from .exceptions import ConfigError, DimensionError, DomainError, NumericalError
 from .inference import asymptotic_covariance, test_from_states
 from .distributions import normal_quantile
 from .linalg import Constraint
-from .models import MODEL_FAMILIES, LossModel
+from .models import MODEL_FAMILIES, LossModel, _gram, _outer
 
 _TWO53 = float(1 << 53)
 
-#: Observations generated per replication between lockstep advances.
-_BLOCK = 2048
+#: Rows per replication drawn, moved and folded at a time.  Larger blocks
+#: were no faster and hold more memory: the block, its path of averages and
+#: its gradients are ``(_BLOCK, R, p)`` arrays.
+_BLOCK = 256
 
 #: Full-scale grid used by ``full_scale``; the default configs are
 #: desk-scale so the suite finishes in minutes.
@@ -340,14 +346,40 @@ def _advance_chunk(
         states.append(EstimatorState(model, free, schedule, theta0=start))
 
     obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
+    path = np.empty((_BLOCK, len(reps), constraint.p))
     for t in range(0, T, _BLOCK):
         n = min(_BLOCK, T - t)
         for i, rng in enumerate(rngs):
             obs[:n, i, :] = draw_block(dgp, rng, n)
-        for z in model._check_obs(obs[:n], (n, len(reps))):
-            for state in states:
-                state._advance(z, model._gradient, model._hessian)
+        block = model._check_obs(obs[:n], (n, len(reps)))
+        for state in states:
+            try:
+                for i, z in enumerate(block):
+                    state._move(z, model._gradient)
+                    path[i] = state.theta_bar
+            except NumericalError:
+                # a moment that went non-finite before this step is the first fault
+                if i:
+                    _fold_block(state, path[:i], block[:i])
+                raise
+            _fold_block(state, path[:n], block)
     return states
+
+
+def _fold_block(state: EstimatorState, path: np.ndarray, block: np.ndarray) -> None:
+    """Fold the moments of one block, evaluated along its stored ``(n, R, p)``
+    path of averages, into ``state``."""
+    model = state.model
+    grad = model._gradient(path, block)
+
+    def first_bad_row() -> int:
+        # the first row at which a running sum of either moment is non-finite
+        with np.errstate(all="ignore"):
+            sums = (np.cumsum(model._hessian(path, block), 0), np.cumsum(_outer(grad), 0))
+        finite = [np.isfinite(s).reshape(len(block), -1).all(1) for s in sums]
+        return int(np.argmin(finite[0] & finite[1]))
+
+    state._fold(len(block), model._hessian_sum(path, block), _gram(grad, grad), first_bad_row)
 
 
 def _chunk_task(args):

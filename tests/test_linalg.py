@@ -180,6 +180,25 @@ class TestConstraint:
         np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
 
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (4, 4), (2, 3, 4)])
+    def test_violation_is_per_stream(self, shape):
+        """A batch gives one norm per row; R == p must not read as a matrix product."""
+        con = Constraint.from_equalities([[0.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]], [0.0, 1.0])
+        theta = np.random.default_rng(5).standard_normal(shape)
+        got = con.violation(theta)
+        if len(shape) == 1:
+            assert isinstance(got, float)
+        assert np.shape(got) == shape[:-1]
+        for row in np.ndindex(shape[:-1]):
+            want = np.linalg.norm(con.B @ theta[row] - con.b)
+            assert np.asarray(got)[row] == pytest.approx(want, rel=1e-14)
+        assert np.array_equal(Constraint.unconstrained(4).violation(theta), np.zeros(shape[:-1]))
+
+    def test_violation_of_ones_batch(self):
+        con = Constraint.from_equalities([[0.0, 1.0, 1.0, 1.0]], [0.0])
+        np.testing.assert_array_equal(con.violation(np.ones((4, 4))), np.full(4, 3.0))
+
+
 class TestKernelRestrictedInverseIdentities:
     """pinv(PAP) absorbs P on either side and inverts PAP on the range of P."""
 

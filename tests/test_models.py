@@ -240,3 +240,20 @@ class TestGradientOracleSweep:
             batch = method(theta, z)
             for row in np.ndindex(2, 3):
                 np.testing.assert_array_equal(batch[row], method(theta[row], z[row]))
+
+    @pytest.mark.parametrize("family", ["mean", "linear", "logistic", "custom"])
+    def test_hessian_sum_matches_summed_rows(self, family):
+        """The block kernel sums the rows of (n, R) Hessians without building them."""
+        if family == "custom":
+            lin = LinearModel(4)
+            model = CustomModel(4, 5, lin.loss, lin.gradient, lin.hessian)
+        else:
+            model = {"mean": MeanModel, "linear": LinearModel, "logistic": LogisticModel}[family](4)
+        rng = np.random.default_rng(44)
+        theta = rng.standard_normal((7, 3, 4))
+        z = np.array([[random_observation(model, rng) for _ in range(3)] for _ in range(7)])
+        total = model._hessian_sum(theta, z)
+        assert total.shape == (3, 4, 4)
+        np.testing.assert_allclose(
+            total, model._hessian(theta, z).sum(0), rtol=1e-12, atol=1e-14
+        )

@@ -1,16 +1,22 @@
 """DGP draws, the lockstep replication engine, and the experiment runners."""
 
+import re
+
 import numpy as np
 import pytest
 
 from apsgd import (
     ConfigError,
     Constraint,
+    CustomModel,
     EstimatorState,
     LearningRate,
+    NumericalError,
     chi2_quantile,
 )
 from apsgd.simulate import (
+    _BLOCK,
+    _fold_block,
     PRESETS,
     DgpSpec,
     ExperimentConfig,
@@ -62,36 +68,45 @@ class TestDraws:
         np.testing.assert_allclose(zs.mean(axis=0), [2.0, -1.0], atol=0.02)
 
 
+def assert_lockstep_matches_steps(preset_name, T):
+    """The batched engine reproduces step-by-step states at 1e-12."""
+    preset = PRESETS[preset_name]
+    dgp = preset.spec(0.0)
+    con = preset.constraint()
+    schedule = LearningRate()
+    batch_c, batch_i = replicate_streams(
+        dgp, con, schedule, T=T, replications=3, base_seed=17, cell=0,
+        include_unconstrained=True,
+    )
+    for k in range(3):
+        rng = replication_rng(17, 0, k)
+        seq_c = EstimatorState(dgp.model(), con, schedule, theta0=con.c)
+        seq_i = EstimatorState(
+            dgp.model(), Constraint.unconstrained(4), schedule, theta0=con.c
+        )
+        for _ in range(T):
+            z = draw(dgp, rng)
+            seq_c.step(z)
+            seq_i.step(z)
+        for batch, seq in (
+            (batch_c.theta_bar[k], seq_c.theta_bar),
+            (batch_c.g_hat[k], seq_c.g_hat),
+            (batch_c.s_hat[k], seq_c.s_hat),
+            (batch_i.theta_bar[k], seq_i.theta_bar),
+            (batch_i.s_hat[k], seq_i.s_hat),
+        ):
+            np.testing.assert_allclose(batch, seq, rtol=1e-12, atol=1e-14)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("preset_name", ["linear", "logistic"])
     def test_lockstep_matches_sequential_estimator(self, preset_name):
-        """The batched engine reproduces step-by-step states at 1e-12."""
-        preset = PRESETS[preset_name]
-        dgp = preset.spec(0.0)
-        con = preset.constraint()
-        schedule = LearningRate()
-        batch_c, batch_i = replicate_streams(
-            dgp, con, schedule, T=250, replications=3, base_seed=17, cell=0,
-            include_unconstrained=True,
-        )
-        for k in range(3):
-            rng = replication_rng(17, 0, k)
-            seq_c = EstimatorState(dgp.model(), con, schedule, theta0=con.c)
-            seq_i = EstimatorState(
-                dgp.model(), Constraint.unconstrained(4), schedule, theta0=con.c
-            )
-            for _ in range(250):
-                z = draw(dgp, rng)
-                seq_c.step(z)
-                seq_i.step(z)
-            for batch, seq in (
-                (batch_c.theta_bar[k], seq_c.theta_bar),
-                (batch_c.g_hat[k], seq_c.g_hat),
-                (batch_c.s_hat[k], seq_c.s_hat),
-                (batch_i.theta_bar[k], seq_i.theta_bar),
-                (batch_i.s_hat[k], seq_i.s_hat),
-            ):
-                np.testing.assert_allclose(batch, seq, rtol=1e-12, atol=1e-14)
+        assert_lockstep_matches_steps(preset_name, T=250)
+
+    @pytest.mark.parametrize("preset_name", ["linear", "logistic"])
+    def test_multi_block_folds_match_sequential_estimator(self, preset_name):
+        """Two full blocks and a partial one, each folded at once."""
+        assert_lockstep_matches_steps(preset_name, T=2 * _BLOCK + 17)
 
     def test_worker_count_is_invisible(self):
         preset = PRESETS["linear"]
@@ -108,6 +123,56 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(a.theta_bar, a2.theta_bar)
         np.testing.assert_array_equal(a.s_hat, a2.s_hat)
         np.testing.assert_array_equal(b.g_hat, b2.g_hat)
+
+
+def failing_step(run):
+    """The step named by the ``NumericalError`` that ``run()`` raises."""
+    with np.errstate(all="ignore"), pytest.raises(NumericalError) as caught:
+        run()
+    return int(re.search(r"at step (\d+)", str(caught.value)).group(1))
+
+
+class TestNonFiniteMoments:
+    @pytest.mark.parametrize("gamma,step", [(1e150, 2), (1e300, 1)])
+    def test_lockstep_and_step_name_the_same_step(self, gamma, step):
+        """An overflowing early step is reported at the row where a moment
+        first goes non-finite, whether the moments are folded per row or per
+        block (where later rows of the block have already been moved)."""
+        preset = PRESETS["linear"]
+        dgp = preset.spec(0.0)
+        con = preset.constraint()
+        schedule = LearningRate(gamma=gamma)
+
+        def sequential(k):
+            state = EstimatorState(dgp.model(), con, schedule)
+            rng = replication_rng(1, 0, k)
+            for _ in range(50):
+                state.step(draw(dgp, rng))
+
+        lockstep = failing_step(
+            lambda: replicate_streams(dgp, con, schedule, T=50, replications=3, base_seed=1)
+        )
+        assert lockstep == min(failing_step(lambda: sequential(k)) for k in range(3)) == step
+
+    def test_fold_names_the_row_in_a_later_block(self):
+        def hessian(theta, z):
+            return np.full((2, 2), np.inf) if z[0] > 0.5 else np.eye(2)
+
+        model = CustomModel(2, 2, lambda theta, z: 0.0, lambda theta, z: theta - z, hessian)
+        state = EstimatorState(model, Constraint.unconstrained(2), theta0=np.zeros((3, 2)))
+        for z in np.zeros((20, 3, 2)):
+            state.step(z)
+        block = np.zeros((10, 3, 2))
+        block[6, 2, 0] = block[8, 0, 0] = 1.0
+        path = np.empty((10, 3, 2))
+        for i, z in enumerate(block):
+            state._move(z, model._gradient)
+            path[i] = state.theta_bar
+        g_hat = state.g_hat.copy()
+        with pytest.raises(NumericalError, match=r"non-finite moment update at step 27$"):
+            _fold_block(state, path, block)
+        assert state.t == 30
+        np.testing.assert_array_equal(state.g_hat, g_hat)
 
 
 class TestEstimationError:
