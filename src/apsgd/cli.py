@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import ingest
 from .estimator import EstimatorState, LearningRate
 from .exceptions import ApsgdError
@@ -227,7 +229,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow becomes inf or nan, which the finite checks report as errors
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ApsgdError as exc:
         print(f"apsgd: error: {exc}", file=sys.stderr)
         return EXIT_DATA

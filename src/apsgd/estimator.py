@@ -8,8 +8,8 @@ projects the gradient update back onto the affine feasible set and folds the
 new iterate into the running average; only this part is sequential.  The
 curvature and gradient-outer-product averages that inference consumes later
 are plain averages over the path of running averages: ``step`` folds them in
-per row, and the Monte Carlo lockstep (``simulate``) stores a block's path
-and folds the whole block at once.  States may
+per row, and the Monte Carlo lockstep (``simulate``) moves a whole block,
+averages it with one cumulative sum and folds it at once.  States may
 be handed between threads between steps; distinct states (for example the
 constrained and unconstrained sides of a specification test) can advance
 fully in parallel.
@@ -86,14 +86,23 @@ class EstimatorState:
     ``theta_bar``, ``g_hat`` and ``s_hat`` are updated in place by every
     step; copy them to keep a trajectory.
 
+    ``step`` re-projects every iterate onto the feasible set.  The lockstep
+    (``_move_block``) moves a feasible iterate along the projected gradient
+    instead, so its iterates stay feasible up to rounding, and computes a
+    block's averages with one cumulative sum; both agree with ``step`` to
+    a few ulps.
+
     A ``NumericalError`` names the step at which a gradient or a moment first
     went non-finite, and the state is then not meant to be resumed.  After a
     non-finite gradient at step ``s``, everything still describes step
-    ``s - 1``.  After a non-finite moment, ``t``, ``theta`` and ``theta_bar``
-    have moved on (to ``s`` in ``step``; in the lockstep, as far into the
-    block as its moves got), while ``g_hat`` and ``s_hat`` hold the averages
-    before the failed fold: up to step ``s - 1`` in ``step``, up to the end
-    of the previous block in the lockstep.
+    ``s - 1``, also when the lockstep finds it in the middle of a block;
+    the lockstep first folds the moments of the rows before ``s``, so a
+    moment that went non-finite earlier is the error reported.  After a
+    non-finite moment, ``t``, ``theta`` and ``theta_bar`` have moved on (to
+    ``s`` in ``step``; in the lockstep, to the end of the block or to the
+    step before a non-finite gradient in it), while ``g_hat`` and ``s_hat``
+    hold the averages before the failed fold: up to step ``s - 1`` in
+    ``step``, up to the end of the previous block in the lockstep.
     """
 
     def __init__(
@@ -156,9 +165,8 @@ class EstimatorState:
 
     def _move(self, z, gradient) -> None:
         """One projected SGD step and one update of the average: the only
-        sequential part of the recursion.  ``gradient`` is the model's checked
-        public method from ``step`` and its unchecked kernel from the Monte
-        Carlo lockstep, which validates each block once with ``_check_obs``."""
+        sequential part of the recursion.  ``gradient`` evaluates the model
+        (``step`` passes its checked public method)."""
         t = self.t + 1
         grad = gradient(self.theta, z)
         if not np.isfinite(grad).all():
@@ -167,6 +175,48 @@ class EstimatorState:
         self.theta_bar *= (t - 1.0) / t
         self.theta_bar += (1.0 / t) * self.theta
         self.t = t
+
+    def _move_block(self, block: np.ndarray, path: np.ndarray) -> None:
+        """``_move`` over the rows of a validated block, with the model's
+        unchecked gradient kernel; ``path[i]`` ends up holding the average
+        after row ``i``.
+
+        Only the iterate is sequential: each row writes ``theta_t`` straight
+        into ``path`` (``Constraint._descend``, no re-projection from ``c``).
+        One finite check then covers the block, since a non-finite gradient
+        always makes its row's iterate non-finite, and one in-place
+        cumulative sum turns the iterates into averages.  When a gradient is
+        non-finite, the block's gradients are evaluated again along the
+        stored path to find the first such row; the state is left after the
+        row before it (``path`` holding the averages up to there) and the
+        error names its step as ``_move`` does.
+        """
+        gradient, at, descend = self.model._gradient, self.schedule.at, self.constraint._descend
+        t0, n = self.t, len(block)
+        path = path[:n]
+        theta = self.theta
+        for i, z in enumerate(block):
+            theta = descend(theta, at(t0 + i + 1), gradient(theta, z), path[i])
+        moved = n
+        if not np.isfinite(path).all():
+            before = np.concatenate([self.theta[None], path[:-1]])
+            with np.errstate(all="ignore"):
+                finite = np.isfinite(gradient(before, block)).reshape(n, -1).all(1)
+            if not finite.all():
+                moved = int(np.argmin(finite))
+        if moved:
+            self.theta = path[moved - 1].copy()
+            avg = path[:moved]
+            np.cumsum(avg, axis=0, out=avg)
+            avg += t0 * self.theta_bar
+            steps = np.arange(t0 + 1, t0 + moved + 1, dtype=float)
+            avg /= steps.reshape((-1,) + (1,) * (avg.ndim - 1))
+            self.theta_bar[...] = avg[-1]
+            self.t = t0 + moved
+        if moved < n:
+            raise NumericalError(
+                f"non-finite gradient at step {self.t + 1} (theta={self.theta.tolist()})"
+            )
 
     def _fold(self, n: int, hess_sum, outer_sum, first_bad_row=None) -> None:
         """Fold the sums over the last ``n`` moved rows of the Hessians and of

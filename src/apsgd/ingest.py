@@ -10,6 +10,7 @@ transform (the response is never touched).
 from __future__ import annotations
 
 import csv
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -200,7 +201,7 @@ def _parse_row(lineno: int, row: list[str], resolved: ResolvedSchema) -> tuple[f
     if len(row) <= needed:
         raise DataError(f"line {lineno}: expected at least {needed + 1} columns, got {len(row)}")
     try:
-        feats = np.array([float(row[i]) for i in resolved.feature_indices])
+        feats = [float(row[i]) for i in resolved.feature_indices]
         resp = (
             float(row[resolved.response_index])
             if resolved.response_index is not None
@@ -208,7 +209,15 @@ def _parse_row(lineno: int, row: list[str], resolved: ResolvedSchema) -> tuple[f
         )
     except ValueError as exc:
         raise DataError(f"line {lineno}: {exc}") from exc
-    return resp, feats
+    # float() also accepts nan, inf and overflowing literals such as 1e999
+    if not (all(map(math.isfinite, feats)) and (resp is None or math.isfinite(resp))):
+        for i in resolved.feature_indices + (resolved.response_index,):
+            if i is not None and not math.isfinite(float(row[i])):
+                raise DataError(
+                    f"line {lineno}: column {resolved.column_names[i]!r} is not a "
+                    f"finite number: {row[i]!r}"
+                )
+    return resp, np.array(feats)
 
 
 def feature_moments(source: RowSource, resolved: ResolvedSchema) -> tuple[np.ndarray, np.ndarray]:
@@ -236,6 +245,10 @@ def feature_moments(source: RowSource, resolved: ResolvedSchema) -> tuple[np.nda
     if count < 2:
         raise DataError(f"{source.path}: need at least 2 data rows, got {count}")
     sd = np.sqrt(m2 / (count - 1))
+    overflow = np.flatnonzero(~np.isfinite(sd))
+    if overflow.size:
+        names = [resolved.feature_names[i] for i in overflow]
+        raise DataError(f"feature column(s) too large to standardize: {names}")
     floor = _CONSTANT_TOL * np.maximum(1.0, np.abs(mean))
     constant = np.flatnonzero(sd <= floor)
     if constant.size:

@@ -7,12 +7,17 @@ implementation of the same documented scheme reproduces the streams.
 
 For throughput the runner advances all replications of a cell in lockstep as
 one batched ``(R, p)`` ``EstimatorState``, so a replication runs the same
-recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows: each step
-of a block only moves the iterate and its average, whose path it stores, and
-the curvature and gradient-outer-product sums of the whole block are then
-evaluated along that path with a few batched matmuls and folded in at once.
-Chunking the replications over worker processes cannot change any number
-because every replication owns its seed.
+recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows.  Each
+replication's generator fills its row of one reused buffer of raw words, and
+one vectorised transform turns the buffer into the block's observations.
+Within the block only the iterate is a per-row loop: a feasible iterate moves
+along the ``P``-projected gradient and is never re-projected from the
+constraint's point ``c``.  One finite check covers the block's iterates, one
+cumulative sum turns them into the path of averages, and the curvature and
+gradient-outer-product sums of the whole block are evaluated along that path
+with a few batched matmuls and folded in at once.  Chunking the replications
+over worker processes cannot change any number because every replication
+owns its seed.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .models import MODEL_FAMILIES, LossModel, _gram, _outer
 _TWO53 = float(1 << 53)
 
 #: Rows per replication drawn, moved and folded at a time.  Larger blocks
-#: were no faster and hold more memory: the block, its path of averages and
-#: its gradients are ``(_BLOCK, R, p)`` arrays.
+#: were no faster and hold more memory: the raw words, the block, its path of
+#: averages and its gradients are ``(_BLOCK, R, p)``-sized arrays.
 _BLOCK = 256
 
 #: Full-scale grid used by ``full_scale``; the default configs are
@@ -46,20 +51,6 @@ FULL_REPLICATIONS = 500
 
 
 # -- randomness -----------------------------------------------------------------
-
-
-def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniforms on the open interval (0, 1): ``(k + 0.5) / 2**53``.
-
-    ``k`` is a 53-bit integer from the generator, so 0 and 1 are never
-    produced and the inverse normal CDF below is always finite.
-    """
-    return (rng.integers(0, 1 << 53, size=size) + 0.5) / _TWO53
-
-
-def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard normals via inverse CDF of ``uniform_open`` draws."""
-    return ndtri(uniform_open(rng, size))
 
 
 def replication_rng(base_seed: int, cell: int, rep: int) -> np.random.Generator:
@@ -116,26 +107,57 @@ class DgpSpec:
         return MODEL_FAMILIES[self.kind](len(self.theta_star))
 
 
+def _draw_replications(dgp: DgpSpec, rngs, words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The next ``n = len(out)`` observations of every generator in ``rngs``,
+    written to ``out`` of shape ``(n, R, obs_dim)``.
+
+    Each generator fills its row of ``words``, a reused ``(R, m, obs_dim)``
+    buffer of 64-bit integers with ``m >= n``, with one call for raw words.
+    A word ``w`` gives the open-interval uniform ``(k + 0.5) / 2**53`` with
+    ``k = w >> 11``, which is bit for bit ``Generator.integers(0, 2**53)``
+    (its bounded draw never rejects for a power-of-two range), so 0 and 1
+    never occur and the inverse normal CDF is always finite.  Each
+    observation consumes its covariate uniforms first and, for the
+    regression kinds, one response uniform last, in row order, so splitting
+    a stream into blocks of any size yields identical observations.
+    """
+    n, k = len(out), dgp.covariate_dim
+    for i, rng in enumerate(rngs):
+        words[i, :n] = rng.bit_generator.random_raw(n * dgp.obs_dim).reshape(n, -1)
+    words = words[:, :n]
+    words >>= 11
+    words = words.transpose(1, 0, 2)
+    theta = dgp.theta()
+    if dgp.kind == "mean":
+        np.add(words, 0.5, out=out)
+        out /= _TWO53
+        ndtri(out, out=out)
+        out *= dgp.noise_sd
+        out += theta
+        return out
+    y, x = out[..., 0], out[..., 1:]
+    np.add(words[..., :k], 0.5, out=x)
+    np.add(words[..., k], 0.5, out=y)
+    out /= _TWO53
+    ndtri(x, out=x)
+    lin = np.vecdot(x, theta)
+    if dgp.kind == "linear":
+        ndtri(y, out=y)
+        y *= dgp.noise_sd
+        y += lin
+    else:
+        y[...] = np.where(y < expit(lin), 1.0, -1.0)
+    return out
+
+
 def draw_block(dgp: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` observations as an ``(n, obs_dim)`` array.
 
-    Each observation consumes its covariate uniforms first and one response
-    uniform last, in row order, so splitting a stream into blocks of any
-    size yields identical observations.
+    This is the one-stream case of the Monte Carlo lockstep's draws; see
+    ``_draw_replications`` for the documented scheme.
     """
-    k = dgp.covariate_dim
-    theta = dgp.theta()
-    if dgp.kind == "mean":
-        u = uniform_open(rng, (n, k))
-        return theta + dgp.noise_sd * ndtri(u)
-    u = uniform_open(rng, (n, k + 1))
-    x = ndtri(u[:, :k])
-    lin = np.vecdot(x, theta)
-    if dgp.kind == "linear":
-        y = lin + dgp.noise_sd * ndtri(u[:, k])
-    else:
-        y = np.where(u[:, k] < expit(lin), 1.0, -1.0)
-    return np.column_stack([y, x])
+    words = np.empty((1, n, dgp.obs_dim), dtype=np.uint64)
+    return _draw_replications(dgp, [rng], words, np.empty((n, 1, dgp.obs_dim)))[:, 0]
 
 
 def draw(dgp: DgpSpec, rng: np.random.Generator) -> np.ndarray:
@@ -345,24 +367,25 @@ def _advance_chunk(
         free = Constraint.unconstrained(constraint.p)
         states.append(EstimatorState(model, free, schedule, theta0=start))
 
+    # one reused buffer each for the raw words, the observations and the path
+    words = np.empty((len(reps), _BLOCK, dgp.obs_dim), dtype=np.uint64)
     obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
     path = np.empty((_BLOCK, len(reps), constraint.p))
-    for t in range(0, T, _BLOCK):
-        n = min(_BLOCK, T - t)
-        for i, rng in enumerate(rngs):
-            obs[:n, i, :] = draw_block(dgp, rng, n)
-        block = model._check_obs(obs[:n], (n, len(reps)))
-        for state in states:
-            try:
-                for i, z in enumerate(block):
-                    state._move(z, model._gradient)
-                    path[i] = state.theta_bar
-            except NumericalError:
-                # a moment that went non-finite before this step is the first fault
-                if i:
-                    _fold_block(state, path[:i], block[:i])
-                raise
-            _fold_block(state, path[:n], block)
+    # overflow becomes inf or nan, which the finite checks report as a NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(0, T, _BLOCK):
+            n = min(_BLOCK, T - t)
+            block = model._check_obs(_draw_replications(dgp, rngs, words, obs[:n]), (n, len(reps)))
+            for state in states:
+                t0 = state.t
+                try:
+                    state._move_block(block, path)
+                except NumericalError:
+                    # a moment that went non-finite before this step is the first fault
+                    if state.t > t0:
+                        _fold_block(state, path[: state.t - t0], block[: state.t - t0])
+                    raise
+                _fold_block(state, path[:n], block)
     return states
 
 

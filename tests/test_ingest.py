@@ -113,6 +113,36 @@ class TestObservationStream:
         assert not np.array_equal(np.vstack(a), np.vstack(c))
 
 
+class TestNonFiniteCells:
+    """``float`` parses nan, inf and overflowing literals; the reader rejects
+    them by line and column instead of passing them to the estimator."""
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "NaN"])
+    @pytest.mark.parametrize("column", ["y", "b"])
+    @pytest.mark.parametrize("reader", ["iter_observations", "feature_moments"])
+    def test_cell_raises_data_error_naming_line_and_column(self, tmp_path, cell, column, reader):
+        rows = [["1.0", "2.0", "3.0"], ["2.0", "4.0", "6.0"], ["0.5", "1.0", "2.5"]]
+        rows[1]["yab".index(column)] = cell
+        body = "y,a,b\n" + "".join(",".join(row) + "\n" for row in rows)
+        source = RowSource(write_csv(tmp_path / "bad.csv", body))
+        resolved = resolve_schema(source, CsvSchema())
+        read = {
+            "iter_observations": lambda: list(iter_observations(source, resolved, True)),
+            "feature_moments": lambda: feature_moments(source, resolved),
+        }[reader]
+        message = rf"^line 3: column '{column}' is not a finite number: '{cell}'$"
+        with pytest.raises(DataError, match=message):
+            read()
+
+    def test_overflowing_standardization_is_rejected_by_name(self, tmp_path):
+        path = write_csv(tmp_path / "big.csv", "y,a,b\n1,1e200,1\n2,-1e200,2\n3,1,4\n")
+        resolved = resolve_schema(RowSource(path), CsvSchema())
+        with np.errstate(over="ignore"), pytest.raises(
+            DataError, match=r"too large to standardize: \['a'\]"
+        ):
+            feature_moments(RowSource(path), resolved)
+
+
 class TestStandardization:
     def test_two_valued_column_closed_form(self, tmp_path):
         """Alternating {0, 2}: mean 1, sample sd sqrt(n/(n-1))."""

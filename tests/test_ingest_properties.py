@@ -93,7 +93,7 @@ def test_csv_rows_parse_or_raise_data_error(schema_text, rows, needs_response):
         except DataError:
             return
     width = len(resolved.feature_indices) + needs_response
-    assert all(np.shape(z) == (width,) for z in observations)
+    assert all(np.shape(z) == (width,) and np.isfinite(z).all() for z in observations)
 
 
 @settings(max_examples=200, deadline=None)

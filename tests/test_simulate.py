@@ -1,6 +1,7 @@
 """DGP draws, the lockstep replication engine, and the experiment runners."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from apsgd import (
 )
 from apsgd.simulate import (
     _BLOCK,
+    _draw_replications,
     _fold_block,
     PRESETS,
     DgpSpec,
@@ -67,6 +69,40 @@ class TestDraws:
         zs = draw_block(dgp, rng, 50_000)
         np.testing.assert_allclose(zs.mean(axis=0), [2.0, -1.0], atol=0.02)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240502])
+    @pytest.mark.parametrize("size", [1, 5, 1280, 4099])
+    def test_raw_words_are_the_bounded_integers(self, seed, size):
+        """The draws read raw 64-bit words: ``integers(0, 2**53)`` is exactly
+        ``random_raw() >> 11`` and consumes one word per value, so a numpy
+        release that changes either would change every stream."""
+        a, b = replication_rng(seed, 2, 3), replication_rng(seed, 2, 3)
+        k = a.integers(0, 1 << 53, size=size)
+        np.testing.assert_array_equal(k, b.bit_generator.random_raw(size) >> np.uint64(11))
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+    @pytest.mark.parametrize(
+        "dgp",
+        [
+            PRESETS["linear"].spec(0.0),
+            PRESETS["logistic"].spec(0.01),
+            DgpSpec(kind="mean", theta_star=(2.0, -1.0, 0.5), noise_sd=0.5, covariate_dim=3),
+        ],
+        ids=["linear", "logistic", "mean"],
+    )
+    def test_lockstep_block_is_stacked_draws(self, dgp):
+        """One draw for all replications equals each replication's own
+        ``draw_block``, bit for bit, also in a partial block that reuses the
+        buffers of a full one."""
+        R = 5
+        rngs = [replication_rng(8, 1, k) for k in range(R)]
+        singles = [replication_rng(8, 1, k) for k in range(R)]
+        words = np.empty((R, _BLOCK, dgp.obs_dim), dtype=np.uint64)
+        obs = np.empty((_BLOCK, R, dgp.obs_dim))
+        for n in (_BLOCK, 37):
+            block = _draw_replications(dgp, rngs, words, obs[:n])
+            expected = np.stack([draw_block(dgp, rng, n) for rng in singles], 1)
+            assert block.tobytes() == expected.tobytes()
+
 
 def assert_lockstep_matches_steps(preset_name, T):
     """The batched engine reproduces step-by-step states at 1e-12."""
@@ -108,6 +144,18 @@ class TestEngineEquivalence:
         """Two full blocks and a partial one, each folded at once."""
         assert_lockstep_matches_steps(preset_name, T=2 * _BLOCK + 17)
 
+    @pytest.mark.parametrize("preset_name", ["linear", "logistic"])
+    def test_lockstep_stays_feasible_without_reprojection(self, preset_name):
+        """The lockstep moves a feasible iterate along ``P``-projected
+        gradients and never re-projects from ``c``; rounding drift stays tiny."""
+        preset = PRESETS[preset_name]
+        con = preset.constraint()
+        state, _ = replicate_streams(
+            preset.spec(0.0), con, LearningRate(), T=20_000, replications=4, base_seed=3
+        )
+        assert con.violation(state.theta).max() <= 1e-12
+        assert con.violation(state.theta_bar).max() <= 1e-12
+
     def test_worker_count_is_invisible(self):
         preset = PRESETS["linear"]
         dgp = preset.spec(0.01)
@@ -130,6 +178,70 @@ def failing_step(run):
     with np.errstate(all="ignore"), pytest.raises(NumericalError) as caught:
         run()
     return int(re.search(r"at step (\d+)", str(caught.value)).group(1))
+
+
+class TestNonFiniteGradients:
+    @pytest.mark.parametrize(
+        "marked,step",
+        [
+            # a non-finite gradient at step 17 makes theta_17 non-finite
+            (np.full(2, np.inf), 17),
+            # a finite gradient whose update overflows makes theta_17 non-finite,
+            # and the first non-finite gradient is the next one, at theta_17
+            (np.array([1e308, -1e308]), 18),
+        ],
+        ids=["inf_gradient", "overflowing_iterate"],
+    )
+    def test_move_block_names_the_row_in_a_later_block(self, marked, step):
+        """The first non-finite gradient of a block is found exactly, and the
+        state is left after the step before it."""
+
+        def gradient(theta, z):
+            return marked if z[0] > 0.5 else 0.1 * (theta - z)
+
+        model = CustomModel(2, 2, lambda theta, z: 0.0, gradient, lambda theta, z: np.eye(2))
+        con = Constraint.from_equalities([[1.0, 1.0]], [0.0])
+        schedule = LearningRate(gamma=10.0)
+        blocks = np.random.default_rng(0).uniform(-0.4, 0.4, size=(2, 10, 3, 2))
+        blocks[1, 6, 2, 0] = blocks[1, 8, 0, 0] = 1.0
+        path = np.empty((10, 3, 2))
+
+        def moved(rows):
+            state = EstimatorState(model, con, schedule, theta0=np.zeros((3, 2)))
+            state._move_block(blocks[0], path)
+            if rows:
+                state._move_block(blocks[1, :rows], path)
+            return state
+
+        # the lockstep moves blocks under this errstate (see _advance_chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = moved(0)
+            with pytest.raises(
+                NumericalError, match=rf"^non-finite gradient at step {step} \(theta="
+            ):
+                state._move_block(blocks[1], path)
+            before = moved(step - 11)
+        assert state.t == before.t == step - 1
+        np.testing.assert_array_equal(state.theta, before.theta)
+        np.testing.assert_array_equal(state.theta_bar, before.theta_bar)
+
+        sequential = EstimatorState(model, con, schedule, theta0=np.zeros((3, 2)))
+        for z in blocks.reshape(20, 3, 2)[:16]:
+            sequential._move(z, model._gradient)
+        np.testing.assert_allclose(moved(6).theta, sequential.theta, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            moved(6).theta_bar, sequential.theta_bar, rtol=1e-12, atol=1e-15
+        )
+
+    def test_lockstep_overflow_raises_without_runtime_warnings(self):
+        preset = PRESETS["linear"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="at step 2$"):
+                replicate_streams(
+                    preset.spec(0.0), preset.constraint(), LearningRate(gamma=1e150),
+                    T=50, replications=3, base_seed=1,
+                )
 
 
 class TestNonFiniteMoments:
