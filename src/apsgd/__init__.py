@@ -66,10 +66,7 @@ from .simulate import (
     replicate_streams,
     replication_rng,
     resolve_config,
-    run_coverage,
-    run_estimation_error,
     run_experiment,
-    run_size_power,
 )
 
 __version__ = "0.1.0"
@@ -123,10 +120,7 @@ __all__ = [
     "replicate_streams",
     "replication_rng",
     "resolve_config",
-    "run_coverage",
-    "run_estimation_error",
     "run_experiment",
-    "run_size_power",
     "specification_test",
     "symmetric_eigen",
     "test_from_states",

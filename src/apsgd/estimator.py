@@ -8,11 +8,11 @@ projects the gradient update back onto the affine feasible set and folds the
 new iterate into the running average; only this part is sequential.  The
 curvature and gradient-outer-product averages that inference consumes later
 are plain averages over the path of running averages: ``step`` folds them in
-per row, and the Monte Carlo lockstep (``simulate``) moves a whole block,
-averages it with one cumulative sum and folds it at once.  States may
-be handed between threads between steps; distinct states (for example the
-constrained and unconstrained sides of a specification test) can advance
-fully in parallel.
+per row, and the Monte Carlo lockstep (``simulate``) advances a whole block
+at once (``_advance_block``): it moves the block, averages it with one
+cumulative sum and folds it.  States may be handed between threads between
+steps; distinct states (for example the constrained and unconstrained sides
+of a specification test) can advance fully in parallel.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import ApsgdError, DimensionError, DomainError, NumericalError
 from .linalg import Constraint
-from .models import LossModel
+from .models import LossModel, _gram, _outer
 
 #: The per-stream arrays of a state; their leading axes are the batch shape.
 _STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
@@ -95,14 +95,14 @@ class EstimatorState:
     A ``NumericalError`` names the step at which a gradient or a moment first
     went non-finite, and the state is then not meant to be resumed.  After a
     non-finite gradient at step ``s``, everything still describes step
-    ``s - 1``, also when the lockstep finds it in the middle of a block;
-    the lockstep first folds the moments of the rows before ``s``, so a
-    moment that went non-finite earlier is the error reported.  After a
+    ``s - 1``, also when the lockstep's ``_advance_block`` finds it in the
+    middle of a block; it still folds the moments of the rows before ``s``,
+    so a moment that went non-finite earlier is the error reported.  After a
     non-finite moment, ``t``, ``theta`` and ``theta_bar`` have moved on (to
-    ``s`` in ``step``; in the lockstep, to the end of the block or to the
-    step before a non-finite gradient in it), while ``g_hat`` and ``s_hat``
-    hold the averages before the failed fold: up to step ``s - 1`` in
-    ``step``, up to the end of the previous block in the lockstep.
+    ``s`` in ``step``; in ``_advance_block``, to the end of the block or to
+    the step before a non-finite gradient in it), while ``g_hat`` and
+    ``s_hat`` hold the averages before the failed fold: up to step ``s - 1``
+    in ``step``, up to the end of the previous block in ``_advance_block``.
     """
 
     def __init__(
@@ -176,6 +176,21 @@ class EstimatorState:
         self.theta_bar += (1.0 / t) * self.theta
         self.t = t
 
+    def _advance_block(self, block: np.ndarray, path: np.ndarray) -> None:
+        """Advance every stream over the rows of a validated ``(n, ..., obs_dim)``
+        block: ``_move_block``, then ``_fold_path`` over the rows it moved.
+
+        The fold also runs when the move stopped at a non-finite gradient, so
+        that a moment that went non-finite before it is the error reported.
+        """
+        t0 = self.t
+        try:
+            self._move_block(block, path)
+        finally:
+            moved = self.t - t0
+            if moved:
+                self._fold_path(path[:moved], block[:moved])
+
     def _move_block(self, block: np.ndarray, path: np.ndarray) -> None:
         """``_move`` over the rows of a validated block, with the model's
         unchecked gradient kernel; ``path[i]`` ends up holding the average
@@ -218,6 +233,21 @@ class EstimatorState:
                 f"non-finite gradient at step {self.t + 1} (theta={self.theta.tolist()})"
             )
 
+    def _fold_path(self, path: np.ndarray, block: np.ndarray) -> None:
+        """Fold the moments of the last ``len(block)`` moved rows, evaluated
+        along their stored ``(n, ..., p)`` path of averages."""
+        model = self.model
+        grad = model._gradient(path, block)
+
+        def first_bad_row() -> int:
+            # the first row at which a running sum of either moment is non-finite
+            with np.errstate(all="ignore"):
+                sums = (np.cumsum(model._hessian(path, block), 0), np.cumsum(_outer(grad), 0))
+            finite = [np.isfinite(s).reshape(len(block), -1).all(1) for s in sums]
+            return int(np.argmin(finite[0] & finite[1]))
+
+        self._fold(len(block), model._hessian_sum(path, block), _gram(grad, grad), first_bad_row)
+
     def _fold(self, n: int, hess_sum, outer_sum, first_bad_row=None) -> None:
         """Fold the sums over the last ``n`` moved rows of the Hessians and of
         the gradient outer products, both at the average after each row, into
@@ -245,11 +275,7 @@ class EstimatorState:
         Errors raised by ``step`` are re-raised with the offending
         observation's position prepended.
         """
-        for idx, z in enumerate(observations):
-            try:
-                self.step(z)
-            except ApsgdError as exc:
-                raise type(exc)(f"observation {idx}: {exc}") from exc
+        _run_streams((self,), observations)
         return self
 
     # -- snapshot serialization ------------------------------------------------
@@ -308,3 +334,16 @@ class EstimatorState:
     @classmethod
     def from_json(cls, text: str, model: LossModel) -> "EstimatorState":
         return cls.from_record(json.loads(text), model)
+
+
+def _run_streams(states, observations) -> None:
+    """``step`` every state in ``states`` on each observation in turn.
+
+    An ``ApsgdError`` is re-raised with the observation's position prepended.
+    """
+    for idx, z in enumerate(observations):
+        try:
+            for state in states:
+                state.step(z)
+        except ApsgdError as exc:
+            raise type(exc)(f"observation {idx}: {exc}") from exc

@@ -21,7 +21,7 @@ from .distributions import (
     normal_cdf,
     normal_quantile,
 )
-from .estimator import EstimatorState, LearningRate
+from .estimator import EstimatorState, LearningRate, _run_streams
 from .exceptions import (
     DegenerateTestError,
     DimensionError,
@@ -266,7 +266,7 @@ def specification_test(
     A constrained and an unconstrained state are advanced side by side on
     the same observations.  Both start from the same point (``theta0`` if
     given, else the constraint's feasible point), each projected into its
-    own feasible set.
+    own feasible set.  An error names the observation at which it arose.
     """
     p = model.param_dim
     if constraint.d == p:
@@ -279,9 +279,7 @@ def specification_test(
     state_i = EstimatorState(
         model, Constraint.unconstrained(p), schedule, theta0=start
     )
-    for z in observations:
-        state_p.step(z)
-        state_i.step(z)
+    _run_streams((state_p, state_i), observations)
     return test_from_states(state_p, state_i, alpha=alpha)
 
 

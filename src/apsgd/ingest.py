@@ -126,13 +126,18 @@ class RowSource:
 
 @dataclass(frozen=True)
 class ResolvedSchema:
-    """Schema bound to a concrete file: indices, display names, header flag."""
+    """Schema bound to a concrete file: indices, display names, header flag.
+
+    ``min_columns`` is the number of fields a data row needs to hold every
+    selected column.
+    """
 
     has_header: bool
     column_names: tuple[str, ...]
     response_index: int | None
     feature_indices: tuple[int, ...]
     feature_names: tuple[str, ...]
+    min_columns: int
 
     @property
     def data_start_line(self) -> int:
@@ -180,6 +185,7 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
         raise DataError("response column cannot also be a feature")
     if not feature_indices:
         raise DataError("no feature columns selected")
+    selected = feature_indices if response_index is None else feature_indices + (response_index,)
     if has_header:
         feature_names = tuple(column_names[i] for i in feature_indices)
     else:
@@ -190,16 +196,15 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
         response_index=response_index,
         feature_indices=feature_indices,
         feature_names=feature_names,
+        min_columns=max(selected) + 1,
     )
 
 
 def _parse_row(lineno: int, row: list[str], resolved: ResolvedSchema) -> tuple[float | None, np.ndarray]:
-    needed = max(
-        resolved.feature_indices
-        + ((resolved.response_index,) if resolved.response_index is not None else ())
-    )
-    if len(row) <= needed:
-        raise DataError(f"line {lineno}: expected at least {needed + 1} columns, got {len(row)}")
+    if len(row) < resolved.min_columns:
+        raise DataError(
+            f"line {lineno}: expected at least {resolved.min_columns} columns, got {len(row)}"
+        )
     try:
         feats = [float(row[i]) for i in resolved.feature_indices]
         resp = (
@@ -269,6 +274,8 @@ def iter_observations(
     When ``means``/``sds`` are given the features are standardized on the
     fly; the response is passed through untouched.
     """
+    if needs_response and resolved.response_index is None:
+        raise DataError("model needs a response column but the schema says response=none")
     skip_header = resolved.has_header
     for lineno, row in source.rows():
         if skip_header:
@@ -280,10 +287,6 @@ def iter_observations(
         if means is not None:
             feats = (feats - means) / sds
         if needs_response:
-            if resp is None:
-                raise DataError(
-                    "model needs a response column but the schema says response=none"
-                )
             yield np.concatenate(([resp], feats))
         else:
             yield feats

@@ -1,5 +1,12 @@
 """Seeded data-generating processes and the Monte Carlo experiment runner.
 
+An experiment is a grid of ``(T, r)`` cells in every mode: each sample size
+``T`` crossed with each misspecification shift ``r`` of the data-generating
+process.  One runner replicates each cell's constrained stream and, except
+for coverage, the unconstrained stream on the same observations, then
+summarises the cell as estimation error, interval coverage or the rejection
+rate of the specification test.
+
 Replication streams are fully reproducible: replication ``k`` of grid cell
 ``c`` draws from ``PCG64(SeedSequence((base_seed, c, k)))``, and normal
 variates are produced by inverse-CDF from open-interval uniforms, so any
@@ -9,19 +16,15 @@ For throughput the runner advances all replications of a cell in lockstep as
 one batched ``(R, p)`` ``EstimatorState``, so a replication runs the same
 recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows.  Each
 replication's generator fills its row of one reused buffer of raw words, and
-one vectorised transform turns the buffer into the block's observations.
-Within the block only the iterate is a per-row loop: a feasible iterate moves
-along the ``P``-projected gradient and is never re-projected from the
-constraint's point ``c``.  One finite check covers the block's iterates, one
-cumulative sum turns them into the path of averages, and the curvature and
-gradient-outer-product sums of the whole block are evaluated along that path
-with a few batched matmuls and folded in at once.  Chunking the replications
-over worker processes cannot change any number because every replication
-owns its seed.
+one vectorised transform turns the buffer into the block's observations,
+which the state moves and folds at once (``EstimatorState._advance_block``).
+Chunking the replications over worker processes cannot change any number
+because every replication owns its seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -31,11 +34,11 @@ import numpy as np
 from scipy.special import expit, ndtri
 
 from .estimator import EstimatorState, LearningRate
-from .exceptions import ConfigError, DimensionError, DomainError, NumericalError
+from .exceptions import ConfigError, DimensionError, DomainError
 from .inference import asymptotic_covariance, test_from_states
 from .distributions import normal_quantile
 from .linalg import Constraint
-from .models import MODEL_FAMILIES, LossModel, _gram, _outer
+from .models import MODEL_FAMILIES, LossModel
 
 _TWO53 = float(1 << 53)
 
@@ -170,7 +173,7 @@ class DgpPreset:
     """A named DGP plus the equality constraint its experiments test.
 
     ``shift_coordinate`` is the entry of ``theta_base`` that receives the
-    misspecification shift ``r`` in size/power experiments.
+    misspecification shift ``r`` of an experiment's grid cell.
     """
 
     name: str
@@ -242,7 +245,12 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Grid, replication count, and seeding for one experiment."""
+    """Grid, replication count, and seeding for one experiment.
+
+    The grid's cells are ``(T, r)`` for every sample size ``T`` and every
+    shift ``r`` in ``r_grid`` (see ``DgpPreset.spec``), in every mode;
+    ``mode`` only chooses how a cell is summarised.
+    """
 
     mode: str
     preset: str
@@ -323,11 +331,6 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config_text(handle.read(), source=path)
 
 
-def bundled_config_names() -> list[str]:
-    root = resources.files("apsgd").joinpath("configs")
-    return sorted(entry.name[:-4] for entry in root.iterdir() if entry.name.endswith(".cfg"))
-
-
 def resolve_config(name_or_path: str) -> ExperimentConfig:
     """Load a bundled config by name, or any path to a config file."""
     root = resources.files("apsgd").joinpath("configs").joinpath(f"{name_or_path}.cfg")
@@ -377,36 +380,8 @@ def _advance_chunk(
             n = min(_BLOCK, T - t)
             block = model._check_obs(_draw_replications(dgp, rngs, words, obs[:n]), (n, len(reps)))
             for state in states:
-                t0 = state.t
-                try:
-                    state._move_block(block, path)
-                except NumericalError:
-                    # a moment that went non-finite before this step is the first fault
-                    if state.t > t0:
-                        _fold_block(state, path[: state.t - t0], block[: state.t - t0])
-                    raise
-                _fold_block(state, path[:n], block)
+                state._advance_block(block, path)
     return states
-
-
-def _fold_block(state: EstimatorState, path: np.ndarray, block: np.ndarray) -> None:
-    """Fold the moments of one block, evaluated along its stored ``(n, R, p)``
-    path of averages, into ``state``."""
-    model = state.model
-    grad = model._gradient(path, block)
-
-    def first_bad_row() -> int:
-        # the first row at which a running sum of either moment is non-finite
-        with np.errstate(all="ignore"):
-            sums = (np.cumsum(model._hessian(path, block), 0), np.cumsum(_outer(grad), 0))
-        finite = [np.isfinite(s).reshape(len(block), -1).all(1) for s in sums]
-        return int(np.argmin(finite[0] & finite[1]))
-
-    state._fold(len(block), model._hessian_sum(path, block), _gram(grad, grad), first_bad_row)
-
-
-def _chunk_task(args):
-    return _advance_chunk(*args)
 
 
 def replicate_streams(
@@ -441,7 +416,7 @@ def replicate_streams(
             for reps in chunks
         ]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
+            parts = list(pool.map(_advance_chunk, *zip(*tasks)))
         states = [EstimatorState.concatenate(side) for side in zip(*parts)]
     return states[0], (states[1] if include_unconstrained else None)
 
@@ -493,134 +468,64 @@ class ExperimentResult:
             handle.write(self.to_csv_text())
 
 
-def _coordinate_names(p: int) -> list[str]:
-    return [f"theta{j + 1}" for j in range(p)]
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Replicate every ``(T, r)`` cell of ``config`` and summarise it per mode.
 
-
-def run_estimation_error(config: ExperimentConfig) -> ExperimentResult:
-    """Mean absolute error per coordinate, constrained vs unconstrained.
-
-    Every (sample size, replication) pair consumes a fresh stream; both
-    estimators see the same observations.
+    Cells are enumerated sample-size-major (all ``r`` values for the first
+    ``T``, then the next ``T``), which fixes each cell's seed stream.  Both
+    estimators see the same observations.  ``estimation_error`` reports the
+    mean absolute error per coordinate of the constrained and unconstrained
+    averages, with the sample standard error; ``coverage`` the frequency with
+    which the constrained fit's per-coordinate intervals cover the truth;
+    ``size_power`` the rejection frequency of the specification test.  Rates
+    carry binomial standard errors.
     """
-    if config.mode != "estimation_error":
-        raise ConfigError(f"config mode is {config.mode!r}, expected estimation_error")
     preset = PRESETS[config.preset]
-    dgp = preset.spec(0.0)
     constraint = preset.constraint()
     schedule = config.schedule()
-    theta_star = dgp.theta()
-    R = config.replications
-    names = _coordinate_names(len(theta_star))
-    rows: list[CellStat] = []
-    start = time.perf_counter()
-    for cell, T in enumerate(config.sample_sizes):
-        con, uncon = replicate_streams(
-            dgp, constraint, schedule, T, R, config.base_seed, cell,
-            include_unconstrained=True, workers=config.workers,
-        )
-        for metric, state in (("mae_constrained", con), ("mae_unconstrained", uncon)):
-            err = np.abs(state.theta_bar - theta_star)
-            means = err.mean(axis=0)
-            stderrs = err.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros_like(means)
-            for j, name in enumerate(names):
-                rows.append(
-                    CellStat(
-                        mode=config.mode, dgp=config.preset, T=T, r=0.0,
-                        coordinate=name, metric=metric,
-                        value=float(means[j]), mc_stderr=float(stderrs[j]),
-                    )
-                )
-    return ExperimentResult(config, rows, time.perf_counter() - start)
-
-
-def run_coverage(config: ExperimentConfig) -> ExperimentResult:
-    """Coverage frequency of per-coordinate intervals from the constrained fit."""
-    if config.mode != "coverage":
-        raise ConfigError(f"config mode is {config.mode!r}, expected coverage")
-    preset = PRESETS[config.preset]
-    dgp = preset.spec(0.0)
-    constraint = preset.constraint()
-    schedule = config.schedule()
-    theta_star = dgp.theta()
-    p = len(theta_star)
     R = config.replications
     z = normal_quantile(config.alpha / 2.0)
-    names = _coordinate_names(p)
-    rows: list[CellStat] = []
-    start = time.perf_counter()
-    for cell, T in enumerate(config.sample_sizes):
-        con, _ = replicate_streams(
-            dgp, constraint, schedule, T, R, config.base_seed, cell,
-            include_unconstrained=False, workers=config.workers,
-        )
-        covered = np.zeros((R, p), dtype=bool)
-        for k in range(R):
-            cov = asymptotic_covariance(con[k])
-            se = np.sqrt(np.clip(np.diag(cov), 0.0, None) / T)
-            covered[k] = np.abs(con.theta_bar[k] - theta_star) <= z * se
-        freq = covered.mean(axis=0)
-        stderr = np.sqrt(freq * (1.0 - freq) / R)
-        for j, name in enumerate(names):
-            rows.append(
-                CellStat(
-                    mode=config.mode, dgp=config.preset, T=T, r=0.0,
-                    coordinate=name, metric="coverage",
-                    value=float(freq[j]), mc_stderr=float(stderr[j]),
-                )
-            )
-    return ExperimentResult(config, rows, time.perf_counter() - start)
+    coordinates = [f"theta{j + 1}" for j in range(constraint.p)]
+    result = ExperimentResult(config, [], 0.0)
 
-
-def run_size_power(config: ExperimentConfig) -> ExperimentResult:
-    """Rejection frequency of the specification test over the (T, r) grid.
-
-    Grid cells are enumerated sample-size-major (all ``r`` values for the
-    first ``T``, then the next ``T``), which fixes each cell's seed stream.
-    """
-    if config.mode != "size_power":
-        raise ConfigError(f"config mode is {config.mode!r}, expected size_power")
-    preset = PRESETS[config.preset]
-    constraint = preset.constraint()
-    schedule = config.schedule()
-    R = config.replications
-    rows: list[CellStat] = []
-    result = ExperimentResult(config, rows, 0.0)
-    start = time.perf_counter()
-    cell = 0
-    for T in config.sample_sizes:
-        for r in config.r_grid:
-            con, uncon = replicate_streams(
-                preset.spec(r), constraint, schedule, T, R, config.base_seed, cell,
-                include_unconstrained=True, workers=config.workers,
-            )
-            kappas = np.empty(R)
-            rejects = np.empty(R, dtype=bool)
-            for k in range(R):
-                outcome = test_from_states(con[k], uncon[k], alpha=config.alpha)
-                kappas[k] = outcome.kappa
-                rejects[k] = outcome.reject
-            freq = float(rejects.mean())
-            rows.append(
+    def add(T, r, names, metric, values, stderrs):
+        for name, value, stderr in zip(names, values, stderrs):
+            result.rows.append(
                 CellStat(
                     mode=config.mode, dgp=config.preset, T=T, r=r,
-                    coordinate="", metric="rejection_rate",
-                    value=freq, mc_stderr=float(np.sqrt(freq * (1.0 - freq) / R)),
+                    coordinate=name, metric=metric,
+                    value=float(value), mc_stderr=float(stderr),
                 )
             )
-            result.kappa_samples[(T, r)] = kappas
-            cell += 1
+
+    def rate(hits):
+        freq = hits.mean(axis=0)
+        return freq, np.sqrt(freq * (1.0 - freq) / R)
+
+    start = time.perf_counter()
+    for cell, (T, r) in enumerate(itertools.product(config.sample_sizes, config.r_grid)):
+        dgp = preset.spec(r)
+        theta_star = dgp.theta()
+        con, uncon = replicate_streams(
+            dgp, constraint, schedule, T, R, config.base_seed, cell,
+            include_unconstrained=config.mode != "coverage", workers=config.workers,
+        )
+        if config.mode == "estimation_error":
+            for metric, state in (("mae_constrained", con), ("mae_unconstrained", uncon)):
+                err = np.abs(state.theta_bar - theta_star)
+                means = err.mean(axis=0)
+                stderrs = err.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros_like(means)
+                add(T, r, coordinates, metric, means, stderrs)
+        elif config.mode == "coverage":
+            covered = np.zeros((R, constraint.p), dtype=bool)
+            for k in range(R):
+                cov = asymptotic_covariance(con[k])
+                se = np.sqrt(np.clip(np.diag(cov), 0.0, None) / T)
+                covered[k] = np.abs(con.theta_bar[k] - theta_star) <= z * se
+            add(T, r, coordinates, "coverage", *rate(covered))
+        else:
+            tests = [test_from_states(con[k], uncon[k], alpha=config.alpha) for k in range(R)]
+            result.kappa_samples[(T, r)] = np.array([outcome.kappa for outcome in tests])
+            add(T, r, [""], "rejection_rate", *rate(np.array([[t.reject] for t in tests])))
     result.wall_clock = time.perf_counter() - start
     return result
-
-
-_RUNNERS = {
-    "estimation_error": run_estimation_error,
-    "coverage": run_coverage,
-    "size_power": run_size_power,
-}
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch to the runner matching ``config.mode``."""
-    return _RUNNERS[config.mode](config)

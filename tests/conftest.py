@@ -8,11 +8,7 @@ at different stated replication counts.
 
 import pytest
 
-from apsgd.simulate import (
-    ExperimentConfig,
-    run_estimation_error,
-    run_size_power,
-)
+from apsgd.simulate import ExperimentConfig, run_experiment
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +23,7 @@ def null_cell():
         base_seed=90210,
         r_grid=(0.0,),
     )
-    return run_size_power(config)
+    return run_experiment(config)
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +38,7 @@ def alt_cell():
         base_seed=90211,
         r_grid=(0.025,),
     )
-    return run_size_power(config)
+    return run_experiment(config)
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +53,7 @@ def alt_cell_large():
         base_seed=90212,
         r_grid=(0.025,),
     )
-    return run_size_power(config)
+    return run_experiment(config)
 
 
 @pytest.fixture(scope="session")
@@ -71,4 +67,4 @@ def estimation_cell():
         alpha=0.05,
         base_seed=90213,
     )
-    return run_estimation_error(config)
+    return run_experiment(config)

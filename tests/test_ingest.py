@@ -104,6 +104,14 @@ class TestObservationStream:
         with pytest.raises(DataError, match="line 3"):
             list(iter_observations(RowSource(path), resolved, True))
 
+    def test_regression_model_needs_a_response_column(self, small_csv):
+        resolved = resolve_schema(RowSource(small_csv), CsvSchema(response=None))
+        with pytest.raises(
+            DataError,
+            match="^model needs a response column but the schema says response=none$",
+        ):
+            next(iter_observations(RowSource(small_csv), resolved, True))
+
     def test_shuffle_is_reproducible(self, small_csv):
         resolved = resolve_schema(RowSource(small_csv), CsvSchema())
         a = load_observations(RowSource(small_csv), resolved, True, shuffle_seed=3)

@@ -18,7 +18,6 @@ from apsgd import (
 from apsgd.simulate import (
     _BLOCK,
     _draw_replications,
-    _fold_block,
     PRESETS,
     DgpSpec,
     ExperimentConfig,
@@ -29,9 +28,7 @@ from apsgd.simulate import (
     replicate_streams,
     replication_rng,
     resolve_config,
-    run_coverage,
-    run_estimation_error,
-    run_size_power,
+    run_experiment,
 )
 
 
@@ -282,8 +279,35 @@ class TestNonFiniteMoments:
             path[i] = state.theta_bar
         g_hat = state.g_hat.copy()
         with pytest.raises(NumericalError, match=r"non-finite moment update at step 27$"):
-            _fold_block(state, path, block)
+            state._fold_path(path, block)
         assert state.t == 30
+        np.testing.assert_array_equal(state.g_hat, g_hat)
+
+    def test_advance_block_folds_the_moved_rows_before_raising(self):
+        """In a later block the Hessian goes non-finite at row 3 and the
+        gradient at row 7.  The rows before row 7 are folded first, so the
+        moment's step is the error reported, ``t`` stops before row 7 and
+        ``g_hat`` keeps the averages of the previous block."""
+
+        def gradient(theta, z):
+            return np.full(2, np.inf) if z[0] > 0.5 else 0.1 * (theta - z)
+
+        def hessian(theta, z):
+            return np.full((2, 2), np.inf) if z[1] > 0.5 else np.eye(2)
+
+        model = CustomModel(2, 2, lambda theta, z: 0.0, gradient, hessian)
+        con = Constraint.from_equalities([[1.0, 1.0]], [0.0])
+        state = EstimatorState(model, con, LearningRate(gamma=10.0), theta0=np.zeros((3, 2)))
+        blocks = np.random.default_rng(1).uniform(-0.4, 0.4, size=(2, 10, 3, 2))
+        blocks[1, 3, 1, 1] = blocks[1, 7, 2, 0] = 1.0
+        path = np.empty((10, 3, 2))
+        # the lockstep advances blocks under this errstate (see _advance_chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state._advance_block(blocks[0], path)
+            g_hat = state.g_hat.copy()
+            with pytest.raises(NumericalError, match=r"^non-finite moment update at step 14$"):
+                state._advance_block(blocks[1], path)
+        assert state.t == 17
         np.testing.assert_array_equal(state.g_hat, g_hat)
 
 
@@ -320,7 +344,7 @@ class TestEstimationError:
             mode="estimation_error", preset="linear", sample_sizes=(2000,),
             replications=20, base_seed=5,
         )
-        noisy = run_estimation_error(base)
+        noisy = run_experiment(base)
 
         quiet_preset = PRESETS["linear"]
         dgp = DgpSpec(
@@ -345,7 +369,7 @@ class TestCoverage:
             mode="coverage", preset="linear", sample_sizes=(5000,),
             replications=150, alpha=0.5, base_seed=6,
         )
-        result = run_coverage(config)
+        result = run_experiment(config)
         for row in result.rows:
             se = max(row.mc_stderr, np.sqrt(0.25 / 150))
             assert abs(row.value - 0.5) <= 3.5 * se
@@ -358,7 +382,7 @@ class TestSizePower:
             mode="size_power", preset="linear", sample_sizes=(10_000,),
             replications=50, base_seed=7, r_grid=(0.0,),
         )
-        result = run_size_power(config)
+        result = run_experiment(config)
         assert result.rows[0].value <= 0.10
 
     def test_power_is_monotone_in_the_shift(self):
@@ -368,7 +392,7 @@ class TestSizePower:
             replications=150, base_seed=8,
             r_grid=(0.0, 0.005, 0.01, 0.015, 0.02, 0.025),
         )
-        result = run_size_power(config)
+        result = run_experiment(config)
         values = [r.value for r in result.rows]
         errors = [r.mc_stderr for r in result.rows]
         for i in range(len(values) - 1):
@@ -404,8 +428,8 @@ class TestDeterminism:
             mode="size_power", preset="linear", sample_sizes=(1000,),
             replications=10, base_seed=11, r_grid=(0.0, 0.02),
         )
-        a = run_size_power(config)
-        b = run_size_power(config)
+        a = run_experiment(config)
+        b = run_experiment(config)
         assert a.rows == b.rows
         assert a.to_csv_text() == b.to_csv_text()
         for key in a.kappa_samples:
@@ -416,8 +440,8 @@ class TestDeterminism:
             mode="estimation_error", preset="linear", sample_sizes=(800,),
             replications=12, base_seed=12,
         )
-        serial = run_estimation_error(ExperimentConfig(**base, workers=1))
-        threaded = run_estimation_error(ExperimentConfig(**base, workers=2))
+        serial = run_experiment(ExperimentConfig(**base, workers=1))
+        threaded = run_experiment(ExperimentConfig(**base, workers=2))
         assert serial.rows == threaded.rows
 
 
@@ -474,13 +498,29 @@ class TestConfigs:
         assert big.replications == 500
 
 
+class TestGrid:
+    @pytest.mark.parametrize("mode", ["coverage", "estimation_error"])
+    def test_every_mode_runs_each_shift(self, mode):
+        """Cells are ``(T, r)`` in every mode, and adding a shift leaves the
+        rows of the ``r = 0`` cell byte for byte as they were."""
+        base = dict(mode=mode, preset="linear", sample_sizes=(300,), replications=5, base_seed=15)
+
+        def csv_lines(**grid):
+            return run_experiment(ExperimentConfig(**base, **grid)).to_csv_text().splitlines()
+
+        alone, both = csv_lines(), csv_lines(r_grid=(0.0, 0.05))
+        rows = len(alone) - 1
+        assert [line.split(",")[3] for line in both[1:]] == ["0.0"] * rows + ["0.05"] * rows
+        assert [line for line in both if line.split(",")[3] != "0.05"] == alone
+
+
 class TestCsvOutput:
     def test_schema_and_layout(self, tmp_path):
         config = ExperimentConfig(
             mode="coverage", preset="linear", sample_sizes=(500,),
             replications=8, base_seed=13,
         )
-        result = run_coverage(config)
+        result = run_experiment(config)
         path = tmp_path / "out.csv"
         result.write_csv(str(path))
         lines = path.read_text().splitlines()
@@ -500,6 +540,6 @@ class TestCsvOutput:
         )
         one = tmp_path / "a.csv"
         two = tmp_path / "b.csv"
-        run_estimation_error(config).write_csv(str(one))
-        run_estimation_error(config).write_csv(str(two))
+        run_experiment(config).write_csv(str(one))
+        run_experiment(config).write_csv(str(two))
         assert one.read_bytes() == two.read_bytes()
