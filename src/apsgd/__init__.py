@@ -27,7 +27,6 @@ from .exceptions import (
 )
 from .inference import (
     InferenceReport,
-    TargetSummary,
     TestResult,
     asymptotic_covariance,
     confidence_interval,
@@ -98,7 +97,6 @@ __all__ = [
     "NumericalError",
     "PRESETS",
     "RankDeficiencyError",
-    "TargetSummary",
     "TestResult",
     "asymptotic_covariance",
     "build_projection",

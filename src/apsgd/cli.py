@@ -58,8 +58,8 @@ def _add_data_options(sub: argparse.ArgumentParser) -> None:
         "--constraint", default="none",
         help="constraint file (shorthand or matrix format), or 'none'",
     )
-    sub.add_argument("--gamma", type=float, default=1.0, help="learning-rate scale")
-    sub.add_argument("--rho", type=float, default=0.505, help="learning-rate decay in (1/2, 1)")
+    sub.add_argument("--gamma", type=float, default=LearningRate.gamma, help="learning-rate scale")
+    sub.add_argument("--rho", type=float, default=LearningRate.rho, help="learning-rate decay in (1/2, 1)")
     sub.add_argument("--alpha", type=float, default=0.05, help="significance level")
     sub.add_argument(
         "--schema", default="",
@@ -118,7 +118,7 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 def _prepare_stream(args):
     """Shared ingestion: returns (model, constraint, schedule, names, observations)."""
-    schema = ingest.parse_schema(args.schema, standardize=args.standardize)
+    schema = ingest.parse_schema(args.schema)
     source = ingest.RowSource(args.data)
     resolved = ingest.resolve_schema(source, schema)
     family = args.model
@@ -130,7 +130,7 @@ def _prepare_stream(args):
     else:
         constraint = ingest.load_constraint(args.constraint, resolved.feature_names)
     means = sds = None
-    if schema.standardize:
+    if args.standardize:
         means, sds = ingest.feature_moments(source, resolved)
     observations = ingest.load_observations(
         source, resolved, needs_response, means, sds, shuffle_seed=args.shuffle_seed
@@ -139,30 +139,21 @@ def _prepare_stream(args):
     return model, constraint, schedule, resolved.feature_names, observations
 
 
-def _print_report(report: InferenceReport, names) -> None:
+def _print_report(report: InferenceReport) -> None:
     rows = []
-    for target in report.per_target:
-        p_txt = "--" if math.isnan(target.p_value) else f"{target.p_value:.4f}"
-        rows.append(
-            [
-                target.name,
-                f"{target.estimate:.4f}",
-                f"{target.std_error:.4f}",
-                p_txt,
-                significance_marker(target.p_value),
-            ]
-        )
+    for name, est, se, p_value in zip(report.names, report.theta_bar, report.std_error, report.p_value):
+        p_txt = "--" if math.isnan(p_value) else f"{p_value:.4f}"
+        rows.append([name, f"{est:.4f}", f"{se:.4f}", p_txt, significance_marker(p_value)])
     print(f"T = {report.sample_size} observations, alpha = {report.alpha}")
     print(_format_table(["coefficient", "estimate", "std_error", "p_value", ""], rows))
 
 
 def _report_csv_text(report: InferenceReport) -> str:
+    columns = (report.theta_bar, report.std_error, report.ci_lower, report.ci_upper, report.p_value)
     lines = ["coefficient,estimate,std_error,ci_lower,ci_upper,p_value"]
-    for t in report.per_target:
-        lines.append(
-            f"{t.name},{t.estimate!r},{t.std_error!r},{t.ci_lower!r},"
-            f"{t.ci_upper!r},{t.p_value!r}"
-        )
+    # tolist() gives Python floats, whose repr is the shortest round-trip text
+    for name, *values in zip(report.names, *(column.tolist() for column in columns)):
+        lines.append(",".join([name, *map(repr, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -171,7 +162,7 @@ def cmd_estimate(args) -> int:
     state = EstimatorState(model, constraint, schedule)
     state.run_stream(observations)
     report = coordinate_report(state, alpha=args.alpha, names=list(names))
-    _print_report(report, names)
+    _print_report(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(_report_csv_text(report))

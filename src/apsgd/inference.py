@@ -6,6 +6,9 @@ structural rank ``d`` of the projection; the plug-in version substitutes the
 streaming averages accumulated by the estimator.  The specification test
 compares the constrained and unconstrained averages computed from one shared
 pass over the data.
+``asymptotic_covariance``, ``coordinate_report`` and ``test_from_states``
+take a CSV fit's ``(p,)`` state or a Monte Carlo cell's ``(R, p)`` state,
+whose results equal each ``state[k]``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -13,14 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .distributions import (
-    chi2_cdf,
-    chi2_quantile,
-    noncentral_chi2_cdf,
-    normal_cdf,
-    normal_quantile,
-)
+from .distributions import chi2_quantile, noncentral_chi2_cdf, normal_quantile
 from .estimator import EstimatorState, LearningRate, _run_streams
 from .exceptions import (
     DegenerateTestError,
@@ -29,7 +27,7 @@ from .exceptions import (
     NumericalError,
     RankDeficiencyError,
 )
-from .linalg import EIGEN_FLOOR, Constraint, pinv_truncated, symmetric_eigen
+from .linalg import EIGEN_FLOOR, Constraint, _raise_first, pinv_truncated, symmetric_eigen
 
 #: Relative eigenvalue guard under which the unconstrained stream's curvature
 #: average is declared numerically singular (it is inverted as a full-rank
@@ -42,43 +40,41 @@ _VARIANCE_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class TargetSummary:
-    """Point estimate and normal-theory interval for one scalar target."""
-
-    name: str
-    estimate: float
-    std_error: float
-    ci_lower: float
-    ci_upper: float
-    p_value: float
-
-
-@dataclass(frozen=True)
 class InferenceReport:
-    """Per-coordinate summaries plus the plug-in covariance they came from."""
+    """Per-coordinate summaries plus the plug-in covariance they came from.
 
+    ``names`` has one entry per coordinate; the other arrays have the state's
+    shape ``(..., p)``, and ``covariance`` has shape ``(..., p, p)``.
+    """
+
+    names: tuple[str, ...]
     theta_bar: np.ndarray
+    std_error: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+    p_value: np.ndarray
     covariance: np.ndarray
     sample_size: int
     alpha: float
-    per_target: tuple[TargetSummary, ...]
 
 
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of the constraint specification test.
 
+    ``kappa``, ``p_value`` and ``reject`` have the states' batch shape
+    ``(...)``, the averages ``(..., p)`` and ``weight_matrix`` ``(..., p, p)``.
     ``reject`` is exactly ``kappa > chi2_quantile(alpha, df)`` and ``p_value``
     is the upper chi-square tail at ``kappa``.  ``weight_matrix`` is the
     estimated weight matrix the statistic was normalised by, kept for
     diagnostics.
     """
 
-    kappa: float
+    kappa: np.ndarray
     df: int
-    p_value: float
+    p_value: np.ndarray
     alpha: float
-    reject: bool
+    reject: np.ndarray
     theta_bar_constrained: np.ndarray
     theta_bar_unconstrained: np.ndarray
     weight_matrix: np.ndarray
@@ -88,14 +84,14 @@ def _invert_pd(a: np.ndarray, what: str) -> np.ndarray:
     """Full-rank inverse via eigendecomposition, guarded against singularity."""
     eig = symmetric_eigen(a)
     lam = eig.eigenvalues
-    if lam[0] <= 0.0 or lam[-1] <= _PD_GUARD * lam[0]:
-        raise IdentificationError(
-            f"{what} is numerically singular "
-            f"(smallest eigenvalue {lam[-1]:.6e}, largest {lam[0]:.6e})"
-        )
+    _raise_first(
+        (lam[..., 0] <= 0.0) | (lam[..., -1] <= _PD_GUARD * lam[..., 0]), IdentificationError,
+        lambda k: f"{what} is numerically singular "
+        f"(smallest eigenvalue {lam[k][-1]:.6e}, largest {lam[k][0]:.6e})",
+    )
     vecs = eig.eigenvectors
-    out = (vecs / lam) @ vecs.T
-    return 0.5 * (out + out.T)
+    out = (vecs / lam[..., None, :]) @ vecs.mT
+    return 0.5 * (out + out.mT)
 
 
 def asymptotic_covariance(state: EstimatorState) -> np.ndarray:
@@ -121,7 +117,7 @@ def asymptotic_covariance(state: EstimatorState) -> np.ndarray:
             f"projected curvature average is rank-deficient: {exc}"
         ) from exc
     cov = inv @ state.s_hat @ inv
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov.mT)
 
 
 def _quadratic_variance(grad: np.ndarray, cov: np.ndarray, t: int) -> float:
@@ -168,34 +164,27 @@ def coordinate_report(
     if len(names) != p:
         raise DimensionError(f"got {len(names)} names for {p} coordinates")
     cov = asymptotic_covariance(state)
+    var = np.diagonal(cov, axis1=-2, axis2=-1) / state.t
+    negative = var < -_VARIANCE_CLAMP
+    _raise_first(
+        negative.any(axis=-1), NumericalError,
+        lambda k: f"negative variance for coordinate {np.argmax(negative[k])}",
+    )
+    se = np.sqrt(np.maximum(var, 0.0))
+    theta_bar = state.theta_bar.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_value = np.where(se > 0.0, 2.0 * special.ndtr(-np.abs(theta_bar) / se), np.nan)
     z = normal_quantile(alpha / 2.0)
-    targets = []
-    for j in range(p):
-        est = float(state.theta_bar[j])
-        var = cov[j, j] / state.t
-        if var < -_VARIANCE_CLAMP:
-            raise NumericalError(f"negative variance for coordinate {j}")
-        se = float(np.sqrt(max(var, 0.0)))
-        if se > 0.0:
-            p_val = 2.0 * (1.0 - normal_cdf(abs(est) / se))
-        else:
-            p_val = float("nan")
-        targets.append(
-            TargetSummary(
-                name=names[j],
-                estimate=est,
-                std_error=se,
-                ci_lower=est - z * se,
-                ci_upper=est + z * se,
-                p_value=p_val,
-            )
-        )
     return InferenceReport(
-        theta_bar=state.theta_bar.copy(),
+        names=tuple(names),
+        theta_bar=theta_bar,
+        std_error=se,
+        ci_lower=theta_bar - z * se,
+        ci_upper=theta_bar + z * se,
+        p_value=p_value,
         covariance=cov,
         sample_size=state.t,
         alpha=alpha,
-        per_target=tuple(targets),
     )
 
 
@@ -227,7 +216,7 @@ def test_from_states(
     mid = g_inv @ unconstrained.s_hat @ g_inv
     anti = np.eye(p) - con.P
     weight = anti @ mid @ anti
-    weight = 0.5 * (weight + weight.T)
+    weight = 0.5 * (weight + weight.mT)
     try:
         w_inv = pinv_truncated(weight, df)
     except RankDeficiencyError as exc:
@@ -236,14 +225,14 @@ def test_from_states(
             f"freedom: {exc}"
         ) from exc
     diff = constrained.theta_bar - unconstrained.theta_bar
-    kappa = max(float(T * diff @ w_inv @ diff), 0.0)
-    p_value = 1.0 - chi2_cdf(kappa, df)
+    # associated as ((T diff) W^-1) diff: the seeded kappa values depend on the order
+    kappa = np.maximum(((T * diff)[..., None, :] @ w_inv @ diff[..., None])[..., 0, 0], 0.0)
     return TestResult(
         kappa=kappa,
         df=df,
-        p_value=p_value,
+        p_value=special.chdtrc(df, kappa),
         alpha=alpha,
-        reject=bool(kappa > chi2_quantile(alpha, df)),
+        reject=kappa > chi2_quantile(alpha, df),
         theta_bar_constrained=constrained.theta_bar.copy(),
         theta_bar_unconstrained=unconstrained.theta_bar.copy(),
         weight_matrix=weight,

@@ -40,10 +40,9 @@ class CsvSchema:
     response: str | int | None = 0
     features: tuple[str | int, ...] | None = None
     has_header: bool | None = None
-    standardize: bool = False
 
 
-def parse_schema(text: str, standardize: bool = False) -> CsvSchema:
+def parse_schema(text: str) -> CsvSchema:
     """Parse a ``--schema`` string: ``response=RMSD;features=F1,F2;header=yes``."""
     response: str | int | None = 0
     features = None
@@ -73,10 +72,7 @@ def parse_schema(text: str, standardize: bool = False) -> CsvSchema:
             raise DataError(
                 f"unknown schema key {key!r}; valid keys are response, features, header"
             )
-    return CsvSchema(
-        response=response, features=features, has_header=has_header,
-        standardize=standardize,
-    )
+    return CsvSchema(response=response, features=features, has_header=has_header)
 
 
 def _name_or_index(token: str) -> str | int:
@@ -138,10 +134,6 @@ class ResolvedSchema:
     feature_indices: tuple[int, ...]
     feature_names: tuple[str, ...]
     min_columns: int
-
-    @property
-    def data_start_line(self) -> int:
-        return 2 if self.has_header else 1
 
 
 def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:

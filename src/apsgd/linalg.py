@@ -2,7 +2,9 @@
 
 Everything here operates on plain numpy arrays of modest dimension (parameter
 spaces in the single digits) and is a pure function of its inputs.  Matrix
-norms in tolerance checks are spectral norms.
+norms in tolerance checks are spectral norms.  ``symmetric_eigen`` and
+``pinv_truncated`` also take ``(..., n, n)`` stacks, matrix by matrix; a
+failure names the first bad matrix (``matrix (k,): ...``).
 """
 
 from __future__ import annotations
@@ -29,13 +31,21 @@ RANK_THRESHOLD = 1e-10
 SYMMETRY_TOL = 1e-8
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
         raise DimensionError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains non-finite entries")
+    bad = ~np.isfinite(arr).all(axis=(-2, -1))
+    _raise_first(bad, DomainError, lambda k: f"{name} contains non-finite entries")
     return arr
+
+
+def _raise_first(bad: np.ndarray, error: type, message) -> None:
+    """Raise ``error(message(k))`` at the first true index ``k`` of ``bad``, one
+    flag per matrix of a stack; a stacked failure is prefixed ``matrix k:``."""
+    if bad.any():
+        k = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        raise error(f"matrix {k}: {message(k)}" if k else message(k))
 
 
 def _as_vector(v, name: str = "vector") -> np.ndarray:
@@ -51,10 +61,10 @@ class EigenDecomposition:
 
     Attributes
     ----------
-    eigenvalues : ndarray, shape (p,)
+    eigenvalues : ndarray, shape (..., p)
         Sorted in descending order.
-    eigenvectors : ndarray, shape (p, p)
-        Orthonormal columns; column ``i`` pairs with ``eigenvalues[i]``.
+    eigenvectors : ndarray, shape (..., p, p)
+        Orthonormal columns; column ``i`` pairs with ``eigenvalues[..., i]``.
     """
 
     eigenvalues: np.ndarray
@@ -62,25 +72,29 @@ class EigenDecomposition:
 
 
 def symmetric_eigen(a) -> EigenDecomposition:
-    """Eigendecomposition of a (numerically) symmetric matrix.
+    """Eigendecomposition of a (numerically) symmetric matrix, or of each
+    matrix in a ``(..., n, n)`` stack.
 
     The input is symmetrised as ``(a + a.T) / 2`` before factorisation, but a
     symmetry defect larger than ``SYMMETRY_TOL`` relative to the matrix norm
     is rejected rather than silently averaged away.
     """
-    a = _as_matrix(a)
-    n, m = a.shape
+    a = _as_matrix(a, stack=True)
+    n, m = a.shape[-2:]
     if n != m:
         raise DimensionError(f"matrix must be square, got {n}x{m}")
-    scale = max(1.0, np.linalg.norm(a, 2)) if n else 1.0
-    if n and np.linalg.norm(a - a.T, 2) > SYMMETRY_TOL * scale:
-        raise DomainError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (a + a.T)
+    if n:
+        scale = np.maximum(1.0, np.linalg.matrix_norm(a, ord=2))
+        _raise_first(
+            np.linalg.matrix_norm(a - a.mT, ord=2) > SYMMETRY_TOL * scale, DomainError,
+            lambda k: "matrix is not symmetric within tolerance",
+        )
+    sym = 0.5 * (a + a.mT)
     try:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
-    return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return EigenDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def pinv_truncated(a, rank: int) -> np.ndarray:
@@ -96,23 +110,23 @@ def pinv_truncated(a, rank: int) -> np.ndarray:
         If the requested rank exceeds the numerical rank of ``a``.
     """
     eig = symmetric_eigen(a)
-    p = eig.eigenvalues.shape[0]
+    lam, vecs = eig.eigenvalues, eig.eigenvectors
+    p = lam.shape[-1]
     if not 0 <= rank <= p:
         raise DimensionError(f"rank must be in [0, {p}], got {rank}")
     if rank == 0:
-        return np.zeros((p, p))
-    lam = eig.eigenvalues
-    lam_max = max(lam[0], 0.0)
+        return np.zeros(vecs.shape)
+    lam_max = np.maximum(lam[..., 0], 0.0)
     floor = EIGEN_FLOOR * lam_max
-    if lam_max <= 0.0 or lam[rank - 1] <= floor:
-        raise RankDeficiencyError(
-            f"requested rank {rank} but eigenvalue {rank - 1} is "
-            f"{lam[rank - 1]:.6e} against floor {floor:.6e} "
-            f"(largest eigenvalue {lam_max:.6e})"
-        )
-    u = eig.eigenvectors[:, :rank]
-    out = (u / lam[:rank]) @ u.T
-    return 0.5 * (out + out.T)
+    _raise_first(
+        (lam_max <= 0.0) | (lam[..., rank - 1] <= floor), RankDeficiencyError,
+        lambda k: f"requested rank {rank} but eigenvalue {rank - 1} is "
+        f"{lam[k][rank - 1]:.6e} against floor {floor[k]:.6e} "
+        f"(largest eigenvalue {lam_max[k]:.6e})",
+    )
+    u = vecs[..., :rank]
+    out = (u / lam[..., None, :rank]) @ u.mT
+    return 0.5 * (out + out.mT)
 
 
 def build_projection(B, b) -> tuple[np.ndarray, np.ndarray, int]:

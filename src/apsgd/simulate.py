@@ -18,6 +18,8 @@ recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows.  Each
 replication's generator fills its row of one reused buffer of raw words, and
 one vectorised transform turns the buffer into the block's observations,
 which the state moves and folds at once (``EstimatorState._advance_block``).
+Inference then runs once per cell on the batched states: one
+``coordinate_report`` (coverage) or ``test_from_states`` (size/power).
 Chunking the replications over worker processes cannot change any number
 because every replication owns its seed.
 """
@@ -26,16 +28,17 @@ from __future__ import annotations
 
 import itertools
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
 from scipy.special import expit, ndtri
 
 from .estimator import EstimatorState, LearningRate
-from .exceptions import ConfigError, DimensionError, DomainError
-from .inference import asymptotic_covariance, test_from_states
+from .exceptions import ConfigError, DomainError
+from .inference import coordinate_report, test_from_states
 from .distributions import normal_quantile
 from .linalg import Constraint
 from .models import MODEL_FAMILIES, LossModel
@@ -78,26 +81,21 @@ class DgpSpec:
 
     ``kind`` is ``linear`` (gaussian response), ``logistic`` (labels in
     {-1, +1}) or ``mean`` (the observation is the parameter plus noise).
-    ``misspec_r`` records the constraint-violation shift already baked into
-    ``theta_star`` so experiment outputs can report it.
     """
 
     kind: str
     theta_star: tuple[float, ...]
     noise_sd: float = 3.0
-    misspec_r: float = 0.0
-    covariate_dim: int = 4
 
     def __post_init__(self):
         if self.kind not in ("linear", "logistic", "mean"):
             raise DomainError(f"unknown dgp kind {self.kind!r}")
-        if self.covariate_dim != len(self.theta_star):
-            raise DimensionError(
-                f"covariate_dim {self.covariate_dim} does not match "
-                f"theta_star of length {len(self.theta_star)}"
-            )
         if not self.noise_sd > 0.0:
             raise DomainError(f"noise_sd must be positive, got {self.noise_sd}")
+
+    @property
+    def covariate_dim(self) -> int:
+        return len(self.theta_star)
 
     @property
     def obs_dim(self) -> int:
@@ -186,13 +184,7 @@ class DgpPreset:
     def spec(self, r: float = 0.0) -> DgpSpec:
         theta = list(self.theta_base)
         theta[self.shift_coordinate] += r
-        return DgpSpec(
-            kind=self.kind,
-            theta_star=tuple(theta),
-            noise_sd=self.noise_sd,
-            misspec_r=r,
-            covariate_dim=len(theta),
-        )
+        return DgpSpec(kind=self.kind, theta_star=tuple(theta), noise_sd=self.noise_sd)
 
     def constraint(self) -> Constraint:
         return Constraint.from_equalities([list(self.constraint_row)], [0.0])
@@ -229,19 +221,6 @@ PRESETS: dict[str, DgpPreset] = {
 
 _MODES = ("estimation_error", "coverage", "size_power")
 
-_CONFIG_KEYS = {
-    "mode",
-    "preset",
-    "sample_sizes",
-    "replications",
-    "alpha",
-    "base_seed",
-    "r_grid",
-    "gamma",
-    "rho",
-    "workers",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -259,8 +238,8 @@ class ExperimentConfig:
     alpha: float = 0.05
     base_seed: int = 0
     r_grid: tuple[float, ...] = (0.0,)
-    gamma: float = 1.0
-    rho: float = 0.505
+    gamma: float = LearningRate.gamma
+    rho: float = LearningRate.rho
     workers: int = 1
 
     def __post_init__(self):
@@ -288,8 +267,24 @@ class ExperimentConfig:
         return LearningRate(gamma=self.gamma, rho=self.rho)
 
 
+#: Config keys in field order with their annotated types; the defaults of
+#: keys a config leaves out live on ``ExperimentConfig`` only.
+_FIELDS = fields(ExperimentConfig)
+_CONFIG_KEYS = {f.name: typing.get_type_hints(ExperimentConfig)[f.name] for f in _FIELDS}
+_REQUIRED_KEYS = {f.name for f in _FIELDS if f.default is MISSING}
+
+
+def _config_value(kind, text: str):
+    """``text`` as the annotated field type ``kind``; a tuple is comma-separated."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(v) for v in text.split(",") if v.strip())
+    return kind(text)
+
+
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Parse a flat ``key = value`` config (``#`` starts a comment)."""
+    """Parse a flat ``key = value`` config (``#`` starts a comment); keys left
+    out keep the defaults of ``ExperimentConfig``."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -304,23 +299,12 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 f"{sorted(_CONFIG_KEYS)}"
             )
         raw[key] = value
-    missing = {"mode", "preset", "sample_sizes", "replications"} - raw.keys()
+    missing = _REQUIRED_KEYS - raw.keys()
     if missing:
         raise ConfigError(f"{source}: missing required keys {sorted(missing)}")
     try:
         return ExperimentConfig(
-            mode=raw["mode"],
-            preset=raw["preset"],
-            sample_sizes=tuple(int(v) for v in raw["sample_sizes"].split(",") if v.strip()),
-            replications=int(raw["replications"]),
-            alpha=float(raw.get("alpha", "0.05")),
-            base_seed=int(raw.get("base_seed", "0")),
-            r_grid=tuple(float(v) for v in raw["r_grid"].split(",") if v.strip())
-            if "r_grid" in raw
-            else (0.0,),
-            gamma=float(raw.get("gamma", "1.0")),
-            rho=float(raw.get("rho", "0.505")),
-            workers=int(raw.get("workers", "1")),
+            **{k: _config_value(kind, raw[k]) for k, kind in _CONFIG_KEYS.items() if k in raw}
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
@@ -397,9 +381,10 @@ def replicate_streams(
 ) -> tuple[EstimatorState, EstimatorState | None]:
     """Advance every replication of one grid cell for ``T`` steps.
 
-    Returns the constrained stream as one batched state whose leading axis
-    indexes the replications (``state[k]`` is replication ``k``) and, when
-    requested, the unconstrained stream advanced on the same observations.
+    Returns the constrained stream as one batched ``(R, p)`` state, which
+    the inference functions take whole (``state[k]`` is replication ``k``),
+    and, when requested, the unconstrained stream advanced on the same
+    observations.
     ``workers`` only chunks the replications across worker processes; every
     replication owns its seed, so results are identical for any worker count.
     """
@@ -517,15 +502,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 stderrs = err.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros_like(means)
                 add(T, r, coordinates, metric, means, stderrs)
         elif config.mode == "coverage":
-            covered = np.zeros((R, constraint.p), dtype=bool)
-            for k in range(R):
-                cov = asymptotic_covariance(con[k])
-                se = np.sqrt(np.clip(np.diag(cov), 0.0, None) / T)
-                covered[k] = np.abs(con.theta_bar[k] - theta_star) <= z * se
+            report = coordinate_report(con, alpha=config.alpha)
+            covered = np.abs(report.theta_bar - theta_star) <= z * report.std_error
             add(T, r, coordinates, "coverage", *rate(covered))
         else:
-            tests = [test_from_states(con[k], uncon[k], alpha=config.alpha) for k in range(R)]
-            result.kappa_samples[(T, r)] = np.array([outcome.kappa for outcome in tests])
-            add(T, r, [""], "rejection_rate", *rate(np.array([[t.reject] for t in tests])))
+            test = test_from_states(con, uncon, alpha=config.alpha)
+            result.kappa_samples[(T, r)] = test.kappa
+            add(T, r, [""], "rejection_rate", *rate(test.reject[:, None]))
     result.wall_clock = time.perf_counter() - start
     return result

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from apsgd.cli import EXIT_DATA, main
+from apsgd import LearningRate
+from apsgd.cli import EXIT_DATA, build_parser, main
 
 
 def run(argv, capsys):
@@ -47,3 +48,9 @@ def test_stream_errors_name_the_observation(tmp_path, capsys, command):
     code, err = run(argv, capsys)
     assert code == EXIT_DATA
     assert re.fullmatch(r"apsgd: error: observation 1: non-finite .* at step 2.*\n", err)
+
+
+@pytest.mark.parametrize("command", ["estimate", "spec-test"])
+def test_learning_rate_defaults_are_the_schedule_defaults(command):
+    args = build_parser().parse_args([command, "data.csv", "--model", "linear"])
+    assert LearningRate(gamma=args.gamma, rho=args.rho) == LearningRate()

@@ -9,6 +9,7 @@ from apsgd import (
     DegenerateTestError,
     EstimatorState,
     IdentificationError,
+    LearningRate,
     LinearModel,
     MeanModel,
     RankDeficiencyError,
@@ -21,7 +22,7 @@ from apsgd import (
     specification_test,
     test_from_states,
 )
-from apsgd.simulate import PRESETS, draw, replication_rng
+from apsgd.simulate import PRESETS, draw, replicate_streams, replication_rng
 
 from test_linalg import random_pd, random_projection
 
@@ -30,6 +31,23 @@ def dgp1_stream(n, seed=0):
     dgp = PRESETS["linear"].spec(0.0)
     rng = replication_rng(seed, 0, 0)
     return [draw(dgp, rng) for _ in range(n)]
+
+
+def moment_state(constraint, theta_bar, s_hat, t=100):
+    """A two-coordinate location state after ``t`` observations with
+    ``g_hat = I`` and the given average and gradient outer product."""
+    state = EstimatorState(MeanModel(2), constraint)
+    state.t, state.g_hat = t, np.eye(2)
+    state.theta_bar, state.s_hat = np.array(theta_bar), np.array(s_hat)
+    return state
+
+
+def cell(preset, include_unconstrained, R=5):
+    """One seeded Monte Carlo cell of ``R`` replications as batched states."""
+    return replicate_streams(
+        PRESETS[preset].spec(0.0), PRESETS[preset].constraint(), LearningRate(), T=600,
+        replications=R, base_seed=11, include_unconstrained=include_unconstrained,
+    )
 
 
 def mean_stream(n, seed=0):
@@ -101,9 +119,9 @@ class TestConfidenceInterval:
         con = PRESETS["linear"].constraint()
         state = EstimatorState(LinearModel(4), con).run_stream(dgp1_stream(2000))
         report = coordinate_report(state, alpha=0.05)
-        for target in report.per_target:
-            assert target.ci_lower <= target.estimate <= target.ci_upper
-            assert target.std_error >= 0.0
+        assert np.all(report.ci_lower <= report.theta_bar)
+        assert np.all(report.theta_bar <= report.ci_upper)
+        assert np.all(report.std_error >= 0.0)
 
 
 class TestCoordinateReport:
@@ -112,19 +130,25 @@ class TestCoordinateReport:
         state = EstimatorState(MeanModel(2), con)
         state.run_stream(mean_stream(300))
         report = coordinate_report(state, alpha=0.05)
-        pinned = report.per_target[0]
-        assert pinned.std_error == 0.0
-        assert np.isnan(pinned.p_value)
-        assert pinned.estimate == pytest.approx(2.0, abs=1e-10)
-        free = report.per_target[1]
-        assert free.std_error > 0.0
-        assert 0.0 <= free.p_value <= 1.0
+        assert report.std_error[0] == 0.0
+        assert np.isnan(report.p_value[0])
+        assert report.theta_bar[0] == pytest.approx(2.0, abs=1e-10)
+        assert report.std_error[1] > 0.0
+        assert 0.0 <= report.p_value[1] <= 1.0
+
+    def test_p_value_does_not_underflow(self):
+        """z = 10 has two-sided p-value 1.5e-23, not 2 (1 - 1.0) = 0."""
+        state = moment_state(Constraint.unconstrained(2), [1.0, 0.5], np.eye(2))
+        report = coordinate_report(state)
+        np.testing.assert_allclose(report.std_error, [0.1, 0.1], rtol=1e-15)
+        np.testing.assert_allclose(report.p_value, 2.0 * stats.norm.sf([10.0, 5.0]), rtol=1e-9)
+        assert report.p_value[0] > 1e-24
 
     def test_custom_names(self):
         state = EstimatorState(MeanModel(2), Constraint.unconstrained(2))
         state.run_stream(mean_stream(50))
         report = coordinate_report(state, names=["a", "b"])
-        assert [t.name for t in report.per_target] == ["a", "b"]
+        assert report.names == ("a", "b")
 
 
 class TestSpecificationTest:
@@ -168,6 +192,18 @@ class TestSpecificationTest:
         assert not result.reject
         assert result.p_value == pytest.approx(1.0)
 
+    def test_p_value_does_not_underflow(self):
+        """kappa = 80 on one degree of freedom has upper tail 3.7e-19, not 1 - 1.0 = 0."""
+        shift = np.sqrt(0.8)  # kappa = T shift^2 with T = 100
+        con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
+        result = test_from_states(
+            moment_state(con, [0.5, 0.5], 2.0 * np.eye(2)),
+            moment_state(Constraint.unconstrained(2), [0.5 + shift, 0.5 - shift], 2.0 * np.eye(2)),
+        )
+        assert result.kappa == pytest.approx(80.0, rel=1e-12)
+        assert result.p_value == pytest.approx(stats.chi2(1).sf(result.kappa), rel=1e-9)
+        assert result.p_value > 1e-19
+
     def test_result_invariants_on_real_stream(self):
         con = PRESETS["linear"].constraint()
         result = specification_test(dgp1_stream(3000, seed=12), LinearModel(4), con)
@@ -188,6 +224,42 @@ class TestSpecificationTest:
         w_inv = pinv_truncated(W, result.df)
         anti = np.eye(4) - con.P
         assert np.linalg.norm(w_inv - anti @ w_inv, 2) <= 1e-8 * np.linalg.norm(w_inv, 2)
+
+
+class TestBatchedStates:
+    """An ``(R, p)`` Monte Carlo cell gives each replication's results bit for bit."""
+
+    @pytest.mark.parametrize("preset", ["linear", "logistic"])
+    def test_covariance_and_report_equal_each_replication(self, preset):
+        state, _ = cell(preset, include_unconstrained=False)
+        cov = asymptotic_covariance(state)
+        report = coordinate_report(state, alpha=0.1)
+        assert cov.shape == (5, 4, 4) and report.p_value.shape == (5, 4)
+        for k in range(5):
+            single = coordinate_report(state[k], alpha=0.1)
+            np.testing.assert_array_equal(cov[k], asymptotic_covariance(state[k]))
+            for name in ("theta_bar", "std_error", "ci_lower", "ci_upper", "p_value", "covariance"):
+                np.testing.assert_array_equal(getattr(report, name)[k], getattr(single, name))
+
+    def test_paired_test_equals_each_replication(self):
+        con, uncon = cell("linear", include_unconstrained=True)
+        result = test_from_states(con, uncon)
+        assert result.kappa.shape == result.reject.shape == (5,)
+        for k in range(5):
+            single = test_from_states(con[k], uncon[k])
+            for name in ("kappa", "p_value", "reject", "weight_matrix", "theta_bar_constrained"):
+                np.testing.assert_array_equal(getattr(result, name)[k], getattr(single, name))
+
+    def test_failure_names_the_first_bad_replication(self):
+        con, uncon = cell("linear", include_unconstrained=True)
+        con.g_hat[[2, 4]] = 0.0
+        with pytest.raises(IdentificationError, match=r"rank-deficient: matrix \(2,\): requested"):
+            asymptotic_covariance(con)
+        with pytest.raises(IdentificationError, match=r"rank-deficient: requested rank 3"):
+            asymptotic_covariance(con[2])
+        uncon.g_hat[3] = np.diag([1.0, 1.0, 1.0, 0.0])
+        with pytest.raises(IdentificationError, match=r"^matrix \(3,\): unconstrained curvature"):
+            test_from_states(cell("linear", True)[0], uncon)
 
 
 class TestEfficiencyGap:

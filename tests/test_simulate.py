@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ class TestDraws:
         assert abs(ys.var() - target_var) <= 0.01 * target_var
 
     def test_logistic_balance_at_zero(self):
-        dgp = DgpSpec(kind="logistic", theta_star=(0.0, 0.0), covariate_dim=2)
+        dgp = DgpSpec(kind="logistic", theta_star=(0.0, 0.0))
         rng = replication_rng(2, 0, 0)
         ys = draw_block(dgp, rng, 100_000)[:, 0]
         assert set(np.unique(ys)) == {-1.0, 1.0}
@@ -61,7 +62,7 @@ class TestDraws:
         np.testing.assert_array_equal(split, whole)
 
     def test_mean_kind(self):
-        dgp = DgpSpec(kind="mean", theta_star=(2.0, -1.0), noise_sd=0.5, covariate_dim=2)
+        dgp = DgpSpec(kind="mean", theta_star=(2.0, -1.0), noise_sd=0.5)
         rng = replication_rng(4, 0, 0)
         zs = draw_block(dgp, rng, 50_000)
         np.testing.assert_allclose(zs.mean(axis=0), [2.0, -1.0], atol=0.02)
@@ -82,7 +83,7 @@ class TestDraws:
         [
             PRESETS["linear"].spec(0.0),
             PRESETS["logistic"].spec(0.01),
-            DgpSpec(kind="mean", theta_star=(2.0, -1.0, 0.5), noise_sd=0.5, covariate_dim=3),
+            DgpSpec(kind="mean", theta_star=(2.0, -1.0, 0.5), noise_sd=0.5),
         ],
         ids=["linear", "logistic", "mean"],
     )
@@ -347,10 +348,7 @@ class TestEstimationError:
         noisy = run_experiment(base)
 
         quiet_preset = PRESETS["linear"]
-        dgp = DgpSpec(
-            kind="linear", theta_star=quiet_preset.theta_base, noise_sd=1e-8,
-            covariate_dim=4,
-        )
+        dgp = DgpSpec(kind="linear", theta_star=quiet_preset.theta_base, noise_sd=1e-8)
         con, _ = replicate_streams(
             dgp, quiet_preset.constraint(), LearningRate(), T=2000, replications=20,
             base_seed=5, include_unconstrained=False,
@@ -462,6 +460,20 @@ class TestConfigs:
         assert config.sample_sizes == (1000, 2000)
         assert config.r_grid == (0.0, 0.01)
         assert config.alpha == 0.1
+
+    def test_keys_left_out_keep_the_dataclass_defaults(self):
+        """Every field is a key, and a config that leaves keys out gets the
+        defaults of ``ExperimentConfig`` (and of ``LearningRate``)."""
+        required = "mode = coverage\npreset = linear\nsample_sizes = 10, 20\nreplications = 3\n"
+        config = parse_config_text(required)
+        assert config == ExperimentConfig("coverage", "linear", (10, 20), 3)
+        assert config.schedule() == LearningRate()
+        given = dict(alpha=0.1, base_seed=4, r_grid=(0.0, 0.5), gamma=0.5, rho=0.6, workers=2)
+        text = required + "".join(
+            f"{key} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}\n"
+            for key, value in given.items()
+        )
+        assert parse_config_text(text) == replace(config, **given)
 
     def test_unknown_key_lists_valid_keys(self):
         with pytest.raises(ConfigError, match="valid keys"):
