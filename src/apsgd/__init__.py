@@ -6,10 +6,8 @@ the constraints, fed one observation at a time.
 """
 
 from .distributions import (
-    chi2_cdf,
     chi2_quantile,
     noncentral_chi2_cdf,
-    normal_cdf,
     normal_quantile,
 )
 from .estimator import EstimatorState, LearningRate
@@ -100,7 +98,6 @@ __all__ = [
     "TestResult",
     "asymptotic_covariance",
     "build_projection",
-    "chi2_cdf",
     "chi2_quantile",
     "confidence_interval",
     "coordinate_report",
@@ -111,7 +108,6 @@ __all__ = [
     "load_config",
     "local_power",
     "noncentral_chi2_cdf",
-    "normal_cdf",
     "normal_quantile",
     "parse_config_text",
     "pinv_truncated",

@@ -26,23 +26,10 @@ def _check_df(df: int) -> int:
     return int(df)
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return float(special.ndtr(x))
-
-
 def normal_quantile(alpha: float) -> float:
     """Upper-tail standard normal quantile: ``Pr(Z > result) = alpha``."""
     alpha = _check_prob(alpha)
     return float(-special.ndtri(alpha))
-
-
-def chi2_cdf(x: float, df: int) -> float:
-    """Central chi-square CDF (0.0 for negative ``x``)."""
-    df = _check_df(df)
-    if x <= 0.0:
-        return 0.0
-    return float(special.chdtr(df, x))
 
 
 def chi2_quantile(alpha: float, df: int) -> float:

@@ -248,14 +248,12 @@ def specification_test(
     constraint: Constraint,
     schedule: LearningRate | None = None,
     alpha: float = 0.05,
-    theta0=None,
 ) -> TestResult:
     """Run the constraint test on a single pass over one observation stream.
 
     A constrained and an unconstrained state are advanced side by side on
-    the same observations.  Both start from the same point (``theta0`` if
-    given, else the constraint's feasible point), each projected into its
-    own feasible set.  An error names the observation at which it arose.
+    the same observations.  Both start from the constraint's feasible point
+    ``constraint.c``.  An error names the observation at which it arose.
     """
     p = model.param_dim
     if constraint.d == p:
@@ -263,10 +261,9 @@ def specification_test(
             "constraint has no effective rows (d = p), the test has 0 degrees "
             "of freedom"
         )
-    start = constraint.c if theta0 is None else np.asarray(theta0, dtype=float)
-    state_p = EstimatorState(model, constraint, schedule, theta0=start)
+    state_p = EstimatorState(model, constraint, schedule)
     state_i = EstimatorState(
-        model, Constraint.unconstrained(p), schedule, theta0=start
+        model, Constraint.unconstrained(p), schedule, theta0=constraint.c
     )
     _run_streams((state_p, state_i), observations)
     return test_from_states(state_p, state_i, alpha=alpha)

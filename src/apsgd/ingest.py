@@ -1,10 +1,12 @@
 """CSV ingestion: schemas, constraint files, and the standardization pass.
 
 Data files are consumed as streams; nothing here materialises a dataset
-unless the caller explicitly asks for shuffling.  Standardization is a
-two-pass affair by design: one pass over the file for feature means and
+unless the caller explicitly asks for shuffling.  One reader serves every
+pass: each data row is parsed once, straight into a float array holding the
+response (if the schema has one) and then the features.  Standardization is
+a two-pass affair by design: one pass over the file for feature means and
 sample standard deviations, a second streaming pass that applies the affine
-transform (the response is never touched).
+transform in place (the response is never touched).
 """
 
 from __future__ import annotations
@@ -100,40 +102,30 @@ class RowSource:
     def rows(self):
         """Yield ``(line_number, fields)`` pairs, 1-based line numbers."""
         try:
-            yield from self._rows()
+            if self.path == "-":
+                if self._stdin_cache is None:
+                    self._stdin_cache = [row for row in csv.reader(sys.stdin)]
+                yield from enumerate(self._stdin_cache, start=1)
+                return
+            try:
+                handle = open(self.path, "r", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise DataError(f"cannot open {self.path}: {exc}") from exc
+            with handle:
+                yield from enumerate(csv.reader(handle), start=1)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{self.path}: not a UTF-8 CSV file: {exc}") from exc
-
-    def _rows(self):
-        if self.path == "-":
-            if self._stdin_cache is None:
-                self._stdin_cache = [row for row in csv.reader(sys.stdin)]
-            for lineno, row in enumerate(self._stdin_cache, start=1):
-                yield lineno, row
-            return
-        try:
-            handle = open(self.path, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise DataError(f"cannot open {self.path}: {exc}") from exc
-        with handle:
-            for lineno, row in enumerate(csv.reader(handle), start=1):
-                yield lineno, row
 
 
 @dataclass(frozen=True)
 class ResolvedSchema:
-    """Schema bound to a concrete file: indices, display names, header flag.
-
-    ``min_columns`` is the number of fields a data row needs to hold every
-    selected column.
-    """
+    """Schema bound to a concrete file: indices, display names, header flag."""
 
     has_header: bool
     column_names: tuple[str, ...]
     response_index: int | None
     feature_indices: tuple[int, ...]
     feature_names: tuple[str, ...]
-    min_columns: int
 
 
 def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
@@ -177,7 +169,6 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
         raise DataError("response column cannot also be a feature")
     if not feature_indices:
         raise DataError("no feature columns selected")
-    selected = feature_indices if response_index is None else feature_indices + (response_index,)
     if has_header:
         feature_names = tuple(column_names[i] for i in feature_indices)
     else:
@@ -188,33 +179,36 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
         response_index=response_index,
         feature_indices=feature_indices,
         feature_names=feature_names,
-        min_columns=max(selected) + 1,
     )
 
 
-def _parse_row(lineno: int, row: list[str], resolved: ResolvedSchema) -> tuple[float | None, np.ndarray]:
-    if len(row) < resolved.min_columns:
-        raise DataError(
-            f"line {lineno}: expected at least {resolved.min_columns} columns, got {len(row)}"
-        )
-    try:
-        feats = [float(row[i]) for i in resolved.feature_indices]
-        resp = (
-            float(row[resolved.response_index])
-            if resolved.response_index is not None
-            else None
-        )
-    except ValueError as exc:
-        raise DataError(f"line {lineno}: {exc}") from exc
-    # float() also accepts nan, inf and overflowing literals such as 1e999
-    if not (all(map(math.isfinite, feats)) and (resp is None or math.isfinite(resp))):
-        for i in resolved.feature_indices + (resolved.response_index,):
-            if i is not None and not math.isfinite(float(row[i])):
-                raise DataError(
-                    f"line {lineno}: column {resolved.column_names[i]!r} is not a "
-                    f"finite number: {row[i]!r}"
-                )
-    return resp, np.array(feats)
+def _data_rows(source: RowSource, resolved: ResolvedSchema):
+    """Yield each data row (header and empty lines skipped) as one float
+    array: the response cell, if the schema has one, then the features."""
+    columns = resolved.feature_indices
+    if resolved.response_index is not None:
+        columns = (resolved.response_index,) + columns
+    width = max(columns) + 1
+    rows = source.rows()
+    if resolved.has_header:
+        next(rows, None)
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) < width:
+            raise DataError(f"line {lineno}: expected at least {width} columns, got {len(row)}")
+        try:
+            values = [float(row[i]) for i in columns]
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+        # float() also accepts nan, inf and overflowing literals such as 1e999
+        if not all(map(math.isfinite, values)):
+            i = next(i for i, value in zip(columns, values) if not math.isfinite(value))
+            raise DataError(
+                f"line {lineno}: column {resolved.column_names[i]!r} is not a "
+                f"finite number: {row[i]!r}"
+            )
+        yield np.array(values)
 
 
 def feature_moments(source: RowSource, resolved: ResolvedSchema) -> tuple[np.ndarray, np.ndarray]:
@@ -224,17 +218,12 @@ def feature_moments(source: RowSource, resolved: ResolvedSchema) -> tuple[np.nda
     Constant columns are rejected by name.
     """
     k = len(resolved.feature_indices)
+    lead = int(resolved.response_index is not None)
     count = 0
     mean = np.zeros(k)
     m2 = np.zeros(k)
-    skip_header = resolved.has_header
-    for lineno, row in source.rows():
-        if skip_header:
-            skip_header = False
-            continue
-        if not row:
-            continue
-        _, feats = _parse_row(lineno, row, resolved)
+    for values in _data_rows(source, resolved):
+        feats = values[lead:]
         count += 1
         delta = feats - mean
         mean += delta / count
@@ -268,20 +257,13 @@ def iter_observations(
     """
     if needs_response and resolved.response_index is None:
         raise DataError("model needs a response column but the schema says response=none")
-    skip_header = resolved.has_header
-    for lineno, row in source.rows():
-        if skip_header:
-            skip_header = False
-            continue
-        if not row:
-            continue
-        resp, feats = _parse_row(lineno, row, resolved)
+    lead = int(resolved.response_index is not None)
+    for values in _data_rows(source, resolved):
         if means is not None:
-            feats = (feats - means) / sds
-        if needs_response:
-            yield np.concatenate(([resp], feats))
-        else:
-            yield feats
+            feats = values[lead:]
+            feats -= means
+            feats /= sds
+        yield values if needs_response else values[lead:]
 
 
 def load_observations(

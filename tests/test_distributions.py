@@ -9,14 +9,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from apsgd import (
     DomainError,
-    chi2_cdf,
     chi2_quantile,
     noncentral_chi2_cdf,
-    normal_cdf,
     normal_quantile,
 )
 
@@ -92,7 +90,7 @@ class TestNormalQuantile:
     def test_roundtrip_accuracy(self):
         for alpha in (0.2, 0.05, 0.01, 1e-6, 0.9, 0.999):
             z = normal_quantile(alpha)
-            assert abs(normal_cdf(z) - (1.0 - alpha)) <= 1e-12
+            assert abs(special.ndtr(z) - (1.0 - alpha)) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -106,7 +104,7 @@ class TestNoncentralChi2:
         for x in (0.5, 2.0, 7.3):
             for df in (1, 2, 5):
                 assert noncentral_chi2_cdf(x, df, 0.0) == pytest.approx(
-                    chi2_cdf(x, df), abs=1e-12
+                    special.chdtr(df, x), abs=1e-12
                 )
 
     def test_zero_point(self):

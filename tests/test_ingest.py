@@ -121,16 +121,50 @@ class TestObservationStream:
         assert not np.array_equal(np.vstack(a), np.vstack(c))
 
 
+class TestReaderParity:
+    """A response in a middle column and features out of file order: the
+    observations equal the matching ``np.loadtxt`` columns bit for bit."""
+
+    @pytest.fixture
+    def reordered(self, tmp_path):
+        table = np.random.default_rng(11).normal(size=(40, 4)) * [1.0, 3.0, 1e3, 1e-3]
+        body = "a,y,b,c\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in table)
+        path = write_csv(tmp_path / "middle.csv", body)
+        source = RowSource(path)
+        resolved = resolve_schema(source, CsvSchema(response="y", features=("c", "a")))
+        loaded = np.loadtxt(path, delimiter=",", skiprows=1)
+        return source, resolved, loaded[:, 1], loaded[:, [3, 0]]
+
+    def test_raw_observations(self, reordered):
+        source, resolved, y, x = reordered
+        obs = np.vstack(list(iter_observations(source, resolved, True)))
+        assert obs.tobytes() == np.column_stack([y, x]).tobytes()
+
+    def test_standardized_features_and_untouched_response(self, reordered):
+        source, resolved, y, x = reordered
+        means, sds = feature_moments(source, resolved)
+        obs = np.vstack(list(iter_observations(source, resolved, True, means, sds)))
+        assert obs.tobytes() == np.column_stack([y, (x - means) / sds]).tobytes()
+
+    def test_location_fit_yields_the_features_only(self, reordered):
+        source, resolved, _, x = reordered
+        obs = np.vstack(list(iter_observations(source, resolved, False)))
+        assert obs.tobytes() == x.tobytes()
+
+
 class TestNonFiniteCells:
     """``float`` parses nan, inf and overflowing literals; the reader rejects
     them by line and column instead of passing them to the estimator."""
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "NaN"])
-    @pytest.mark.parametrize("column", ["y", "b"])
+    @pytest.mark.parametrize("columns", ["y", "b", "yb"])
     @pytest.mark.parametrize("reader", ["iter_observations", "feature_moments"])
-    def test_cell_raises_data_error_naming_line_and_column(self, tmp_path, cell, column, reader):
+    def test_cell_raises_data_error_naming_line_and_column(self, tmp_path, cell, columns, reader):
+        """With two bad cells the first in parse order (response, then
+        features) is named."""
         rows = [["1.0", "2.0", "3.0"], ["2.0", "4.0", "6.0"], ["0.5", "1.0", "2.5"]]
-        rows[1]["yab".index(column)] = cell
+        for column in columns:
+            rows[1]["yab".index(column)] = cell
         body = "y,a,b\n" + "".join(",".join(row) + "\n" for row in rows)
         source = RowSource(write_csv(tmp_path / "bad.csv", body))
         resolved = resolve_schema(source, CsvSchema())
@@ -138,7 +172,7 @@ class TestNonFiniteCells:
             "iter_observations": lambda: list(iter_observations(source, resolved, True)),
             "feature_moments": lambda: feature_moments(source, resolved),
         }[reader]
-        message = rf"^line 3: column '{column}' is not a finite number: '{cell}'$"
+        message = rf"^line 3: column '{columns[0]}' is not a finite number: '{cell}'$"
         with pytest.raises(DataError, match=message):
             read()
 
