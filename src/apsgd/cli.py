@@ -212,6 +212,9 @@ def cmd_simulate(args) -> int:
         for row in result.rows
     ]
     print(_format_table(["T", "r", "coordinate", "metric", "value", "mc_stderr"], rows))
+    for (T, r), seconds in result.cell_seconds.items():
+        ns = seconds * 1e9 / (T * config.replications)
+        print(f"cell T = {T}, r = {r:g}: {seconds:.3f}s, {ns:.1f} ns per step*rep", file=sys.stderr)
     print(f"wall clock: {result.wall_clock:.1f}s", file=sys.stderr)
     return EXIT_OK
 

@@ -9,10 +9,11 @@ new iterate into the running average; only this part is sequential.  The
 curvature and gradient-outer-product averages that inference consumes later
 are plain averages over the path of running averages: ``step`` folds them in
 per row, and the Monte Carlo lockstep (``simulate``) advances a whole block
-at once (``_advance_block``): it moves the block, averages it with one
-cumulative sum and folds it.  States may be handed between threads between
-steps; distinct states (for example the constrained and unconstrained sides
-of a specification test) can advance fully in parallel.
+at once (``_advance_block``): the model's ``_walk`` moves the iterates over
+the block, one cumulative sum averages them and one fold adds the block's
+moments.  States may be handed between threads between steps; distinct
+states (for example the constrained and unconstrained sides of a
+specification test) can advance fully in parallel.
 """
 
 from __future__ import annotations
@@ -88,9 +89,11 @@ class EstimatorState:
 
     ``step`` re-projects every iterate onto the feasible set.  The lockstep
     (``_move_block``) moves a feasible iterate along the projected gradient
-    instead, so its iterates stay feasible up to rounding, and computes a
-    block's averages with one cumulative sum; both agree with ``step`` to
-    a few ulps.
+    instead, with the model's ``LossModel._walk`` (for the regression
+    families, a weight times a direction ``gamma_t x_t P`` computed once per
+    block), so its iterates stay feasible up to rounding, and computes a
+    block's averages with one cumulative sum; both agree with ``step`` to a
+    few ulps.
 
     A ``NumericalError`` names the step at which a gradient or a moment first
     went non-finite, and the state is then not meant to be resumed.  After a
@@ -192,26 +195,25 @@ class EstimatorState:
                 self._fold_path(path[:moved], block[:moved])
 
     def _move_block(self, block: np.ndarray, path: np.ndarray) -> None:
-        """``_move`` over the rows of a validated block, with the model's
-        unchecked gradient kernel; ``path[i]`` ends up holding the average
-        after row ``i``.
+        """``_move`` over the rows of a validated block; ``path[i]`` ends up
+        holding the average after row ``i``.
 
-        Only the iterate is sequential: each row writes ``theta_t`` straight
-        into ``path`` (``Constraint._descend``, no re-projection from ``c``).
-        One finite check then covers the block, since a non-finite gradient
-        always makes its row's iterate non-finite, and one in-place
-        cumulative sum turns the iterates into averages.  When a gradient is
-        non-finite, the block's gradients are evaluated again along the
-        stored path to find the first such row; the state is left after the
-        row before it (``path`` holding the averages up to there) and the
-        error names its step as ``_move`` does.
+        Only the iterate is sequential: the model's ``_walk`` writes each
+        ``theta_t`` straight into ``path``, moving the feasible iterate along
+        the projected gradient with no re-projection from ``c``.  One finite
+        check then covers the block, since a non-finite gradient always makes
+        its row's iterate non-finite, and one in-place cumulative sum turns
+        the iterates into averages.  When a gradient is non-finite, the
+        block's gradients are evaluated again along the stored path to find
+        the first such row; the state is left after the row before it
+        (``path`` holding the averages up to there) and the error names its
+        step as ``_move`` does.
         """
-        gradient, at, descend = self.model._gradient, self.schedule.at, self.constraint._descend
+        gradient, at, con = self.model._gradient, self.schedule.at, self.constraint
         t0, n = self.t, len(block)
         path = path[:n]
-        theta = self.theta
-        for i, z in enumerate(block):
-            theta = descend(theta, at(t0 + i + 1), gradient(theta, z), path[i])
+        steps = np.array([at(t) for t in range(t0 + 1, t0 + n + 1)])
+        self.model._walk(self.theta, block, None if con.d == con.p else con.P, steps, path)
         moved = n
         if not np.isfinite(path).all():
             before = np.concatenate([self.theta[None], path[:-1]])
@@ -224,8 +226,8 @@ class EstimatorState:
             avg = path[:moved]
             np.cumsum(avg, axis=0, out=avg)
             avg += t0 * self.theta_bar
-            steps = np.arange(t0 + 1, t0 + moved + 1, dtype=float)
-            avg /= steps.reshape((-1,) + (1,) * (avg.ndim - 1))
+            counts = np.arange(t0 + 1, t0 + moved + 1, dtype=float)
+            avg /= counts.reshape((-1,) + (1,) * (avg.ndim - 1))
             self.theta_bar[...] = avg[-1]
             self.t = t0 + moved
         if moved < n:

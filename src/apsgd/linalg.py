@@ -217,21 +217,6 @@ class Constraint:
             return np.asarray(theta, dtype=float)
         return self.c + (theta - self.c) @ self.P.T
 
-    def _descend(
-        self, theta: np.ndarray, step: float, grad: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """``project(theta - step * grad)`` for a feasible ``theta``, written to ``out``.
-
-        ``P`` is symmetric and idempotent and a feasible ``theta`` has
-        ``(theta - c) P = theta - c``, so the projection of the update is
-        ``theta - step * grad @ P``: no re-projection from ``c``.  Without
-        effective constraints this is the plain update, bit for bit.
-        """
-        if self.d != self.p:
-            grad = grad @ self.P
-        np.multiply(grad, step, out=out)
-        return np.subtract(theta, out, out=out)
-
     def violation(self, theta: np.ndarray) -> float | np.ndarray:
         """Euclidean norm of ``B theta - b`` over the last axis of ``theta``.
 

@@ -27,9 +27,11 @@ class LossModel:
     the Hessian must be symmetric.  Subclasses implement the unchecked kernels
     ``_loss``, ``_gradient`` and ``_hessian``, which the Monte Carlo lockstep
     calls directly on blocks of observations it has validated once with
-    ``_check_obs``.  The lockstep sums a block's Hessians with
-    ``_hessian_sum``, which the families override so that no per-row
-    ``(n, ..., p, p)`` array is built.
+    ``_check_obs``.  The lockstep moves its iterates over a block with
+    ``_walk`` and sums the block's Hessians with ``_hessian_sum``.  Both have
+    generic per-row defaults; the linear and logistic families override both
+    and the mean model the sum, so that no per-row gradient or
+    ``(n, ..., p, p)`` Hessian array is built.
     """
 
     param_dim: int
@@ -75,6 +77,27 @@ class LossModel:
     def _hessian_sum(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Sum of ``_hessian(theta, z)`` over the first axis (the rows of a block)."""
         return self._hessian(theta, z).sum(0)
+
+    def _walk(self, theta, block, P, steps, path) -> None:
+        """Projected SGD over the rows of a validated ``(n, ..., obs_dim)`` block
+        from the feasible iterate ``theta``: ``path[i]`` receives the iterate
+        after row ``i``, ``theta - steps[i] * g P`` with ``g`` the gradient at
+        the iterate before it.  ``P`` is the constraint's projection, or
+        ``None`` without effective constraints.
+
+        ``P`` is symmetric and idempotent and a feasible ``theta`` has
+        ``(theta - c) P = theta - c``, so this is the projection of the plain
+        update onto the feasible set: no re-projection from ``c`` is needed.
+        Here each row evaluates ``_gradient``, multiplies it by ``P`` and by
+        the step size and subtracts it.  ``theta`` itself is not written.
+        """
+        gradient = self._gradient
+        for z, step, row in zip(block, steps, path):
+            grad = gradient(theta, z)
+            if P is not None:
+                grad = grad @ P
+            np.multiply(grad, step, out=row)
+            theta = np.subtract(theta, row, out=row)
 
 
 def _positive_dim(p: int) -> int:
@@ -129,7 +152,38 @@ class MeanModel(LossModel):
         return np.broadcast_to(len(theta) * self._eye, theta.shape[1:] + (self.param_dim,))
 
 
-class LinearModel(LossModel):
+class _GlmModel(LossModel):
+    """A regression loss of ``(y, x_1, ..., x_p)`` whose gradient is the
+    scalar weight ``_weight(y, x @ theta)`` times ``x``."""
+
+    def __init__(self, p: int):
+        self.param_dim = _positive_dim(p)
+        self.obs_dim = self.param_dim + 1
+
+    @staticmethod
+    def _weight(y, margin):
+        raise NotImplementedError
+
+    def _gradient(self, theta, z):
+        y, x = _split(z)
+        return self._weight(y, np.vecdot(x, theta))[..., None] * x
+
+    def _walk(self, theta, block, P, steps, path) -> None:
+        """``LossModel._walk`` for a gradient ``w x``: the step ``steps[i] * g P``
+        is ``w`` times the direction ``steps[i] * x_i P``, which does not
+        depend on ``theta``.  The block's directions are written into
+        ``path`` first; row ``i`` then reads its direction from ``path[i]``
+        and overwrites it with the iterate, so no other buffer is needed."""
+        weight = self._weight
+        y, x = block[..., 0], block[..., 1:]
+        directions = x if P is None else np.matmul(x, P, out=path)
+        np.multiply(directions, steps.reshape((-1,) + (1,) * (path.ndim - 1)), out=path)
+        for y_i, x_i, row in zip(y, x, path):
+            np.multiply(weight(y_i, np.vecdot(x_i, theta))[..., None], row, out=row)
+            theta = np.subtract(theta, row, out=row)
+
+
+class LinearModel(_GlmModel):
     """Least-squares regression loss ``0.5 * (y - x @ theta)^2``.
 
     Observations are ``(y, x_1, ..., x_p)``.
@@ -137,17 +191,13 @@ class LinearModel(LossModel):
 
     family = "linear"
 
-    def __init__(self, p: int):
-        self.param_dim = _positive_dim(p)
-        self.obs_dim = self.param_dim + 1
-
     def _loss(self, theta, z):
         resid = z[..., 0] - np.vecdot(z[..., 1:], theta)
         return 0.5 * (resid * resid)
 
-    def _gradient(self, theta, z):
-        y, x = _split(z)
-        return (np.vecdot(x, theta) - y)[..., None] * x
+    @staticmethod
+    def _weight(y, margin):
+        return margin - y
 
     def _hessian(self, theta, z):
         return _outer(z[..., 1:])
@@ -157,7 +207,7 @@ class LinearModel(LossModel):
         return _gram(x, x)
 
 
-class LogisticModel(LossModel):
+class LogisticModel(_GlmModel):
     """Logistic loss ``log(1 + exp(-y * x @ theta))`` with labels in {-1, +1}.
 
     All three evaluations go through ``log1p``/``expit`` style formulations,
@@ -167,10 +217,6 @@ class LogisticModel(LossModel):
     """
 
     family = "logistic"
-
-    def __init__(self, p: int):
-        self.param_dim = _positive_dim(p)
-        self.obs_dim = self.param_dim + 1
 
     def _check_obs(self, z, batch_shape=()) -> np.ndarray:
         z = LossModel._check_obs(self, z, batch_shape)
@@ -183,10 +229,9 @@ class LogisticModel(LossModel):
     def _loss(self, theta, z):
         return np.logaddexp(0.0, -(z[..., 0] * np.vecdot(z[..., 1:], theta)))
 
-    def _gradient(self, theta, z):
-        y, x = _split(z)
-        u = y * np.vecdot(x, theta)
-        return (-y * expit(-u))[..., None] * x
+    @staticmethod
+    def _weight(y, margin):
+        return -y * expit(-(y * margin))
 
     def _hessian(self, theta, z):
         y, x = _split(z)

@@ -18,8 +18,13 @@ recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows.  Each
 replication's generator fills its row of one reused buffer of raw words, and
 one vectorised transform turns the buffer into the block's observations,
 which the state moves and folds at once (``EstimatorState._advance_block``).
+The move is the model's ``_walk``: for the linear and logistic families the
+projected step directions ``gamma_t x_t P`` of the whole block come from one
+matrix product, and each row then costs a margin, a weight and a
+multiply-subtract.
 Inference then runs once per cell on the batched states: one
 ``coordinate_report`` (coverage) or ``test_from_states`` (size/power).
+Each cell's wall time is kept on the result (``cell_seconds``).
 Chunking the replications over worker processes cannot change any number
 because every replication owns its seed.
 """
@@ -429,13 +434,16 @@ class ExperimentResult:
 
     ``kappa_samples`` maps ``(T, r)`` to the per-replication test statistics
     of size/power runs so calibration checks can reuse them without another
-    pass.  ``wall_clock`` is informational and never written to CSV.
+    pass.  ``wall_clock`` (the whole run) and ``cell_seconds`` (each
+    ``(T, r)`` cell, replication and summary) are wall seconds; they are
+    informational and never written to CSV.
     """
 
     config: ExperimentConfig
     rows: list[CellStat]
     wall_clock: float
     kappa_samples: dict[tuple[int, float], np.ndarray] = field(default_factory=dict)
+    cell_seconds: dict[tuple[int, float], float] = field(default_factory=dict)
 
     CSV_HEADER = "mode,dgp,T,r,coordinate,metric,value,mc_stderr,seed"
 
@@ -489,6 +497,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     start = time.perf_counter()
     for cell, (T, r) in enumerate(itertools.product(config.sample_sizes, config.r_grid)):
+        cell_start = time.perf_counter()
         dgp = preset.spec(r)
         theta_star = dgp.theta()
         con, uncon = replicate_streams(
@@ -509,5 +518,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             test = test_from_states(con, uncon, alpha=config.alpha)
             result.kappa_samples[(T, r)] = test.kappa
             add(T, r, [""], "rejection_rate", *rate(test.reject[:, None]))
+        result.cell_seconds[(T, r)] = time.perf_counter() - cell_start
     result.wall_clock = time.perf_counter() - start
     return result

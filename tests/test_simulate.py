@@ -102,11 +102,22 @@ class TestDraws:
             assert block.tobytes() == expected.tobytes()
 
 
-def assert_lockstep_matches_steps(preset_name, T):
+#: A DGP and a constraint per model kind: the regression presets, which the
+#: lockstep moves with the GLM walk, and the mean model, which takes the
+#: default walk (gradient, ``P``, step size, subtract).
+LOCKSTEP_CASES = {
+    "linear": (PRESETS["linear"].spec(0.0), PRESETS["linear"].constraint()),
+    "logistic": (PRESETS["logistic"].spec(0.0), PRESETS["logistic"].constraint()),
+    "mean": (
+        DgpSpec(kind="mean", theta_star=(2.0, -1.0, 0.5, 0.5), noise_sd=0.5),
+        PRESETS["linear"].constraint(),
+    ),
+}
+
+
+def assert_lockstep_matches_steps(kind, T):
     """The batched engine reproduces step-by-step states at 1e-12."""
-    preset = PRESETS[preset_name]
-    dgp = preset.spec(0.0)
-    con = preset.constraint()
+    dgp, con = LOCKSTEP_CASES[kind]
     schedule = LearningRate()
     batch_c, batch_i = replicate_streams(
         dgp, con, schedule, T=T, replications=3, base_seed=17, cell=0,
@@ -116,7 +127,7 @@ def assert_lockstep_matches_steps(preset_name, T):
         rng = replication_rng(17, 0, k)
         seq_c = EstimatorState(dgp.model(), con, schedule, theta0=con.c)
         seq_i = EstimatorState(
-            dgp.model(), Constraint.unconstrained(4), schedule, theta0=con.c
+            dgp.model(), Constraint.unconstrained(con.p), schedule, theta0=con.c
         )
         for _ in range(T):
             z = draw(dgp, rng)
@@ -132,15 +143,50 @@ def assert_lockstep_matches_steps(preset_name, T):
             np.testing.assert_allclose(batch, seq, rtol=1e-12, atol=1e-14)
 
 
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("preset_name", ["linear", "logistic"])
-    def test_lockstep_matches_sequential_estimator(self, preset_name):
-        assert_lockstep_matches_steps(preset_name, T=250)
+def wrapped(model):
+    """``model`` behind ``CustomModel``, which moves with the default walk."""
+    return CustomModel(
+        model.param_dim, model.obs_dim, model.loss, model.gradient, model.hessian
+    )
 
-    @pytest.mark.parametrize("preset_name", ["linear", "logistic"])
-    def test_multi_block_folds_match_sequential_estimator(self, preset_name):
+
+class TestEngineEquivalence:
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "mean"])
+    def test_lockstep_matches_sequential_estimator(self, kind):
+        assert_lockstep_matches_steps(kind, T=250)
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "mean"])
+    def test_multi_block_folds_match_sequential_estimator(self, kind):
         """Two full blocks and a partial one, each folded at once."""
-        assert_lockstep_matches_steps(preset_name, T=2 * _BLOCK + 17)
+        assert_lockstep_matches_steps(kind, T=2 * _BLOCK + 17)
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    @pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+    def test_glm_walk_matches_the_default_walk(self, kind, constrained):
+        """The family's walk (one direction ``gamma_t x_t P`` per row, computed
+        per block) and the default walk of the same loss behind
+        ``CustomModel`` (gradient, ``P``, step size per row) agree over two
+        full blocks and a partial one."""
+        dgp, con = LOCKSTEP_CASES[kind]
+        if not constrained:
+            con = Constraint.unconstrained(con.p)
+        R = 3
+        rngs = [replication_rng(19, 0, k) for k in range(R)]
+        words = np.empty((R, _BLOCK, dgp.obs_dim), dtype=np.uint64)
+        obs = np.empty((_BLOCK, R, dgp.obs_dim))
+        path = np.empty((_BLOCK, R, con.p))
+        start = np.tile(con.c, (R, 1))
+        family = EstimatorState(dgp.model(), con, theta0=start)
+        custom = EstimatorState(wrapped(dgp.model()), con, theta0=start)
+        for n in (_BLOCK, _BLOCK, 17):
+            block = _draw_replications(dgp, rngs, words, obs[:n])
+            family._advance_block(block, path)
+            custom._advance_block(block, path)
+        assert family.t == custom.t == 2 * _BLOCK + 17
+        for name in ("theta", "theta_bar", "g_hat", "s_hat"):
+            np.testing.assert_allclose(
+                getattr(family, name), getattr(custom, name), rtol=1e-13, atol=0.0
+            )
 
     @pytest.mark.parametrize("preset_name", ["linear", "logistic"])
     def test_lockstep_stays_feasible_without_reprojection(self, preset_name):
@@ -340,25 +386,31 @@ class TestEstimationError:
             assert abs(con.value - expected) <= 4.0 * con.mc_stderr
 
     def test_noise_scale_sanity(self):
-        """Shrinking the noise by orders of magnitude shrinks the error likewise."""
-        base = ExperimentConfig(
-            mode="estimation_error", preset="linear", sample_sizes=(2000,),
-            replications=20, base_seed=5,
-        )
-        noisy = run_experiment(base)
+        """Shrinking the noise by orders of magnitude shrinks the error likewise.
 
-        quiet_preset = PRESETS["linear"]
-        dgp = DgpSpec(kind="linear", theta_star=quiet_preset.theta_base, noise_sd=1e-8)
-        con, _ = replicate_streams(
-            dgp, quiet_preset.constraint(), LearningRate(), T=2000, replications=20,
-            base_seed=5, include_unconstrained=False,
-        )
-        quiet_err = np.abs(con.theta_bar - dgp.theta()).mean()
-        noisy_err = np.mean(
-            [r.value for r in noisy.rows if r.metric == "mae_constrained"]
-        )
-        assert noisy_err >= 100.0 * quiet_err
+        Both streams start at the truth.  From the constraint's feasible
+        point ``c`` instead, the average would carry a noise-free start-up
+        bias of order ``|c - theta*| / T`` that no noise level removes.
+        """
+        preset = PRESETS["linear"]
+        theta_star = preset.spec(0.0).theta()
+        T, R = 2000, 20
 
+        def mean_error(noise_sd):
+            dgp = replace(preset.spec(0.0), noise_sd=noise_sd)
+            words = np.empty((R, T, dgp.obs_dim), dtype=np.uint64)
+            rngs = [replication_rng(5, 0, k) for k in range(R)]
+            block = _draw_replications(dgp, rngs, words, np.empty((T, R, dgp.obs_dim)))
+            state = EstimatorState(
+                dgp.model(), preset.constraint(), LearningRate(),
+                theta0=np.tile(theta_star, (R, 1)),
+            )
+            state._advance_block(block, np.empty((T, R, dgp.covariate_dim)))
+            assert state.t == T
+            return np.abs(state.theta_bar - theta_star).mean()
+
+        noisy_err, quiet_err = mean_error(3.0), mean_error(1e-8)
+        assert noisy_err >= 100.0 * quiet_err > 0.0
 
 class TestCoverage:
     def test_half_level_interval_is_calibrated(self):
