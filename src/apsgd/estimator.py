@@ -2,24 +2,26 @@
 
 An ``EstimatorState`` advances one stream, or a stack of independent streams
 in lockstep: the shape of ``theta0`` without its last axis is the batch
-shape, so a CSV fit is a ``(p,)`` state and a Monte Carlo cell is a single
-``(R, p)`` state.  Call ``step`` once per observation, in order.  Each step
-projects the gradient update back onto the affine feasible set and folds the
-new iterate into the running average; only this part is sequential.  The
-curvature and gradient-outer-product averages that inference consumes later
-are plain averages over the path of running averages: ``step`` folds them in
-per row, and the Monte Carlo lockstep (``simulate``) advances a whole block
-at once (``_advance_block``): the model's ``_walk`` moves the iterates over
-the block, one cumulative sum averages them and one fold adds the block's
-moments.  States may be handed between threads between steps; distinct
-states (for example the constrained and unconstrained sides of a
-specification test) can advance fully in parallel.
+shape, so a CSV fit is a ``(p,)`` state, a Monte Carlo cell a single
+``(R, p)`` state, and the constrained and unconstrained sides of a
+specification test one ``paired`` state with a leading side axis, which
+evaluates each observation once for both sides.  Call ``step`` once per
+observation, in order.  Each step projects the gradient update back onto the
+affine feasible set and folds the new iterate into the running average; only
+this part is sequential.  The curvature and gradient-outer-product averages
+that inference consumes later are plain averages over the path of running
+averages: ``step`` folds them in per row, and the Monte Carlo lockstep
+(``simulate``) advances a whole block at once (``_advance_block``): the
+model's ``_walk`` moves the iterates over the block, one cumulative sum
+averages them and one fold adds the block's moments.  States may be handed
+between threads between steps.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +89,11 @@ class EstimatorState:
     ``theta_bar``, ``g_hat`` and ``s_hat`` are updated in place by every
     step; copy them to keep a trajectory.
 
+    A ``paired`` state has shapes ``(2, ..., p)`` and ``sides``, the two
+    constraints; its observations carry no side axis.  ``pair[k]`` is side
+    ``k`` as an ordinary state with its own constraint, and ``concatenate``
+    joins pairs along their replication axis (axis 1).
+
     ``step`` re-projects every iterate onto the feasible set.  The lockstep
     (``_move_block``) moves a feasible iterate along the projected gradient
     instead, with the model's ``LossModel._walk`` (for the regression
@@ -131,35 +138,51 @@ class EstimatorState:
         self.theta_bar = self.theta.copy()
         self.g_hat = np.zeros(theta.shape + (p,))
         self.s_hat = np.zeros(theta.shape + (p,))
+        self.sides: tuple[Constraint, Constraint] | None = None
+
+    @classmethod
+    def paired(cls, model, constraint, schedule=None, theta0=None) -> "EstimatorState":
+        """A specification test's two sides as one ``(2, ..., p)`` state: side 0
+        under ``constraint``, side 1 without, both from the projected ``theta0``."""
+        theta = np.asarray(constraint.c if theta0 is None else theta0, dtype=float)
+        state = cls(model, constraint, schedule, np.stack([theta, theta]))
+        state.sides = (constraint, Constraint.unconstrained(model.param_dim))
+        return state
 
     def __getitem__(self, index) -> "EstimatorState":
-        """The streams at ``index`` of the batch, as an independent state."""
+        """The streams at ``index`` of the batch (side ``index`` of a pair) as a state."""
         part = copy.copy(self)
+        if self.sides is not None:
+            part.constraint, part.sides = self.sides[operator.index(index)], None
         for name in _STREAM_ARRAYS:
             setattr(part, name, getattr(self, name)[index].copy())
         return part
 
     @classmethod
     def concatenate(cls, states) -> "EstimatorState":
-        """Join batched states along their first batch axis.
+        """Join batched states along their first batch axis (axis 1 of pairs).
 
         The states must share ``t``, model, constraint and schedule, as the
         replication chunks of one Monte Carlo cell do.
         """
         joined = copy.copy(states[0])
+        axis = 0 if joined.sides is None else 1
         for name in _STREAM_ARRAYS:
-            setattr(joined, name, np.concatenate([getattr(s, name) for s in states]))
+            setattr(joined, name, np.concatenate([getattr(s, name) for s in states], axis))
         return joined
 
     def step(self, z) -> "EstimatorState":
         """Consume one observation per stream and return the (mutated) state.
 
-        ``z`` has shape ``batch_shape + (obs_dim,)``; the model's checked
-        ``gradient`` and ``hessian`` validate it.  Order of operations:
+        ``z`` has shape ``batch_shape + (obs_dim,)`` (no side axis); the model's
+        checked ``gradient`` and ``hessian`` validate it.  Order of operations:
         projected iterate update, then the average, then the moments
         evaluated at the new average and folded in with weight ``1/t``.
         """
         model = self.model
+        if self.sides is not None:
+            # one copy per side is cheaper than a broadcast view of one row
+            z = np.asarray(z, dtype=float)[None].repeat(2, 0)
         self._move(z, model.gradient)
         hess = model.hessian(self.theta_bar, z)
         grad = model.gradient(self.theta_bar, z)
@@ -174,7 +197,9 @@ class EstimatorState:
         grad = gradient(self.theta, z)
         if not np.isfinite(grad).all():
             raise NumericalError(f"non-finite gradient at step {t} (theta={self.theta.tolist()})")
-        self.theta = self.constraint.project(self.theta - self.schedule.at(t) * grad)
+        self.theta = self.theta - self.schedule.at(t) * grad
+        constrained = self.theta if self.sides is None else self.theta[0]  # a pair's side 0
+        constrained[...] = self.constraint.project(constrained)
         self.theta_bar *= (t - 1.0) / t
         self.theta_bar += (1.0 / t) * self.theta
         self.t = t
@@ -186,6 +211,7 @@ class EstimatorState:
         The fold also runs when the move stopped at a non-finite gradient, so
         that a moment that went non-finite before it is the error reported.
         """
+        block = block if self.sides is None else block[:, None]  # both sides read it
         t0 = self.t
         try:
             self._move_block(block, path)
@@ -213,7 +239,10 @@ class EstimatorState:
         t0, n = self.t, len(block)
         path = path[:n]
         steps = np.array([at(t) for t in range(t0 + 1, t0 + n + 1)])
-        self.model._walk(self.theta, block, None if con.d == con.p else con.P, steps, path)
+        P = None if con.d == con.p else con.P
+        if self.sides is not None:  # x @ I is exact, so the free side loses no bit
+            P = np.stack([side.P for side in self.sides])
+        self.model._walk(self.theta, block, P, steps, path)
         moved = n
         if not np.isfinite(path).all():
             before = np.concatenate([self.theta[None], path[:-1]])
@@ -237,18 +266,23 @@ class EstimatorState:
 
     def _fold_path(self, path: np.ndarray, block: np.ndarray) -> None:
         """Fold the moments of the last ``len(block)`` moved rows, evaluated
-        along their stored ``(n, ..., p)`` path of averages."""
+        along their stored ``(n, ..., p)`` path of averages; a pair holds one
+        side's gradients at a time."""
         model = self.model
-        grad = model._gradient(path, block)
+        if self.sides is None:
+            outer_sum = _gram(model._gradient(path, block))
+        else:
+            outer_sum = np.stack([_gram(model._gradient(path[:, k], block[:, 0])) for k in (0, 1)])
 
         def first_bad_row() -> int:
             # the first row at which a running sum of either moment is non-finite
             with np.errstate(all="ignore"):
+                grad = model._gradient(path, block)
                 sums = (np.cumsum(model._hessian(path, block), 0), np.cumsum(_outer(grad), 0))
             finite = [np.isfinite(s).reshape(len(block), -1).all(1) for s in sums]
             return int(np.argmin(finite[0] & finite[1]))
 
-        self._fold(len(block), model._hessian_sum(path, block), _gram(grad, grad), first_bad_row)
+        self._fold(len(block), model._hessian_sum(path, block), outer_sum, first_bad_row)
 
     def _fold(self, n: int, hess_sum, outer_sum, first_bad_row=None) -> None:
         """Fold the sums over the last ``n`` moved rows of the Hessians and of
@@ -277,7 +311,11 @@ class EstimatorState:
         Errors raised by ``step`` are re-raised with the offending
         observation's position prepended.
         """
-        _run_streams((self,), observations)
+        for idx, z in enumerate(observations):
+            try:
+                self.step(z)
+            except ApsgdError as exc:
+                raise type(exc)(f"observation {idx}: {exc}") from exc
         return self
 
     # -- snapshot serialization ------------------------------------------------
@@ -303,6 +341,7 @@ class EstimatorState:
                 "d": con.d,
             },
             "schedule": {"gamma": self.schedule.gamma, "rho": self.schedule.rho},
+            "paired": self.sides is not None,
         }
 
     @classmethod
@@ -319,6 +358,8 @@ class EstimatorState:
         )
         theta = np.array(record["theta"], dtype=float)
         state = cls(model, constraint, LearningRate(**record["schedule"]), theta0=theta)
+        if record.get("paired"):
+            state.sides = (constraint, Constraint.unconstrained(p))
         state.t = int(record["t"])
         # the stored iterate is feasible already; keep its exact bits
         state.theta = theta
@@ -337,15 +378,3 @@ class EstimatorState:
     def from_json(cls, text: str, model: LossModel) -> "EstimatorState":
         return cls.from_record(json.loads(text), model)
 
-
-def _run_streams(states, observations) -> None:
-    """``step`` every state in ``states`` on each observation in turn.
-
-    An ``ApsgdError`` is re-raised with the observation's position prepended.
-    """
-    for idx, z in enumerate(observations):
-        try:
-            for state in states:
-                state.step(z)
-        except ApsgdError as exc:
-            raise type(exc)(f"observation {idx}: {exc}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import chi2_quantile, noncentral_chi2_cdf, normal_quantile
-from .estimator import EstimatorState, LearningRate, _run_streams
+from .estimator import EstimatorState, LearningRate
 from .exceptions import (
     DegenerateTestError,
     DimensionError,
@@ -251,22 +251,19 @@ def specification_test(
 ) -> TestResult:
     """Run the constraint test on a single pass over one observation stream.
 
-    A constrained and an unconstrained state are advanced side by side on
-    the same observations.  Both start from the constraint's feasible point
-    ``constraint.c``.  An error names the observation at which it arose.
+    One paired state (``EstimatorState.paired``) advances the constrained
+    side and the unconstrained side on the same observations, both from the
+    constraint's feasible point ``constraint.c``, and the test reads its
+    sides back as ``pair[0]`` and ``pair[1]``.  An error names the
+    observation at which it arose.
     """
-    p = model.param_dim
-    if constraint.d == p:
+    if constraint.d == constraint.p:
         raise DegenerateTestError(
             "constraint has no effective rows (d = p), the test has 0 degrees "
             "of freedom"
         )
-    state_p = EstimatorState(model, constraint, schedule)
-    state_i = EstimatorState(
-        model, Constraint.unconstrained(p), schedule, theta0=constraint.c
-    )
-    _run_streams((state_p, state_i), observations)
-    return test_from_states(state_p, state_i, alpha=alpha)
+    pair = EstimatorState.paired(model, constraint, schedule).run_stream(observations)
+    return test_from_states(pair[0], pair[1], alpha=alpha)
 
 
 def efficiency_gap(G, S, P, d: int) -> np.ndarray:

@@ -110,9 +110,10 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return x[..., :, None] @ x[..., None, :]
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``sum_i outer(a[i], b[i])`` over the first axis, as one batched matmul."""
-    return np.moveaxis(a, 0, -1) @ np.moveaxis(b, 0, -2)
+def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``sum_i outer(a[i], b[i])`` over the first axis, as one batched matmul;
+    ``b`` defaults to ``a``."""
+    return np.moveaxis(a, 0, -1) @ np.moveaxis(a if b is None else b, 0, -2)
 
 
 def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +169,14 @@ class _GlmModel(LossModel):
         y, x = _split(z)
         return self._weight(y, np.vecdot(x, theta))[..., None] * x
 
-    def _walk(self, theta, block, P, steps, path) -> None:
+    def _walk(self, theta, block, P, steps, path, weight=None) -> None:
         """``LossModel._walk`` for a gradient ``w x``: the step ``steps[i] * g P``
         is ``w`` times the direction ``steps[i] * x_i P``, which does not
         depend on ``theta``.  The block's directions are written into
         ``path`` first; row ``i`` then reads its direction from ``path[i]``
-        and overwrites it with the iterate, so no other buffer is needed."""
-        weight = self._weight
+        and overwrites it with the iterate, so no other buffer is needed.
+        ``weight`` replaces ``_weight`` as the function of ``(y, x @ theta)``."""
+        weight = weight or self._weight
         y, x = block[..., 0], block[..., 1:]
         directions = x if P is None else np.matmul(x, P, out=path)
         np.multiply(directions, steps.reshape((-1,) + (1,) * (path.ndim - 1)), out=path)
@@ -204,7 +206,7 @@ class LinearModel(_GlmModel):
 
     def _hessian_sum(self, theta, z):
         x = z[..., 1:]
-        return _gram(x, x)
+        return _gram(x)
 
 
 class LogisticModel(_GlmModel):
@@ -232,6 +234,11 @@ class LogisticModel(_GlmModel):
     @staticmethod
     def _weight(y, margin):
         return -y * expit(-(y * margin))
+
+    def _walk(self, theta, block, P, steps, path) -> None:
+        # y = +-1, so the rows (1, y x) are exact and the gradient is -expit(-(y x) @ theta) y x
+        signed = block * block[..., :1]
+        _GlmModel._walk(self, theta, signed, P, steps, path, lambda y, margin: -expit(-margin))
 
     def _hessian(self, theta, z):
         y, x = _split(z)
@@ -270,6 +277,7 @@ class CustomModel(LossModel):
         self._hessian_fn = hessian_fn
 
     def _rows(self, what: str, fn, theta, z, shape: tuple[int, ...]):
+        z = np.broadcast_to(z, theta.shape[:-1] + z.shape[-1:])  # a pair shares z
         out = np.empty(theta.shape[:-1] + shape)
         for row in np.ndindex(theta.shape[:-1]):
             value = np.asarray(fn(theta[row], z[row]), dtype=float)

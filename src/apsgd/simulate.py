@@ -13,8 +13,8 @@ variates are produced by inverse-CDF from open-interval uniforms, so any
 implementation of the same documented scheme reproduces the streams.
 
 For throughput the runner advances all replications of a cell in lockstep as
-one batched ``(R, p)`` ``EstimatorState``, so a replication runs the same
-recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows.  Each
+one batched ``(R, p)`` ``EstimatorState`` (``(2, R, p)`` with both sides), so
+a replication runs the same recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows.  Each
 replication's generator fills its row of one reused buffer of raw words, and
 one vectorised transform turns the buffer into the block's observations,
 which the state moves and folds at once (``EstimatorState._advance_block``).
@@ -349,28 +349,25 @@ def _advance_chunk(
     base_seed: int,
     cell: int,
     include_unconstrained: bool,
-) -> list[EstimatorState]:
+) -> EstimatorState:
     rngs = [replication_rng(base_seed, cell, k) for k in reps]
     model = dgp.model()
-    # both streams start from the constraint's feasible point
+    # both sides start from the constraint's feasible point
     start = np.tile(constraint.c, (len(reps), 1))
-    states = [EstimatorState(model, constraint, schedule, theta0=start)]
-    if include_unconstrained:
-        free = Constraint.unconstrained(constraint.p)
-        states.append(EstimatorState(model, free, schedule, theta0=start))
+    build = EstimatorState.paired if include_unconstrained else EstimatorState
+    state = build(model, constraint, schedule, theta0=start)
 
     # one reused buffer each for the raw words, the observations and the path
     words = np.empty((len(reps), _BLOCK, dgp.obs_dim), dtype=np.uint64)
     obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
-    path = np.empty((_BLOCK, len(reps), constraint.p))
+    path = np.empty((_BLOCK,) + state.theta.shape)
     # overflow becomes inf or nan, which the finite checks report as a NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(0, T, _BLOCK):
             n = min(_BLOCK, T - t)
             block = model._check_obs(_draw_replications(dgp, rngs, words, obs[:n]), (n, len(reps)))
-            for state in states:
-                state._advance_block(block, path)
-    return states
+            state._advance_block(block, path)
+    return state
 
 
 def replicate_streams(
@@ -389,12 +386,13 @@ def replicate_streams(
     Returns the constrained stream as one batched ``(R, p)`` state, which
     the inference functions take whole (``state[k]`` is replication ``k``),
     and, when requested, the unconstrained stream advanced on the same
-    observations.
+    observations: the sides ``pair[0]`` and ``pair[1]`` of one ``(2, R, p)``
+    ``EstimatorState.paired`` state.
     ``workers`` only chunks the replications across worker processes; every
     replication owns its seed, so results are identical for any worker count.
     """
     if workers <= 1 or replications == 1:
-        states = _advance_chunk(
+        state = _advance_chunk(
             dgp, constraint, schedule, T, range(replications), base_seed, cell,
             include_unconstrained,
         )
@@ -406,9 +404,8 @@ def replicate_streams(
             for reps in chunks
         ]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_advance_chunk, *zip(*tasks)))
-        states = [EstimatorState.concatenate(side) for side in zip(*parts)]
-    return states[0], (states[1] if include_unconstrained else None)
+            state = EstimatorState.concatenate(list(pool.map(_advance_chunk, *zip(*tasks))))
+    return (state[0], state[1]) if include_unconstrained else (state, None)
 
 
 # -- experiment runners -------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from apsgd import LearningRate
 from apsgd.cli import EXIT_DATA, EXIT_OK, build_parser, main
-from apsgd.simulate import parse_config_text, run_experiment
+from apsgd.simulate import PRESETS, draw_block, parse_config_text, replication_rng, run_experiment
 
 
 def run(argv, capsys):
@@ -103,6 +103,25 @@ def test_stdin_matches_the_same_file_by_path(tmp_path, capsys, monkeypatch, argv
     from_stdin = outputs("-", tmp_path / "from_stdin.csv")
     assert by_path[1].startswith("T = 300" if command == "estimate" else "kappa = ")
     assert from_stdin == by_path
+
+
+def test_spec_test_stdout_is_pinned(tmp_path, capsys):
+    """``spec-test --standardize`` on a seeded 600-row logistic CSV prints the
+    bytes recorded before its two streams were paired into one state."""
+    rows = draw_block(PRESETS["logistic"].spec(0.0), replication_rng(5, 0, 0), 600)
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "y,x1,x2,x3,x4\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()),
+        encoding="utf-8",
+    )
+    constraint = tmp_path / "constraint.txt"
+    constraint.write_text("x2 - x3 = 0\n", encoding="utf-8")
+    argv = ["spec-test", str(path), "--model", "logistic", "--constraint", str(constraint)]
+    assert main(argv + ["--standardize"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "kappa = 2.778754\ndf = 1\np_value = 0.095522\n"
+        "decision = fail to reject at alpha = 0.05\n"
+    )
 
 
 def test_simulate_reports_each_cell_on_stderr_only(tmp_path, capsys):

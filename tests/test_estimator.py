@@ -279,3 +279,74 @@ class TestBatchedState:
             for z in obs:
                 state.step(z)
         assert state.t == 2
+
+
+class TestPairedState:
+    """A specification test's two sides as one ``(2, ..., p)`` state."""
+
+    def test_csv_steps_equal_two_separate_states(self):
+        """Stepping the pair on a logistic stream under ``x2 - x3 = 0`` gives
+        each side's arrays bit for bit, and ``pair[k]`` carries its side's
+        constraint."""
+        model = LogisticModel(4)
+        con = Constraint.from_equalities([[0.0, 1.0, -1.0, 0.0]], [0.0])
+        free = Constraint.unconstrained(4)
+        obs = list(draw_block(PRESETS["logistic"].spec(0.0), replication_rng(3, 0, 0), 600))
+        pair = EstimatorState.paired(model, con).run_stream(obs)
+        sides = (
+            EstimatorState(model, con).run_stream(obs),
+            EstimatorState(model, free, theta0=con.c).run_stream(obs),
+        )
+        assert pair.theta.shape == (2, 4) and pair.g_hat.shape == (2, 4, 4)
+        for k, single in enumerate(sides):
+            assert pair[k].t == single.t == 600
+            assert pair[k].constraint is pair.sides[k] and pair[k].sides is None
+            np.testing.assert_array_equal(pair[k].constraint.P, single.constraint.P)
+            for name in STREAM_ARRAYS:
+                np.testing.assert_array_equal(getattr(pair[k], name), getattr(single, name))
+
+    def test_record_round_trip_is_exact(self):
+        model = LinearModel(4)
+        con = PRESETS["linear"].constraint()
+        obs = dgp1_stream(300, seed=14)
+        pair = EstimatorState.paired(model, con).run_stream(obs[:150])
+        restored = EstimatorState.from_json(pair.to_json(), model)
+        assert restored.t == 150 and restored.sides is not None
+        np.testing.assert_array_equal(restored[0].constraint.P, con.P)
+        assert restored[1].constraint.d == 4
+        for state in (pair, restored):
+            state.run_stream(obs[150:])
+        for name in STREAM_ARRAYS:
+            np.testing.assert_array_equal(getattr(restored, name), getattr(pair, name))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("engine", ["step", "block"])
+    def test_non_finite_gradient_on_either_side_stops_both(self, side, engine):
+        """A gradient that goes non-finite on one side only names the step,
+        and both sides are left after the step before it."""
+
+        def gradient(theta, z):
+            # side 0 keeps theta1 = theta2; side 1 never does on these rows
+            on_side = (abs(theta[0] - theta[1]) < 1e-12) == (side == 0)
+            return np.full(2, np.inf) if z[0] > 0.5 and on_side else theta - z
+
+        model = CustomModel(2, 2, lambda t, z: 0.0, gradient, lambda t, z: np.eye(2))
+        con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
+        obs = np.array([[0.1, -0.2], [0.2, 0.1], [1.0, 0.0], [0.3, 0.3]])
+        before = EstimatorState.paired(model, con).run_stream(obs[:2])
+        if engine == "step":
+            pair = EstimatorState.paired(model, con)
+            with pytest.raises(
+                NumericalError, match=r"^observation 2: non-finite gradient at step 3 "
+            ):
+                pair.run_stream(obs)
+        else:
+            pair = EstimatorState.paired(model, con, theta0=np.zeros((1, 2)))
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match=r"^non-finite gradient at step 3 "
+            ):
+                pair._advance_block(obs[:, None], np.empty((4, 2, 1, 2)))
+        assert pair.t == 2
+        for name in STREAM_ARRAYS:
+            expected = getattr(before, name).reshape(getattr(pair, name).shape)
+            np.testing.assert_allclose(getattr(pair, name), expected, rtol=1e-12, atol=1e-15)

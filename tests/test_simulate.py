@@ -1,5 +1,6 @@
 """DGP draws, the lockstep replication engine, and the experiment runners."""
 
+import hashlib
 import re
 import warnings
 from dataclasses import replace
@@ -201,20 +202,45 @@ class TestEngineEquivalence:
         assert con.violation(state.theta_bar).max() <= 1e-12
 
     def test_worker_count_is_invisible(self):
+        """Paired chunks from worker processes join along the replication axis."""
         preset = PRESETS["linear"]
         dgp = preset.spec(0.01)
         con = preset.constraint()
-        a, b = replicate_streams(
-            dgp, con, LearningRate(), T=400, replications=6, base_seed=21,
-            include_unconstrained=True, workers=1,
+        serial, chunked = (
+            replicate_streams(
+                dgp, con, LearningRate(), T=400, replications=6, base_seed=21,
+                include_unconstrained=True, workers=workers,
+            )
+            for workers in (1, 3)
         )
-        a2, b2 = replicate_streams(
-            dgp, con, LearningRate(), T=400, replications=6, base_seed=21,
-            include_unconstrained=True, workers=3,
-        )
-        np.testing.assert_array_equal(a.theta_bar, a2.theta_bar)
-        np.testing.assert_array_equal(a.s_hat, a2.s_hat)
-        np.testing.assert_array_equal(b.g_hat, b2.g_hat)
+        for side, other in zip(serial, chunked):
+            assert side.theta.shape == other.theta.shape == (6, 4)
+            for name in ("theta", "theta_bar", "g_hat", "s_hat"):
+                np.testing.assert_array_equal(getattr(side, name), getattr(other, name))
+
+    @pytest.mark.parametrize("kind, R", [("linear", 200), ("logistic", 20)])
+    def test_pair_sides_equal_two_separate_states(self, kind, R):
+        """One walk and one fold per block for both sides of a pair give each
+        side's arrays bit for bit, over two full blocks and a partial one."""
+        dgp, con = LOCKSTEP_CASES[kind]
+        rngs = [replication_rng(23, 0, k) for k in range(R)]
+        words = np.empty((R, _BLOCK, dgp.obs_dim), dtype=np.uint64)
+        obs = np.empty((_BLOCK, R, dgp.obs_dim))
+        start = np.tile(con.c, (R, 1))
+        pair = EstimatorState.paired(dgp.model(), con, theta0=start)
+        sides = [
+            EstimatorState(dgp.model(), side, theta0=start)
+            for side in (con, Constraint.unconstrained(con.p))
+        ]
+        for n in (_BLOCK, _BLOCK, 17):
+            block = _draw_replications(dgp, rngs, words, obs[:n])
+            pair._advance_block(block, np.empty((_BLOCK, 2, R, con.p)))
+            for state in sides:
+                state._advance_block(block, np.empty((_BLOCK, R, con.p)))
+        for k, single in enumerate(sides):
+            assert pair[k].t == single.t == 2 * _BLOCK + 17
+            for name in ("theta", "theta_bar", "g_hat", "s_hat"):
+                np.testing.assert_array_equal(getattr(pair[k], name), getattr(single, name))
 
 
 def failing_step(run):
@@ -427,13 +453,23 @@ class TestCoverage:
 
 class TestSizePower:
     def test_small_sample_size_is_near_alpha(self):
-        """Rejection under the true constraint stays below 10% (50 seeds)."""
+        """Rejection under the true constraint stays below 10% (1000 seeds).
+
+        The measured size at T = 1e4 is 0.062, and more than 100 rejections
+        in 1000 then have probability below 1e-4; a true size of 0.12 fails
+        with probability 0.97.  The mean of kappa, measured at 1.12, is
+        pinned within 4 standard errors ``sqrt(2 df / R)`` of a chi-square
+        with df = 1, so an oversize that grows or vanishes fails too.
+        """
+        R = 1000
         config = ExperimentConfig(
             mode="size_power", preset="linear", sample_sizes=(10_000,),
-            replications=50, base_seed=7, r_grid=(0.0,),
+            replications=R, base_seed=7, r_grid=(0.0,),
         )
         result = run_experiment(config)
         assert result.rows[0].value <= 0.10
+        kappa = result.kappa_samples[(10_000, 0.0)]
+        assert abs(kappa.mean() - 1.12) <= 4.0 * np.sqrt(2.0 * 1 / R)
 
     def test_power_is_monotone_in_the_shift(self):
         """Rejection frequency non-decreasing in r, two standard errors of slack."""
@@ -470,6 +506,48 @@ class TestDeskScaleConsistency:
                 np.linalg.norm(moments.theta_bar - dgp.theta(), axis=1)
             )
         assert medians[10_000] > medians[100_000]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Seeded outputs pinned to digests recorded before the two sides of a
+    cell were paired into one state; a change that moves any bit of the
+    result CSV (rates and mean errors as ``repr``) or of kappa fails here."""
+
+    @staticmethod
+    def run(mode, preset, R, seed, r_grid):
+        return run_experiment(ExperimentConfig(
+            mode=mode, preset=preset, sample_sizes=(600,), replications=R,
+            base_seed=seed, r_grid=r_grid,
+        ))
+
+    def test_linear_size_power_cells(self):
+        result = self.run("size_power", "linear", 40, 3, (0.0, 0.05))
+        kappa = np.concatenate([result.kappa_samples[key] for key in sorted(result.kappa_samples)])
+        assert sha256(result.to_csv_text().encode()) == (
+            "9f4bf1e3786ec0d2b39bc626310094948add7a8cfd47523157052c3d3ea92ec5"
+        )
+        assert sha256(kappa.tobytes()) == (
+            "0b203abfd6d07bc1ea83ab55b4f599a6392e87c90d334dfd1493feaad6592e9d"
+        )
+
+    def test_linear_estimation_error_cells(self):
+        result = self.run("estimation_error", "linear", 40, 3, (0.0, 0.05))
+        assert sha256(result.to_csv_text().encode()) == (
+            "aec98d2c5bbadfc0ad2d71bd8ee51c97a06256868609b48513f4d5272dd611dc"
+        )
+
+    def test_logistic_size_power_cell(self):
+        result = self.run("size_power", "logistic", 20, 4, (0.0,))
+        assert sha256(result.to_csv_text().encode()) == (
+            "b357a39d24c14974bd7a7588263d17e590ad50d4308afb493b6f5e711b8e3674"
+        )
+        assert sha256(result.kappa_samples[(600, 0.0)].tobytes()) == (
+            "b8a1f6413b740492663090ad9b3ee7436ddf9c148117d95c386e0a5ef4c44841"
+        )
 
 
 class TestDeterminism:
