@@ -2,7 +2,7 @@
 
 Projected stochastic gradient descent with iterate averaging, online
 covariance estimation, confidence intervals, and a specification test for
-the constraints, fed one observation at a time.
+the constraints, from one pass over a stream fed in blocks of observations.
 """
 
 from .distributions import (

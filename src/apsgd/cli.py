@@ -117,7 +117,7 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _prepare_stream(args):
-    """Shared ingestion: returns (model, constraint, schedule, names, observations)."""
+    """Shared ingestion: returns (model, constraint, schedule, names, blocks)."""
     schema = ingest.parse_schema(args.schema)
     source = ingest.RowSource(args.data)
     resolved = ingest.resolve_schema(source, schema)
@@ -132,11 +132,11 @@ def _prepare_stream(args):
     means = sds = None
     if args.standardize:
         means, sds = ingest.feature_moments(source, resolved)
-    observations = ingest.load_observations(
+    blocks = ingest.load_observations(
         source, resolved, needs_response, means, sds, shuffle_seed=args.shuffle_seed
     )
     schedule = LearningRate(gamma=args.gamma, rho=args.rho)
-    return model, constraint, schedule, resolved.feature_names, observations
+    return model, constraint, schedule, resolved.feature_names, blocks
 
 
 def _print_report(report: InferenceReport) -> None:
@@ -158,9 +158,8 @@ def _report_csv_text(report: InferenceReport) -> str:
 
 
 def cmd_estimate(args) -> int:
-    model, constraint, schedule, names, observations = _prepare_stream(args)
-    state = EstimatorState(model, constraint, schedule)
-    state.run_stream(observations)
+    model, constraint, schedule, names, blocks = _prepare_stream(args)
+    state = EstimatorState(model, constraint, schedule).run_stream(blocks)
     report = coordinate_report(state, alpha=args.alpha, names=list(names))
     _print_report(report)
     if args.output:
@@ -176,10 +175,8 @@ def cmd_spec_test(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    model, constraint, schedule, _, observations = _prepare_stream(args)
-    result = specification_test(
-        observations, model, constraint, schedule=schedule, alpha=args.alpha
-    )
+    model, constraint, schedule, _, blocks = _prepare_stream(args)
+    result = specification_test(blocks, model, constraint, schedule=schedule, alpha=args.alpha)
     decision = "reject" if result.reject else "fail to reject"
     print(f"kappa = {result.kappa:.6f}")
     print(f"df = {result.df}")

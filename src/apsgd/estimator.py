@@ -5,16 +5,15 @@ in lockstep: the shape of ``theta0`` without its last axis is the batch
 shape, so a CSV fit is a ``(p,)`` state, a Monte Carlo cell a single
 ``(R, p)`` state, and the constrained and unconstrained sides of a
 specification test one ``paired`` state with a leading side axis, which
-evaluates each observation once for both sides.  Call ``step`` once per
-observation, in order.  Each step projects the gradient update back onto the
-affine feasible set and folds the new iterate into the running average; only
-this part is sequential.  The curvature and gradient-outer-product averages
-that inference consumes later are plain averages over the path of running
-averages: ``step`` folds them in per row, and the Monte Carlo lockstep
-(``simulate``) advances a whole block at once (``_advance_block``): the
-model's ``_walk`` moves the iterates over the block, one cumulative sum
-averages them and one fold adds the block's moments.  States may be handed
-between threads between steps.
+evaluates each observation once for both sides.  ``run_stream`` advances
+every caller, a CSV stream and the Monte Carlo lockstep (``simulate``)
+alike, over blocks of at most ``_BLOCK`` rows.  Within a block only the
+iterate is sequential: the model's ``_walk`` moves the iterates over the
+block along the projected gradient, one cumulative sum turns them into
+running averages, and one fold adds the block's curvature and
+gradient-outer-product averages, evaluated along those running averages,
+which inference consumes later.  States may be handed between threads
+between blocks.
 """
 
 from __future__ import annotations
@@ -32,6 +31,12 @@ from .models import LossModel, _gram, _outer
 
 #: The per-stream arrays of a state; their leading axes are the batch shape.
 _STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
+
+#: Rows per block that the engine moves and folds at once, for CSV streams
+#: and the Monte Carlo lockstep alike.  Larger blocks were no faster and hold
+#: more memory: a block, its path of averages and its gradients are
+#: ``(_BLOCK, ..., p)``-sized arrays.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -87,32 +92,29 @@ class EstimatorState:
         products, both evaluated at the running average.
 
     ``theta_bar``, ``g_hat`` and ``s_hat`` are updated in place by every
-    step; copy them to keep a trajectory.
+    block; copy them to keep a trajectory.
 
     A ``paired`` state has shapes ``(2, ..., p)`` and ``sides``, the two
     constraints; its observations carry no side axis.  ``pair[k]`` is side
     ``k`` as an ordinary state with its own constraint, and ``concatenate``
     joins pairs along their replication axis (axis 1).
 
-    ``step`` re-projects every iterate onto the feasible set.  The lockstep
-    (``_move_block``) moves a feasible iterate along the projected gradient
-    instead, with the model's ``LossModel._walk`` (for the regression
-    families, a weight times a direction ``gamma_t x_t P`` computed once per
-    block), so its iterates stay feasible up to rounding, and computes a
-    block's averages with one cumulative sum; both agree with ``step`` to a
-    few ulps.
+    The engine (``_move_block``) never re-projects from ``c``: it moves a
+    feasible iterate along the projected gradient with the model's
+    ``LossModel._walk`` (for the regression families, a weight times a
+    direction ``gamma_t x_t P`` computed once per block), so its iterates
+    stay feasible up to rounding.  How a stream is cut into blocks changes
+    its numbers by a few ulps only.
 
     A ``NumericalError`` names the step at which a gradient or a moment first
     went non-finite, and the state is then not meant to be resumed.  After a
     non-finite gradient at step ``s``, everything still describes step
-    ``s - 1``, also when the lockstep's ``_advance_block`` finds it in the
-    middle of a block; it still folds the moments of the rows before ``s``,
-    so a moment that went non-finite earlier is the error reported.  After a
-    non-finite moment, ``t``, ``theta`` and ``theta_bar`` have moved on (to
-    ``s`` in ``step``; in ``_advance_block``, to the end of the block or to
+    ``s - 1``, also when it is found in the middle of a block; the moments of
+    the rows before ``s`` are still folded, so a moment that went non-finite
+    earlier is the error reported.  After a non-finite moment, ``t``,
+    ``theta`` and ``theta_bar`` have moved on to the end of the block (or to
     the step before a non-finite gradient in it), while ``g_hat`` and
-    ``s_hat`` hold the averages before the failed fold: up to step ``s - 1``
-    in ``step``, up to the end of the previous block in ``_advance_block``.
+    ``s_hat`` hold the averages up to the end of the previous block.
     """
 
     def __init__(
@@ -171,58 +173,67 @@ class EstimatorState:
             setattr(joined, name, np.concatenate([getattr(s, name) for s in states], axis))
         return joined
 
-    def step(self, z) -> "EstimatorState":
-        """Consume one observation per stream and return the (mutated) state.
+    def run_stream(self, blocks) -> "EstimatorState":
+        """Advance every stream over an iterable of observation blocks, in order.
 
-        ``z`` has shape ``batch_shape + (obs_dim,)`` (no side axis); the model's
-        checked ``gradient`` and ``hessian`` validate it.  Order of operations:
-        projected iterate update, then the average, then the moments
-        evaluated at the new average and folded in with weight ``1/t``.
+        Each block has shape ``(n, *batch_shape, obs_dim)`` (no side axis)
+        and is advanced ``_BLOCK`` rows at a time: validated once with the
+        model's ``_check_obs``, then moved and folded by ``_advance_block``.
+        Errors are re-raised with the offending observation's position in
+        the stream prepended: the row after the state's last step, or the
+        ``step`` that the error carries (a moment's, or the first row that
+        fails validation on its own).
         """
-        model = self.model
-        if self.sides is not None:
-            # one copy per side is cheaper than a broadcast view of one row
-            z = np.asarray(z, dtype=float)[None].repeat(2, 0)
-        self._move(z, model.gradient)
-        hess = model.hessian(self.theta_bar, z)
-        grad = model.gradient(self.theta_bar, z)
-        self._fold(1, hess, grad[..., :, None] @ grad[..., None, :])
+        start = self.t
+        batch = self.theta.shape[:-1] if self.sides is None else self.theta.shape[1:-1]
+        path = np.empty((_BLOCK,) + self.theta.shape)
+        for block in blocks:
+            for lo in range(0, len(block), _BLOCK):
+                try:
+                    self._advance_block(self._check_rows(block[lo : lo + _BLOCK], batch), path)
+                except ApsgdError as exc:
+                    index = getattr(exc, "step", self.t + 1) - 1 - start
+                    raise type(exc)(f"observation {index}: {exc}") from exc
         return self
 
-    def _move(self, z, gradient) -> None:
-        """One projected SGD step and one update of the average: the only
-        sequential part of the recursion.  ``gradient`` evaluates the model
-        (``step`` passes its checked public method)."""
-        t = self.t + 1
-        grad = gradient(self.theta, z)
-        if not np.isfinite(grad).all():
-            raise NumericalError(f"non-finite gradient at step {t} (theta={self.theta.tolist()})")
-        self.theta = self.theta - self.schedule.at(t) * grad
-        constrained = self.theta if self.sides is None else self.theta[0]  # a pair's side 0
-        constrained[...] = self.constraint.project(constrained)
-        self.theta_bar *= (t - 1.0) / t
-        self.theta_bar += (1.0 / t) * self.theta
-        self.t = t
+    def _check_rows(self, rows, batch_shape) -> np.ndarray:
+        """``rows`` validated as one block; when that fails, each row on its
+        own, so that the error carries the step of the first bad row."""
+        check = self.model._check_obs
+        try:
+            return check(rows, (len(rows), *batch_shape))
+        except ApsgdError:
+            for i, z in enumerate(rows):
+                try:
+                    check(z, batch_shape)
+                except ApsgdError as exc:
+                    exc.step = self.t + 1 + i
+                    raise
+            raise
 
     def _advance_block(self, block: np.ndarray, path: np.ndarray) -> None:
         """Advance every stream over the rows of a validated ``(n, ..., obs_dim)``
         block: ``_move_block``, then ``_fold_path`` over the rows it moved.
 
-        The fold also runs when the move stopped at a non-finite gradient, so
-        that a moment that went non-finite before it is the error reported.
+        Overflow becomes inf or nan, which the finite checks report as a
+        ``NumericalError``.  The fold also runs when the move stopped at a
+        non-finite gradient, so that a moment that went non-finite before it
+        is the error reported.
         """
         block = block if self.sides is None else block[:, None]  # both sides read it
         t0 = self.t
-        try:
-            self._move_block(block, path)
-        finally:
-            moved = self.t - t0
-            if moved:
-                self._fold_path(path[:moved], block[:moved])
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                self._move_block(block, path)
+            finally:
+                moved = self.t - t0
+                if moved:
+                    self._fold_path(path[:moved], block[:moved])
 
     def _move_block(self, block: np.ndarray, path: np.ndarray) -> None:
-        """``_move`` over the rows of a validated block; ``path[i]`` ends up
-        holding the average after row ``i``.
+        """Projected SGD steps and running averages over the rows of a
+        validated block; ``path[i]`` ends up holding the average after row
+        ``i``.
 
         Only the iterate is sequential: the model's ``_walk`` writes each
         ``theta_t`` straight into ``path``, moving the feasible iterate along
@@ -233,16 +244,21 @@ class EstimatorState:
         block's gradients are evaluated again along the stored path to find
         the first such row; the state is left after the row before it
         (``path`` holding the averages up to there) and the error names its
-        step as ``_move`` does.
+        step.
         """
         gradient, at, con = self.model._gradient, self.schedule.at, self.constraint
         t0, n = self.t, len(block)
         path = path[:n]
         steps = np.array([at(t) for t in range(t0 + 1, t0 + n + 1)])
         P = None if con.d == con.p else con.P
+        theta, rows, iterates = self.theta, block, path
         if self.sides is not None:  # x @ I is exact, so the free side loses no bit
             P = np.stack([side.P for side in self.sides])
-        self.model._walk(self.theta, block, P, steps, path)
+            if theta.ndim == 2:
+                # one stream per side: a replication axis of length 1 keeps x P
+                # one matrix product per side
+                theta, rows, iterates = theta[:, None], block[..., None, :], path[..., None, :]
+        self.model._walk(theta, rows, P, steps, iterates)
         moved = n
         if not np.isfinite(path).all():
             before = np.concatenate([self.theta[None], path[:-1]])
@@ -266,57 +282,34 @@ class EstimatorState:
 
     def _fold_path(self, path: np.ndarray, block: np.ndarray) -> None:
         """Fold the moments of the last ``len(block)`` moved rows, evaluated
-        along their stored ``(n, ..., p)`` path of averages; a pair holds one
-        side's gradients at a time."""
-        model = self.model
+        along their stored ``(n, ..., p)`` path of averages, into ``g_hat``
+        and ``s_hat``; a pair holds one side's gradients at a time.
+
+        A non-finite sum raises ``NumericalError`` naming the first row whose
+        running sum of either moment is non-finite, and leaves both
+        untouched.
+        """
+        model, n, t = self.model, len(block), self.t
         if self.sides is None:
             outer_sum = _gram(model._gradient(path, block))
         else:
             outer_sum = np.stack([_gram(model._gradient(path[:, k], block[:, 0])) for k in (0, 1)])
-
-        def first_bad_row() -> int:
-            # the first row at which a running sum of either moment is non-finite
+        hess_sum = model._hessian_sum(path, block)
+        if not (np.isfinite(hess_sum).all() and np.isfinite(outer_sum).all()):
             with np.errstate(all="ignore"):
                 grad = model._gradient(path, block)
                 sums = (np.cumsum(model._hessian(path, block), 0), np.cumsum(_outer(grad), 0))
-            finite = [np.isfinite(s).reshape(len(block), -1).all(1) for s in sums]
-            return int(np.argmin(finite[0] & finite[1]))
-
-        self._fold(len(block), model._hessian_sum(path, block), outer_sum, first_bad_row)
-
-    def _fold(self, n: int, hess_sum, outer_sum, first_bad_row=None) -> None:
-        """Fold the sums over the last ``n`` moved rows of the Hessians and of
-        the gradient outer products, both at the average after each row, into
-        ``g_hat`` and ``s_hat``.
-
-        A non-finite sum raises ``NumericalError`` and leaves both untouched.
-        The error names step ``t - n + 1 + first_bad_row()``, so a caller
-        folding several rows at once passes a function that finds the first
-        row whose running sum is non-finite.
-        """
-        t = self.t
-        if not (np.isfinite(hess_sum).all() and np.isfinite(outer_sum).all()):
-            row = first_bad_row() if first_bad_row is not None else n - 1
-            raise NumericalError(f"non-finite moment update at step {t - n + 1 + row}")
+            finite = [np.isfinite(s).reshape(n, -1).all(1) for s in sums]
+            step = t - n + 1 + int(np.argmin(finite[0] & finite[1]))
+            error = NumericalError(f"non-finite moment update at step {step}")
+            error.step = step
+            raise error
         w_old = (t - n) / t
         w_new = 1.0 / t
         self.g_hat *= w_old
         self.g_hat += w_new * hess_sum
         self.s_hat *= w_old
         self.s_hat += w_new * outer_sum
-
-    def run_stream(self, observations) -> "EstimatorState":
-        """Fold ``step`` over an iterable of observations, in order.
-
-        Errors raised by ``step`` are re-raised with the offending
-        observation's position prepended.
-        """
-        for idx, z in enumerate(observations):
-            try:
-                self.step(z)
-            except ApsgdError as exc:
-                raise type(exc)(f"observation {idx}: {exc}") from exc
-        return self
 
     # -- snapshot serialization ------------------------------------------------
 

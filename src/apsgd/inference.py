@@ -243,26 +243,27 @@ test_from_states.__test__ = False  # a library function, not a pytest test
 
 
 def specification_test(
-    observations,
+    blocks,
     model,
     constraint: Constraint,
     schedule: LearningRate | None = None,
     alpha: float = 0.05,
 ) -> TestResult:
-    """Run the constraint test on a single pass over one observation stream.
+    """Run the constraint test on a single pass over one stream of
+    ``(n, obs_dim)`` observation blocks.
 
     One paired state (``EstimatorState.paired``) advances the constrained
-    side and the unconstrained side on the same observations, both from the
-    constraint's feasible point ``constraint.c``, and the test reads its
-    sides back as ``pair[0]`` and ``pair[1]``.  An error names the
-    observation at which it arose.
+    side and the unconstrained side on the same blocks, with one walk and one
+    fold per block, both from the constraint's feasible point
+    ``constraint.c``, and the test reads its sides back as ``pair[0]`` and
+    ``pair[1]``.  An error names the observation at which it arose.
     """
     if constraint.d == constraint.p:
         raise DegenerateTestError(
             "constraint has no effective rows (d = p), the test has 0 degrees "
             "of freedom"
         )
-    pair = EstimatorState.paired(model, constraint, schedule).run_stream(observations)
+    pair = EstimatorState.paired(model, constraint, schedule).run_stream(blocks)
     return test_from_states(pair[0], pair[1], alpha=alpha)
 
 

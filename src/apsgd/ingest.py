@@ -1,24 +1,27 @@
 """CSV ingestion: schemas, constraint files, and the standardization pass.
 
-Data files are consumed as streams; nothing here materialises a dataset
-unless the caller explicitly asks for shuffling.  One reader serves every
-pass: each data row is parsed once, straight into a float array holding the
-response (if the schema has one) and then the features.  Standardization is
-a two-pass affair by design: one pass over the file for feature means and
-sample standard deviations, a second streaming pass that applies the affine
-transform in place (the response is never touched).
+Data files are consumed as streams of blocks; nothing here materialises a
+dataset unless the caller explicitly asks for shuffling.  One reader serves
+every pass: the selected cells of up to ``_BLOCK`` rows are parsed at once
+into a float block, the response (if the schema has one) and then the
+features.  Standardization is a two-pass affair by design: one pass over the
+file for feature means and sample standard deviations, a second streaming
+pass that applies the affine transform in place (the response is never
+touched).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import _BLOCK
 from .exceptions import DataError
 from .linalg import Constraint
 
@@ -182,52 +185,79 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
     )
 
 
-def _data_rows(source: RowSource, resolved: ResolvedSchema):
-    """Yield each data row (header and empty lines skipped) as one float
-    array: the response cell, if the schema has one, then the features."""
+def _data_blocks(source: RowSource, resolved: ResolvedSchema):
+    """Yield the data rows (header and empty lines skipped) as float blocks of
+    at most ``_BLOCK`` rows: the response cell, if the schema has one, then
+    the features.  A block with a bad cell or a short row raises the
+    ``DataError`` that a row-by-row parse would raise first, naming its line
+    (and column), before any of its rows is yielded."""
     columns = resolved.feature_indices
     if resolved.response_index is not None:
         columns = (resolved.response_index,) + columns
     width = max(columns) + 1
+    pick = operator.itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
     rows = source.rows()
     if resolved.has_header:
         next(rows, None)
+    lines, cells = [], []
     for lineno, row in rows:
         if not row:
             continue
         if len(row) < width:
+            _parse_block(lines, cells, columns, resolved)  # a bad cell above is named first
             raise DataError(f"line {lineno}: expected at least {width} columns, got {len(row)}")
+        lines.append(lineno)
+        cells.append(pick(row))
+        if len(cells) == _BLOCK:
+            yield _parse_block(lines, cells, columns, resolved)
+            lines, cells = [], []
+    if cells:
+        yield _parse_block(lines, cells, columns, resolved)
+
+
+def _parse_block(lines, cells, columns, resolved: ResolvedSchema) -> np.ndarray:
+    """The selected cells of a block's rows as one float array; a block that
+    fails is parsed again row by row to name its first bad cell."""
+    try:
+        block = np.array(cells, dtype=float)
+        if np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
+    values = []
+    for lineno, row in zip(lines, cells):
         try:
-            values = [float(row[i]) for i in columns]
+            parsed = [float(cell) for cell in row]
         except ValueError as exc:
             raise DataError(f"line {lineno}: {exc}") from exc
         # float() also accepts nan, inf and overflowing literals such as 1e999
-        if not all(map(math.isfinite, values)):
-            i = next(i for i, value in zip(columns, values) if not math.isfinite(value))
-            raise DataError(
-                f"line {lineno}: column {resolved.column_names[i]!r} is not a "
-                f"finite number: {row[i]!r}"
-            )
-        yield np.array(values)
+        for i, cell, value in zip(columns, row, parsed):
+            if not math.isfinite(value):
+                raise DataError(
+                    f"line {lineno}: column {resolved.column_names[i]!r} is not a "
+                    f"finite number: {cell!r}"
+                )
+        values.append(parsed)
+    return np.array(values)
 
 
 def feature_moments(source: RowSource, resolved: ResolvedSchema) -> tuple[np.ndarray, np.ndarray]:
     """First pass: feature means and sample standard deviations (n-1).
 
-    Uses a streaming mean/M2 update, so only one row lives in memory.
-    Constant columns are rejected by name.
+    Each block's mean and sum of squared deviations are merged into the
+    running ones (Chan, Golub & LeVeque 1979), so one block lives in memory
+    at a time.  Constant columns are rejected by name.
     """
     k = len(resolved.feature_indices)
     lead = int(resolved.response_index is not None)
-    count = 0
-    mean = np.zeros(k)
-    m2 = np.zeros(k)
-    for values in _data_rows(source, resolved):
-        feats = values[lead:]
-        count += 1
-        delta = feats - mean
-        mean += delta / count
-        m2 += delta * (feats - mean)
+    count, mean, m2 = 0, np.zeros(k), np.zeros(k)
+    for block in _data_blocks(source, resolved):
+        feats = block[:, lead:]
+        n, block_mean = len(feats), feats.mean(0)
+        delta = block_mean - mean
+        mean += delta * (n / (count + n))
+        m2 += np.square(feats - block_mean).sum(0) + delta * delta * (count * n / (count + n))
+        count += n
     if count < 2:
         raise DataError(f"{source.path}: need at least 2 data rows, got {count}")
     sd = np.sqrt(m2 / (count - 1))
@@ -243,29 +273,6 @@ def feature_moments(source: RowSource, resolved: ResolvedSchema) -> tuple[np.nda
     return mean, sd
 
 
-def iter_observations(
-    source: RowSource,
-    resolved: ResolvedSchema,
-    needs_response: bool,
-    means: np.ndarray | None = None,
-    sds: np.ndarray | None = None,
-):
-    """Stream observation vectors: ``(y, x...)``, or just ``x`` for location fits.
-
-    When ``means``/``sds`` are given the features are standardized on the
-    fly; the response is passed through untouched.
-    """
-    if needs_response and resolved.response_index is None:
-        raise DataError("model needs a response column but the schema says response=none")
-    lead = int(resolved.response_index is not None)
-    for values in _data_rows(source, resolved):
-        if means is not None:
-            feats = values[lead:]
-            feats -= means
-            feats /= sds
-        yield values if needs_response else values[lead:]
-
-
 def load_observations(
     source: RowSource,
     resolved: ResolvedSchema,
@@ -274,19 +281,38 @@ def load_observations(
     sds: np.ndarray | None = None,
     shuffle_seed: int | None = None,
 ):
-    """Either the streaming iterator, or a reproducibly permuted list.
+    """Blocks of at most ``_BLOCK`` observations: rows ``(y, x...)``, or just
+    ``x`` for location fits.
 
-    Shuffling necessarily materialises the observations; the permutation is
-    drawn from ``PCG64(SeedSequence(shuffle_seed))``.
+    When ``means``/``sds`` are given the features are standardized on the
+    fly; the response is passed through untouched.  ``shuffle_seed``
+    materialises the rows and permutes them with
+    ``PCG64(SeedSequence(shuffle_seed))`` before cutting the same blocks.
     """
-    stream = iter_observations(source, resolved, needs_response, means, sds)
+    if needs_response and resolved.response_index is None:
+        raise DataError("model needs a response column but the schema says response=none")
+    lead = int(resolved.response_index is not None)
+
+    def blocks():
+        for block in _data_blocks(source, resolved):
+            if means is not None:
+                feats = block[:, lead:]
+                feats -= means
+                feats /= sds
+            yield block if needs_response else block[:, lead:]
+
     if shuffle_seed is None:
-        return stream
-    rows = list(stream)
-    order = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(shuffle_seed))
-    ).permutation(len(rows))
-    return [rows[i] for i in order]
+        return blocks()
+    rows = [row for block in blocks() for row in block]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(shuffle_seed)))
+    rows = np.array([rows[i] for i in rng.permutation(len(rows))])
+    return [rows[lo : lo + _BLOCK] for lo in range(0, len(rows), _BLOCK)]
+
+
+def iter_observations(source, resolved, needs_response, means=None, sds=None):
+    """``load_observations`` one observation vector at a time."""
+    for block in load_observations(source, resolved, needs_response, means, sds):
+        yield from block
 
 
 # -- constraint files ---------------------------------------------------------------

@@ -208,13 +208,7 @@ class Constraint:
         return self.P.shape[0]
 
     def project(self, theta: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``theta`` (shape ``(..., p)``) onto the feasible set.
-
-        Without effective constraints (``d == p``) the input comes back as a
-        float array, which may be the input itself.
-        """
-        if self.d == self.p:
-            return np.asarray(theta, dtype=float)
+        """Orthogonal projection of ``theta`` (shape ``(..., p)``) onto the feasible set."""
         return self.c + (theta - self.c) @ self.P.T
 
     def violation(self, theta: np.ndarray) -> float | np.ndarray:

@@ -25,12 +25,12 @@ class LossModel:
     The public ``loss``, ``gradient`` and ``hessian`` validate their inputs
     and return arrays of shape ``(...)``, ``(..., p)`` and ``(..., p, p)``;
     the Hessian must be symmetric.  Subclasses implement the unchecked kernels
-    ``_loss``, ``_gradient`` and ``_hessian``, which the Monte Carlo lockstep
-    calls directly on blocks of observations it has validated once with
-    ``_check_obs``.  The lockstep moves its iterates over a block with
-    ``_walk`` and sums the block's Hessians with ``_hessian_sum``.  Both have
-    generic per-row defaults; the linear and logistic families override both
-    and the mean model the sum, so that no per-row gradient or
+    ``_loss``, ``_gradient`` and ``_hessian``, which the block engine
+    (``EstimatorState.run_stream``) calls directly on blocks of observations
+    it has validated once with ``_check_obs``.  The engine moves its iterates
+    over a block with ``_walk`` and sums its Hessians with ``_hessian_sum``.
+    Both have generic per-row defaults; the linear and logistic families
+    override both and the mean model the sum, so that no per-row gradient or
     ``(n, ..., p, p)`` Hessian array is built.
     """
 
@@ -116,12 +116,6 @@ def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.moveaxis(a, 0, -1) @ np.moveaxis(a if b is None else b, 0, -2)
 
 
-def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # response and features; one observation's response comes back as a numpy
-    # scalar, whose arithmetic is several times cheaper than a 0-d array's
-    return z[..., 0][()], z[..., 1:]
-
-
 def _curvature(y, x, theta):
     """The logistic Hessian's weight ``s (1 - s)`` with ``s = expit(-y x @ theta)``."""
     s = expit(-(y * np.vecdot(x, theta)))
@@ -166,7 +160,7 @@ class _GlmModel(LossModel):
         raise NotImplementedError
 
     def _gradient(self, theta, z):
-        y, x = _split(z)
+        y, x = z[..., 0], z[..., 1:]
         return self._weight(y, np.vecdot(x, theta))[..., None] * x
 
     def _walk(self, theta, block, P, steps, path, weight=None) -> None:
@@ -241,12 +235,12 @@ class LogisticModel(_GlmModel):
         _GlmModel._walk(self, theta, signed, P, steps, path, lambda y, margin: -expit(-margin))
 
     def _hessian(self, theta, z):
-        y, x = _split(z)
+        y, x = z[..., 0], z[..., 1:]
         s = _curvature(y, x, theta)
         return s[..., None, None] * _outer(x)
 
     def _hessian_sum(self, theta, z):
-        y, x = _split(z)
+        y, x = z[..., 0], z[..., 1:]
         return _gram(_curvature(y, x, theta)[..., None] * x, x)
 
 

@@ -14,10 +14,11 @@ implementation of the same documented scheme reproduces the streams.
 
 For throughput the runner advances all replications of a cell in lockstep as
 one batched ``(R, p)`` ``EstimatorState`` (``(2, R, p)`` with both sides), so
-a replication runs the same recursion as a CSV stream.  It works in blocks of ``_BLOCK`` rows.  Each
+a replication runs the same block engine as a CSV stream, in blocks of
+``_BLOCK`` rows (``(_BLOCK, R, obs_dim)``-sized, as are the raw words).  Each
 replication's generator fills its row of one reused buffer of raw words, and
 one vectorised transform turns the buffer into the block's observations,
-which the state moves and folds at once (``EstimatorState._advance_block``).
+which the state moves and folds at once (``EstimatorState.run_stream``).
 The move is the model's ``_walk``: for the linear and logistic families the
 projected step directions ``gamma_t x_t P`` of the whole block come from one
 matrix product, and each row then costs a margin, a weight and a
@@ -41,7 +42,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import expit, ndtri
 
-from .estimator import EstimatorState, LearningRate
+from .estimator import _BLOCK, EstimatorState, LearningRate
 from .exceptions import ConfigError, DomainError
 from .inference import coordinate_report, test_from_states
 from .distributions import normal_quantile
@@ -49,11 +50,6 @@ from .linalg import Constraint
 from .models import MODEL_FAMILIES, LossModel
 
 _TWO53 = float(1 << 53)
-
-#: Rows per replication drawn, moved and folded at a time.  Larger blocks
-#: were no faster and hold more memory: the raw words, the block, its path of
-#: averages and its gradients are ``(_BLOCK, R, p)``-sized arrays.
-_BLOCK = 256
 
 #: Full-scale grid used by ``full_scale``; the default configs are
 #: desk-scale so the suite finishes in minutes.
@@ -351,23 +347,19 @@ def _advance_chunk(
     include_unconstrained: bool,
 ) -> EstimatorState:
     rngs = [replication_rng(base_seed, cell, k) for k in reps]
-    model = dgp.model()
     # both sides start from the constraint's feasible point
     start = np.tile(constraint.c, (len(reps), 1))
     build = EstimatorState.paired if include_unconstrained else EstimatorState
-    state = build(model, constraint, schedule, theta0=start)
-
-    # one reused buffer each for the raw words, the observations and the path
+    state = build(dgp.model(), constraint, schedule, theta0=start)
+    # one reused buffer each for the raw words and the observations; the
+    # stream draws each block only once the state has consumed the last one
     words = np.empty((len(reps), _BLOCK, dgp.obs_dim), dtype=np.uint64)
     obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
-    path = np.empty((_BLOCK,) + state.theta.shape)
-    # overflow becomes inf or nan, which the finite checks report as a NumericalError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(0, T, _BLOCK):
-            n = min(_BLOCK, T - t)
-            block = model._check_obs(_draw_replications(dgp, rngs, words, obs[:n]), (n, len(reps)))
-            state._advance_block(block, path)
-    return state
+    blocks = (
+        _draw_replications(dgp, rngs, words, obs[: min(_BLOCK, T - t)])
+        for t in range(0, T, _BLOCK)
+    )
+    return state.run_stream(blocks)
 
 
 def replicate_streams(

@@ -6,6 +6,7 @@ import pytest
 from apsgd import (
     Constraint,
     CustomModel,
+    DataError,
     DomainError,
     EstimatorState,
     LearningRate,
@@ -14,13 +15,12 @@ from apsgd import (
     MeanModel,
     NumericalError,
 )
-from apsgd.simulate import PRESETS, draw, draw_block, replication_rng
+from apsgd.simulate import PRESETS, draw_block, replication_rng
 
 
 def dgp1_stream(n, seed=0):
-    dgp = PRESETS["linear"].spec(0.0)
-    rng = replication_rng(seed, 0, 0)
-    return [draw(dgp, rng) for _ in range(n)]
+    """``n`` draws of the linear preset as one ``(n, 5)`` block."""
+    return draw_block(PRESETS["linear"].spec(0.0), replication_rng(seed, 0, 0), n)
 
 
 def batched_stream(n, streams, seed=0, preset="linear"):
@@ -29,6 +29,11 @@ def batched_stream(n, streams, seed=0, preset="linear"):
     return np.stack(
         [draw_block(dgp, replication_rng(seed, 0, k), n) for k in range(streams)], axis=1
     )
+
+
+def blocks(obs, size):
+    """``obs`` cut into blocks of ``size`` rows, the last one partial."""
+    return [obs[lo : lo + size] for lo in range(0, len(obs), size)]
 
 
 STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
@@ -65,13 +70,15 @@ class TestInit:
         np.testing.assert_array_equal(state.theta, v)
 
 
-class TestStep:
+class TestFirstRow:
+    """A block of one row is one projected SGD step."""
+
     def test_first_step_unconstrained(self):
         # gamma_1 = 1, so theta_1 = z and the average equals it
         state = EstimatorState(
             MeanModel(2), Constraint.unconstrained(2), LearningRate(1.0, 0.505)
         )
-        state.step([1.0, 2.0])
+        state.run_stream([[[1.0, 2.0]]])
         np.testing.assert_allclose(state.theta, [1.0, 2.0])
         np.testing.assert_allclose(state.theta_bar, [1.0, 2.0])
         assert state.t == 1
@@ -79,14 +86,14 @@ class TestStep:
     def test_first_step_projected(self):
         con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
         state = EstimatorState(MeanModel(2), con, LearningRate(1.0, 0.505))
-        state.step([1.0, 2.0])
+        state.run_stream([[[1.0, 2.0]]])
         np.testing.assert_allclose(state.theta, [1.5, 1.5], atol=1e-12)
 
     def test_zero_gradient_fixed_point(self):
         con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
         state = EstimatorState(MeanModel(2), con, theta0=[1.0, 1.0])
         before = state.theta.copy()
-        state.step([1.0, 1.0])  # observation equals the iterate
+        state.run_stream([[[1.0, 1.0]]])  # observation equals the iterate
         np.testing.assert_allclose(state.theta, before, atol=1e-14)
 
     def test_moment_recursions_use_new_average(self):
@@ -94,7 +101,7 @@ class TestStep:
         model = LinearModel(2)
         state = EstimatorState(model, Constraint.unconstrained(2))
         z = np.array([1.0, 0.5, -0.5])
-        state.step(z)
+        state.run_stream([[z]])
         g = model.gradient(state.theta_bar, z)
         np.testing.assert_allclose(state.s_hat, np.outer(g, g), atol=1e-14)
         np.testing.assert_allclose(state.g_hat, model.hessian(state.theta_bar, z))
@@ -108,26 +115,71 @@ class TestRunStream:
         assert state.t == 0
         np.testing.assert_array_equal(state.theta, before)
 
-    def test_folding_matches_single_calls(self):
-        obs = dgp1_stream(200)
-        con = PRESETS["linear"].constraint()
-        s1 = EstimatorState(LinearModel(4), con).run_stream(obs)
-        s2 = EstimatorState(LinearModel(4), con)
-        s2.run_stream(obs[:100])
-        s2.run_stream(obs[100:])
-        np.testing.assert_array_equal(s1.theta, s2.theta)
-        np.testing.assert_array_equal(s1.theta_bar, s2.theta_bar)
-        np.testing.assert_array_equal(s1.s_hat, s2.s_hat)
+    @pytest.mark.parametrize("kind", ["linear", "logistic", "mean"])
+    @pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
+    def test_block_size_is_invisible(self, kind, constrained):
+        """One-row blocks, two full blocks and a partial one (fed whole), and
+        the same rows split over two calls agree at 1e-12."""
+        preset = PRESETS["linear" if kind == "mean" else kind]
+        con = preset.constraint() if constrained else Constraint.unconstrained(4)
+        if kind == "mean":
+            model, obs = MeanModel(4), dgp1_stream(2 * 256 + 17)[:, 1:]
+        else:
+            model = preset.spec(0.0).model()
+            obs = draw_block(preset.spec(0.0), replication_rng(1, 0, 0), 2 * 256 + 17)
+        whole = EstimatorState(model, con).run_stream([obs])
+        split = EstimatorState(model, con).run_stream([obs[:300]]).run_stream([obs[300:]])
+        one_row = EstimatorState(model, con).run_stream(blocks(obs, 1))
+        for other in (split, one_row):
+            assert other.t == whole.t == len(obs)
+            for name in STREAM_ARRAYS:
+                np.testing.assert_allclose(
+                    getattr(other, name), getattr(whole, name), rtol=1e-12, atol=1e-14
+                )
 
-    def test_errors_carry_observation_index(self):
+    @pytest.mark.parametrize("size", [1, 256])
+    def test_errors_carry_observation_index(self, size):
         def bad_gradient(theta, z):
             return np.full(2, np.inf) if z[0] > 0.5 else np.zeros(2)
 
         model = CustomModel(2, 2, lambda t, z: 0.0, bad_gradient, lambda t, z: np.eye(2))
         state = EstimatorState(model, Constraint.unconstrained(2))
-        obs = [np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2)]
-        with pytest.raises(NumericalError, match="observation 3"):
-            state.run_stream(obs)
+        obs = np.array([np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2)])
+        with pytest.raises(NumericalError, match="^observation 3: non-finite gradient at step 4 "):
+            state.run_stream(blocks(obs, size))
+        assert state.t == 3
+
+    @pytest.mark.parametrize("size", [1, 256])
+    def test_non_finite_moment_names_the_observation(self, size):
+        """The moment's step is named whether it is folded alone or with
+        the rows after it; ``g_hat`` keeps the averages before its block."""
+
+        def hessian(theta, z):
+            return np.full((2, 2), np.inf) if z[0] > 0.5 else np.eye(2)
+
+        model = CustomModel(2, 2, lambda t, z: 0.0, lambda t, z: t - z, hessian)
+        state = EstimatorState(model, Constraint.unconstrained(2)).run_stream([np.zeros((300, 2))])
+        obs = np.zeros((40, 2))
+        obs[25, 0] = 1.0
+        g_hat = state.g_hat.copy()
+        with pytest.raises(
+            NumericalError, match="^observation 25: non-finite moment update at step 326$"
+        ):
+            state.run_stream(blocks(obs, size))
+        assert state.t == 300 + (26 if size == 1 else 40)
+        np.testing.assert_array_equal(state.g_hat, g_hat)
+
+    @pytest.mark.parametrize("size", [1, 256])
+    def test_a_bad_label_names_the_first_bad_row(self, size):
+        obs = dgp1_stream(300)
+        obs[:, 0] = 1.0
+        obs[[270, 280], 0] = 0.5
+        state = EstimatorState(LogisticModel(4), Constraint.unconstrained(4))
+        with pytest.raises(
+            DataError, match=r"^observation 270: logistic label must be -1 or \+1, got 0.5$"
+        ):
+            state.run_stream(blocks(obs, size))
+        assert state.t == (270 if size == 1 else 256)
 
 
 class TestFeasibilityAlongPath:
@@ -136,8 +188,8 @@ class TestFeasibilityAlongPath:
         state = EstimatorState(LinearModel(4), con)
         worst_iterate = 0.0
         worst_average = 0.0
-        for z in dgp1_stream(20_000, seed=4):
-            state.step(z)
+        for block in blocks(dgp1_stream(20_000, seed=4), 8):
+            state.run_stream([block])
             worst_iterate = max(worst_iterate, con.violation(state.theta))
             worst_average = max(worst_average, con.violation(state.theta_bar))
         assert worst_iterate <= 1e-8
@@ -147,23 +199,25 @@ class TestFeasibilityAlongPath:
         con = PRESETS["linear"].constraint()
         state = EstimatorState(LinearModel(4), con)
         for z in dgp1_stream(500, seed=5):
-            state.step(z)
+            state.run_stream([[z]])
             reprojected = con.project(state.theta)
             assert np.linalg.norm(reprojected - state.theta) <= 1e-10
 
 
 class TestUnconstrainedReduction:
     def test_bitwise_equal_to_plain_sgd(self):
-        """With P = I, c = 0 the iterate sequence is exactly plain SGD."""
+        """With P = I, c = 0 the iterate sequence is exactly plain SGD, with the
+        step ``gamma_t (x' theta - y) x`` associated as ``w (gamma_t x)``."""
         obs = dgp1_stream(3000, seed=6)
-        model = LinearModel(4)
         schedule = LearningRate()
-        state = EstimatorState(model, Constraint.unconstrained(4))
+        state = EstimatorState(LinearModel(4), Constraint.unconstrained(4))
         theta = np.zeros(4)
-        for t, z in enumerate(obs, start=1):
-            state.step(z)
-            theta = theta - schedule.at(t) * model.gradient(theta, z)
-            assert np.array_equal(state.theta, theta)
+        for t, (y, *x) in enumerate(obs, start=1):
+            x = np.array(x)
+            theta = theta - (np.vecdot(x, theta) - y) * (schedule.at(t) * x)
+            if t % 1000 == 0:
+                state.run_stream([obs[t - 1000 : t]])
+                assert np.array_equal(state.theta, theta)
 
 
 class TestRecursiveBatchEquivalence:
@@ -175,7 +229,7 @@ class TestRecursiveBatchEquivalence:
         state = EstimatorState(model, con)
         iterates, averages = [], []
         for z in obs:
-            state.step(z)
+            state.run_stream([[z]])
             iterates.append(state.theta.copy())
             averages.append(state.theta_bar.copy())
         T = len(obs)
@@ -197,7 +251,7 @@ class TestSnapshots:
     def test_json_roundtrip_is_exact(self):
         obs = dgp1_stream(150, seed=8)
         con = PRESETS["linear"].constraint()
-        state = EstimatorState(LinearModel(4), con).run_stream(obs)
+        state = EstimatorState(LinearModel(4), con).run_stream([obs])
         restored = EstimatorState.from_json(state.to_json(), LinearModel(4))
         assert restored.t == state.t
         np.testing.assert_array_equal(restored.theta, state.theta)
@@ -210,10 +264,10 @@ class TestSnapshots:
     def test_resume_matches_uninterrupted_run(self):
         obs = dgp1_stream(400, seed=9)
         con = PRESETS["linear"].constraint()
-        straight = EstimatorState(LinearModel(4), con).run_stream(obs)
-        first = EstimatorState(LinearModel(4), con).run_stream(obs[:200])
+        straight = EstimatorState(LinearModel(4), con).run_stream([obs[:200], obs[200:]])
+        first = EstimatorState(LinearModel(4), con).run_stream([obs[:200]])
         resumed = EstimatorState.from_json(first.to_json(), LinearModel(4))
-        resumed.run_stream(obs[200:])
+        resumed.run_stream([obs[200:]])
         np.testing.assert_array_equal(resumed.theta_bar, straight.theta_bar)
         np.testing.assert_array_equal(resumed.g_hat, straight.g_hat)
         np.testing.assert_array_equal(resumed.s_hat, straight.s_hat)
@@ -227,10 +281,10 @@ class TestBatchedState:
         model = CustomModel(4, 5, lin.loss, lin.gradient, lin.hessian)
         con = PRESETS["linear"].constraint()
         obs = batched_stream(200, 3, seed=10)
-        batch = EstimatorState(model, con, theta0=np.tile(con.c, (3, 1))).run_stream(obs)
+        batch = EstimatorState(model, con, theta0=np.tile(con.c, (3, 1))).run_stream([obs])
         assert batch.theta.shape == (3, 4) and batch.g_hat.shape == (3, 4, 4)
         for k in range(3):
-            single = EstimatorState(model, con).run_stream(obs[:, k])
+            single = EstimatorState(model, con).run_stream([obs[:, k]])
             for name in STREAM_ARRAYS:
                 np.testing.assert_allclose(
                     getattr(batch[k], name), getattr(single, name), rtol=1e-12, atol=1e-14
@@ -244,13 +298,13 @@ class TestBatchedState:
         stream of the batch matches its own single-stream run bit for bit."""
         obs = batched_stream(150, 3, seed=11, preset=model.family)
         free = Constraint.unconstrained(4)
-        batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream(obs)
+        batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream([obs])
         restored = EstimatorState.from_json(batch.to_json(), model)
         assert restored.t == batch.t == 150
         for name in STREAM_ARRAYS:
             np.testing.assert_array_equal(getattr(restored, name), getattr(batch, name))
         for k in range(3):
-            single = EstimatorState(model, free).run_stream(obs[:, k])
+            single = EstimatorState(model, free).run_stream([obs[:, k]])
             assert batch[k].t == single.t
             for name in STREAM_ARRAYS:
                 np.testing.assert_array_equal(getattr(batch[k], name), getattr(single, name))
@@ -260,10 +314,10 @@ class TestBatchedState:
         obs = batched_stream(20, 2, seed=12)
         record = EstimatorState(
             model, Constraint.unconstrained(4), theta0=np.zeros((2, 4))
-        ).run_stream(obs).to_record()
+        ).run_stream([obs]).to_record()
         record = {k: np.array(v) if k in STREAM_ARRAYS else v for k, v in record.items()}
         kept = {name: record[name].copy() for name in STREAM_ARRAYS}
-        EstimatorState.from_record(record, model).run_stream(obs)
+        EstimatorState.from_record(record, model).run_stream([obs])
         for name in STREAM_ARRAYS:
             np.testing.assert_array_equal(record[name], kept[name])
 
@@ -275,27 +329,28 @@ class TestBatchedState:
         state = EstimatorState(model, Constraint.unconstrained(2), theta0=np.zeros((3, 2)))
         obs = np.zeros((4, 3, 2))
         obs[2, 1, 0] = 1.0
-        with pytest.raises(NumericalError, match=r"non-finite gradient at step 3 "):
-            for z in obs:
-                state.step(z)
+        with pytest.raises(
+            NumericalError, match=r"^observation 2: non-finite gradient at step 3 "
+        ):
+            state.run_stream([obs])
         assert state.t == 2
 
 
 class TestPairedState:
     """A specification test's two sides as one ``(2, ..., p)`` state."""
 
-    def test_csv_steps_equal_two_separate_states(self):
-        """Stepping the pair on a logistic stream under ``x2 - x3 = 0`` gives
-        each side's arrays bit for bit, and ``pair[k]`` carries its side's
-        constraint."""
+    def test_csv_blocks_equal_two_separate_states(self):
+        """Advancing the pair over a logistic stream under ``x2 - x3 = 0`` (two
+        full blocks and a partial one) gives each side's arrays bit for bit,
+        and ``pair[k]`` carries its side's constraint."""
         model = LogisticModel(4)
         con = Constraint.from_equalities([[0.0, 1.0, -1.0, 0.0]], [0.0])
         free = Constraint.unconstrained(4)
-        obs = list(draw_block(PRESETS["logistic"].spec(0.0), replication_rng(3, 0, 0), 600))
-        pair = EstimatorState.paired(model, con).run_stream(obs)
+        obs = draw_block(PRESETS["logistic"].spec(0.0), replication_rng(3, 0, 0), 600)
+        pair = EstimatorState.paired(model, con).run_stream([obs])
         sides = (
-            EstimatorState(model, con).run_stream(obs),
-            EstimatorState(model, free, theta0=con.c).run_stream(obs),
+            EstimatorState(model, con).run_stream([obs]),
+            EstimatorState(model, free, theta0=con.c).run_stream([obs]),
         )
         assert pair.theta.shape == (2, 4) and pair.g_hat.shape == (2, 4, 4)
         for k, single in enumerate(sides):
@@ -305,25 +360,41 @@ class TestPairedState:
             for name in STREAM_ARRAYS:
                 np.testing.assert_array_equal(getattr(pair[k], name), getattr(single, name))
 
+    def test_one_row_blocks_match_full_blocks(self):
+        """The pair over one-row blocks and over two full blocks and a partial
+        one agrees at 1e-12, on both sides."""
+        model = LogisticModel(4)
+        con = Constraint.from_equalities([[0.0, 1.0, -1.0, 0.0]], [0.0])
+        obs = draw_block(PRESETS["logistic"].spec(0.0), replication_rng(4, 0, 0), 600)
+        whole = EstimatorState.paired(model, con).run_stream([obs])
+        one_row = EstimatorState.paired(model, con).run_stream(blocks(obs, 1))
+        assert one_row.t == whole.t == 600
+        for name in STREAM_ARRAYS:
+            np.testing.assert_allclose(
+                getattr(one_row, name), getattr(whole, name), rtol=1e-12, atol=1e-14
+            )
+
     def test_record_round_trip_is_exact(self):
         model = LinearModel(4)
         con = PRESETS["linear"].constraint()
         obs = dgp1_stream(300, seed=14)
-        pair = EstimatorState.paired(model, con).run_stream(obs[:150])
+        pair = EstimatorState.paired(model, con).run_stream([obs[:150]])
         restored = EstimatorState.from_json(pair.to_json(), model)
         assert restored.t == 150 and restored.sides is not None
         np.testing.assert_array_equal(restored[0].constraint.P, con.P)
         assert restored[1].constraint.d == 4
         for state in (pair, restored):
-            state.run_stream(obs[150:])
+            state.run_stream([obs[150:]])
         for name in STREAM_ARRAYS:
             np.testing.assert_array_equal(getattr(restored, name), getattr(pair, name))
 
     @pytest.mark.parametrize("side", [0, 1])
-    @pytest.mark.parametrize("engine", ["step", "block"])
+    @pytest.mark.parametrize("engine", ["one_row", "block", "lockstep"])
     def test_non_finite_gradient_on_either_side_stops_both(self, side, engine):
         """A gradient that goes non-finite on one side only names the step,
-        and both sides are left after the step before it."""
+        and both sides are left after the step before it, whether the stream
+        comes in one-row blocks, in one block, or as a lockstep block with a
+        replication axis."""
 
         def gradient(theta, z):
             # side 0 keeps theta1 = theta2; side 1 never does on these rows
@@ -333,13 +404,13 @@ class TestPairedState:
         model = CustomModel(2, 2, lambda t, z: 0.0, gradient, lambda t, z: np.eye(2))
         con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
         obs = np.array([[0.1, -0.2], [0.2, 0.1], [1.0, 0.0], [0.3, 0.3]])
-        before = EstimatorState.paired(model, con).run_stream(obs[:2])
-        if engine == "step":
+        before = EstimatorState.paired(model, con).run_stream([obs[:2]])
+        if engine != "lockstep":
             pair = EstimatorState.paired(model, con)
             with pytest.raises(
                 NumericalError, match=r"^observation 2: non-finite gradient at step 3 "
             ):
-                pair.run_stream(obs)
+                pair.run_stream(blocks(obs, 1 if engine == "one_row" else 4))
         else:
             pair = EstimatorState.paired(model, con, theta0=np.zeros((1, 2)))
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(

@@ -1,5 +1,8 @@
 """CSV schemas, constraint files, and the standardization passes."""
 
+import io
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,111 @@ class TestReaderParity:
         source, resolved, _, x = reordered
         obs = np.vstack(list(iter_observations(source, resolved, False)))
         assert obs.tobytes() == x.tobytes()
+
+
+def numbered_rows(n):
+    """``n`` rows of three distinct floats: row ``i`` is ``(i, 2i + 0.5, -i)``."""
+    return [[float(i), 2.0 * i + 0.5, -float(i)] for i in range(n)]
+
+
+def csv_body(rows, header="y,a,b\n"):
+    return header + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+class TestBlockReader:
+    """The reader parses 256 rows per ``np.array`` call; its blocks, errors and
+    options behave as a row-by-row parse."""
+
+    @pytest.mark.parametrize("row", [100, 550], ids=["full_block", "last_partial_block"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["1.0", "oops", "2.0"], "could not convert string to float: 'oops'"),
+            (["1.0", "2.0", "inf"], "column 'b' is not a finite number: 'inf'"),
+            (["1.0", "2.0"], "expected at least 3 columns, got 2"),
+        ],
+        ids=["unparsable", "non_finite", "short_row"],
+    )
+    @pytest.mark.parametrize("reader", ["load_observations", "feature_moments"])
+    def test_bad_row_is_named_by_line(self, tmp_path, row, bad, message, reader):
+        """Row ``row`` of 600 (line ``row + 2``) is bad, in the middle of the
+        first full block or in the last, partial one."""
+        rows = numbered_rows(600)
+        rows[row] = bad
+        source = RowSource(write_csv(tmp_path / "bad.csv", csv_body(rows)))
+        resolved = resolve_schema(source, CsvSchema())
+        read = {
+            "load_observations": lambda: list(load_observations(source, resolved, True)),
+            "feature_moments": lambda: feature_moments(source, resolved),
+        }[reader]
+        with pytest.raises(DataError) as caught:
+            read()
+        assert str(caught.value) == f"line {row + 2}: {message}"
+
+    @pytest.mark.parametrize(
+        "line5, line7, message",
+        [
+            (["1.0", "2.0", "x"], ["1.0", "2.0"], "could not convert string to float: 'x'"),
+            (["1.0", "2.0"], ["1.0", "1e999", "2.0"], "expected at least 3 columns, got 2"),
+        ],
+        ids=["bad_cell_before_short_row", "short_row_before_bad_cell"],
+    )
+    def test_first_bad_row_of_a_block_is_named(self, tmp_path, line5, line7, message):
+        """Of two bad rows in one block, the first is named, as a row-by-row
+        parse would."""
+        rows = numbered_rows(300)
+        rows[3], rows[5] = line5, line7
+        source = RowSource(write_csv(tmp_path / "bad.csv", csv_body(rows)))
+        with pytest.raises(DataError) as caught:
+            list(load_observations(source, resolve_schema(source, CsvSchema()), True))
+        assert str(caught.value) == f"line 5: {message}"
+
+    def test_blocks_hold_256_rows_and_match_the_file(self, tmp_path):
+        rows = numbered_rows(600)
+        source = RowSource(write_csv(tmp_path / "data.csv", csv_body(rows)))
+        blocks = list(load_observations(source, resolve_schema(source, CsvSchema()), True))
+        assert [len(block) for block in blocks] == [256, 256, 88]
+        assert np.concatenate(blocks).tobytes() == np.array(rows).tobytes()
+
+    def test_quoted_numeric_fields(self, tmp_path):
+        body = 'y,a,note,b\n"1.5",2.0,"x, y",\" 3.0\"\n-1,"4e-3","",5\n'
+        source = RowSource(write_csv(tmp_path / "quoted.csv", body))
+        resolved = resolve_schema(source, CsvSchema(features=("a", "b")))
+        block, = load_observations(source, resolved, True)
+        np.testing.assert_array_equal(block, [[1.5, 2.0, 3.0], [-1.0, 4e-3, 5.0]])
+
+    def test_headerless_file(self, tmp_path):
+        rows = numbered_rows(300)
+        source = RowSource(write_csv(tmp_path / "bare.csv", csv_body(rows, header="")))
+        resolved = resolve_schema(source, CsvSchema())
+        assert not resolved.has_header
+        blocks = list(load_observations(source, resolved, True))
+        assert [len(block) for block in blocks] == [256, 44]
+        assert np.concatenate(blocks).tobytes() == np.array(rows).tobytes()
+
+    def test_stdin_is_read_once_for_both_passes(self, tmp_path, monkeypatch):
+        body = csv_body(numbered_rows(300))
+        by_path = RowSource(write_csv(tmp_path / "data.csv", body))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+        stdin = RowSource("-")
+        resolved = resolve_schema(stdin, CsvSchema())
+        assert resolved == resolve_schema(by_path, CsvSchema())
+        moments = [feature_moments(source, resolved) for source in (stdin, by_path)]
+        np.testing.assert_array_equal(moments[0], moments[1])
+        read = [
+            np.concatenate(list(load_observations(source, resolved, True, *moments[0])))
+            for source in (stdin, by_path)
+        ]
+        assert read[0].tobytes() == read[1].tobytes()
+
+    def test_shuffle_permutes_the_rows_and_keeps_the_block_size(self, tmp_path):
+        rows = np.array(numbered_rows(600))
+        source = RowSource(write_csv(tmp_path / "data.csv", csv_body(rows.tolist())))
+        resolved = resolve_schema(source, CsvSchema())
+        blocks = load_observations(source, resolved, True, shuffle_seed=5)
+        assert [len(block) for block in blocks] == [256, 256, 88]
+        order = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).permutation(600)
+        assert np.concatenate(blocks).tobytes() == rows[order].tobytes()
 
 
 class TestNonFiniteCells:

@@ -16,6 +16,7 @@ from apsgd import (
     LearningRate,
     NumericalError,
     chi2_quantile,
+    efficiency_gap,
 )
 from apsgd.simulate import (
     _BLOCK,
@@ -116,8 +117,9 @@ LOCKSTEP_CASES = {
 }
 
 
-def assert_lockstep_matches_steps(kind, T):
-    """The batched engine reproduces step-by-step states at 1e-12."""
+def assert_lockstep_matches_one_row_blocks(kind, T):
+    """The lockstep's blocks of 256 rows by 3 replications reproduce each
+    replication's stream advanced in one-row blocks, at 1e-12."""
     dgp, con = LOCKSTEP_CASES[kind]
     schedule = LearningRate()
     batch_c, batch_i = replicate_streams(
@@ -125,15 +127,11 @@ def assert_lockstep_matches_steps(kind, T):
         include_unconstrained=True,
     )
     for k in range(3):
-        rng = replication_rng(17, 0, k)
-        seq_c = EstimatorState(dgp.model(), con, schedule, theta0=con.c)
+        rows = draw_block(dgp, replication_rng(17, 0, k), T)[:, None]
+        seq_c = EstimatorState(dgp.model(), con, schedule, theta0=con.c).run_stream(rows)
         seq_i = EstimatorState(
             dgp.model(), Constraint.unconstrained(con.p), schedule, theta0=con.c
-        )
-        for _ in range(T):
-            z = draw(dgp, rng)
-            seq_c.step(z)
-            seq_i.step(z)
+        ).run_stream(rows)
         for batch, seq in (
             (batch_c.theta_bar[k], seq_c.theta_bar),
             (batch_c.g_hat[k], seq_c.g_hat),
@@ -153,13 +151,13 @@ def wrapped(model):
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("kind", ["linear", "logistic", "mean"])
-    def test_lockstep_matches_sequential_estimator(self, kind):
-        assert_lockstep_matches_steps(kind, T=250)
+    def test_lockstep_matches_one_row_blocks(self, kind):
+        assert_lockstep_matches_one_row_blocks(kind, T=250)
 
     @pytest.mark.parametrize("kind", ["linear", "logistic", "mean"])
-    def test_multi_block_folds_match_sequential_estimator(self, kind):
+    def test_multi_block_folds_match_one_row_blocks(self, kind):
         """Two full blocks and a partial one, each folded at once."""
-        assert_lockstep_matches_steps(kind, T=2 * _BLOCK + 17)
+        assert_lockstep_matches_one_row_blocks(kind, T=2 * _BLOCK + 17)
 
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     @pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "free"])
@@ -295,13 +293,17 @@ class TestNonFiniteGradients:
         np.testing.assert_array_equal(state.theta, before.theta)
         np.testing.assert_array_equal(state.theta_bar, before.theta_bar)
 
-        sequential = EstimatorState(model, con, schedule, theta0=np.zeros((3, 2)))
-        for z in blocks.reshape(20, 3, 2)[:16]:
-            sequential._move(z, model._gradient)
-        np.testing.assert_allclose(moved(6).theta, sequential.theta, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(
-            moved(6).theta_bar, sequential.theta_bar, rtol=1e-12, atol=1e-15
-        )
+        # one-row blocks name the same step and move the same way
+        one_row = EstimatorState(model, con, schedule, theta0=np.zeros((3, 2)))
+
+        def move_rows(rows):
+            for z in rows:
+                one_row._move_block(z[None], path)
+
+        assert failing_step(lambda: move_rows(blocks.reshape(20, 3, 2))) == step
+        assert one_row.t == step - 1
+        np.testing.assert_allclose(one_row.theta, before.theta, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(one_row.theta_bar, before.theta_bar, rtol=1e-12, atol=1e-15)
 
     def test_lockstep_overflow_raises_without_runtime_warnings(self):
         preset = PRESETS["linear"]
@@ -316,25 +318,29 @@ class TestNonFiniteGradients:
 
 class TestNonFiniteMoments:
     @pytest.mark.parametrize("gamma,step", [(1e150, 2), (1e300, 1)])
-    def test_lockstep_and_step_name_the_same_step(self, gamma, step):
+    def test_lockstep_and_one_row_blocks_name_the_same_step(self, gamma, step):
         """An overflowing early step is reported at the row where a moment
         first goes non-finite, whether the moments are folded per row or per
-        block (where later rows of the block have already been moved)."""
+        block (where later rows of the block have already been moved); a
+        stream names the observation before that step."""
         preset = PRESETS["linear"]
         dgp = preset.spec(0.0)
         con = preset.constraint()
         schedule = LearningRate(gamma=gamma)
 
-        def sequential(k):
-            state = EstimatorState(dgp.model(), con, schedule)
-            rng = replication_rng(1, 0, k)
-            for _ in range(50):
-                state.step(draw(dgp, rng))
+        def one_row(k):
+            rows = draw_block(dgp, replication_rng(1, 0, k), 50)[:, None]
+            try:
+                EstimatorState(dgp.model(), con, schedule).run_stream(rows)
+            except NumericalError as exc:
+                index, at = re.match(r"observation (\d+): .* at step (\d+)$", str(exc)).groups()
+                assert int(index) == int(at) - 1
+                raise
 
         lockstep = failing_step(
             lambda: replicate_streams(dgp, con, schedule, T=50, replications=3, base_seed=1)
         )
-        assert lockstep == min(failing_step(lambda: sequential(k)) for k in range(3)) == step
+        assert lockstep == min(failing_step(lambda: one_row(k)) for k in range(3)) == step
 
     def test_fold_names_the_row_in_a_later_block(self):
         def hessian(theta, z):
@@ -342,14 +348,11 @@ class TestNonFiniteMoments:
 
         model = CustomModel(2, 2, lambda theta, z: 0.0, lambda theta, z: theta - z, hessian)
         state = EstimatorState(model, Constraint.unconstrained(2), theta0=np.zeros((3, 2)))
-        for z in np.zeros((20, 3, 2)):
-            state.step(z)
+        state.run_stream([np.zeros((20, 3, 2))])
         block = np.zeros((10, 3, 2))
         block[6, 2, 0] = block[8, 0, 0] = 1.0
         path = np.empty((10, 3, 2))
-        for i, z in enumerate(block):
-            state._move(z, model._gradient)
-            path[i] = state.theta_bar
+        state._move_block(block, path)
         g_hat = state.g_hat.copy()
         with pytest.raises(NumericalError, match=r"non-finite moment update at step 27$"):
             state._fold_path(path, block)
@@ -395,21 +398,26 @@ class TestEstimationError:
             assert con.value <= unc.value + slack
 
     def test_matches_gaussian_theory(self, estimation_cell):
-        """Mean |error| tracks s sqrt(2/pi) with the constrained gain on the
-        constrained coordinates only (the first coordinate is outside the
-        constraint's span, so both estimators share its error scale)."""
+        """Mean |error| tracks s sqrt(2/pi), s^2 being the diagonal of each
+        estimator's limiting covariance over T.  At theta* the linear preset
+        has G = I and S = 9 I (standard normal features, noise sd 3): the
+        unconstrained covariance is G^-1 S G^-1, and the constrained one is
+        smaller by ``efficiency_gap``, on the constrained coordinates only
+        (the first coordinate is outside the constraint's span, so both
+        estimators share its error scale)."""
         T = 50_000
         by = {(r.coordinate, r.metric): r for r in estimation_cell.rows}
+        con = PRESETS["linear"].constraint()
+        G, S = np.eye(4), 9.0 * np.eye(4)
+        uncon_cov = np.linalg.inv(G) @ S @ np.linalg.inv(G)
+        con_cov = uncon_cov - efficiency_gap(G, S, con.P, con.d)
+        np.testing.assert_allclose(np.diag(con_cov), [9.0, 6.0, 6.0, 6.0], rtol=1e-12)
         scale = np.sqrt(2.0 / np.pi)
-        expected_uncon = np.sqrt(9.0 / T) * scale
-        expected_con_free = np.sqrt(9.0 / T) * scale
-        expected_con_tied = np.sqrt(6.0 / T) * scale
         for j in range(1, 5):
-            unc = by[(f"theta{j}", "mae_unconstrained")]
-            assert abs(unc.value - expected_uncon) <= 4.0 * unc.mc_stderr
-            con = by[(f"theta{j}", "mae_constrained")]
-            expected = expected_con_free if j == 1 else expected_con_tied
-            assert abs(con.value - expected) <= 4.0 * con.mc_stderr
+            for cov, metric in ((uncon_cov, "mae_unconstrained"), (con_cov, "mae_constrained")):
+                row = by[(f"theta{j}", metric)]
+                expected = np.sqrt(cov[j - 1, j - 1] / T) * scale
+                assert abs(row.value - expected) <= 4.0 * row.mc_stderr
 
     def test_noise_scale_sanity(self):
         """Shrinking the noise by orders of magnitude shrinks the error likewise.
