@@ -132,7 +132,9 @@ def confidence_interval(state, g, grad_g, alpha: float = 0.05) -> tuple[float, f
 
     ``g`` and ``grad_g`` are callables evaluated at the running average; the
     half-width is ``z_{alpha/2} * sqrt(grad' V grad / T)`` with ``V`` the
-    plug-in covariance.
+    plug-in covariance.  Since ``V = P V P``, only ``P grad`` enters the
+    quadratic form, so a functional along a constraint row gets a zero
+    width rather than the rounding residual of ``B V B'``.
     """
     center = float(g(state.theta_bar))
     grad = np.asarray(grad_g(state.theta_bar), dtype=float)
@@ -141,6 +143,7 @@ def confidence_interval(state, g, grad_g, alpha: float = 0.05) -> tuple[float, f
             f"functional gradient has shape {grad.shape}, "
             f"expected ({state.model.param_dim},)"
         )
+    grad = state.constraint.P @ grad
     cov = asymptotic_covariance(state)
     half = normal_quantile(alpha / 2.0) * np.sqrt(
         _quadratic_variance(grad, cov, state.t)

@@ -2,7 +2,7 @@
 
 Data files are consumed as streams of blocks; nothing here materialises a
 dataset unless the caller explicitly asks for shuffling.  One reader serves
-every pass: the selected cells of up to ``_BLOCK`` rows are parsed at once
+every pass: the selected cells of up to ``_READ_ROWS`` rows are parsed at once
 into a float block, the response (if the schema has one) and then the
 features.  Standardization is a two-pass affair by design: one pass over the
 file for feature means and sample standard deviations, a second streaming
@@ -21,13 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _BLOCK
 from .exceptions import DataError
 from .linalg import Constraint
 
 #: Features whose sample standard deviation falls below this (relative to
 #: their mean's magnitude) are rejected as constant.
 _CONSTANT_TOL = 1e-12
+
+#: Data rows parsed into one float block (the estimator's block size).
+_READ_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
 
 def _data_blocks(source: RowSource, resolved: ResolvedSchema):
     """Yield the data rows (header and empty lines skipped) as float blocks of
-    at most ``_BLOCK`` rows: the response cell, if the schema has one, then
+    at most ``_READ_ROWS`` rows: the response cell, if the schema has one, then
     the features.  A block with a bad cell or a short row raises the
     ``DataError`` that a row-by-row parse would raise first, naming its line
     (and column), before any of its rows is yielded."""
@@ -208,7 +210,7 @@ def _data_blocks(source: RowSource, resolved: ResolvedSchema):
             raise DataError(f"line {lineno}: expected at least {width} columns, got {len(row)}")
         lines.append(lineno)
         cells.append(pick(row))
-        if len(cells) == _BLOCK:
+        if len(cells) == _READ_ROWS:
             yield _parse_block(lines, cells, columns, resolved)
             lines, cells = [], []
     if cells:
@@ -281,13 +283,13 @@ def load_observations(
     sds: np.ndarray | None = None,
     shuffle_seed: int | None = None,
 ):
-    """Blocks of at most ``_BLOCK`` observations: rows ``(y, x...)``, or just
-    ``x`` for location fits.
+    """Blocks of observations: rows ``(y, x...)``, or just ``x`` for location
+    fits, at most ``_READ_ROWS`` to a block unless shuffled.
 
     When ``means``/``sds`` are given the features are standardized on the
     fly; the response is passed through untouched.  ``shuffle_seed``
-    materialises the rows and permutes them with
-    ``PCG64(SeedSequence(shuffle_seed))`` before cutting the same blocks.
+    materialises the rows and returns them, permuted with
+    ``PCG64(SeedSequence(shuffle_seed))``, as a single block.
     """
     if needs_response and resolved.response_index is None:
         raise DataError("model needs a response column but the schema says response=none")
@@ -303,16 +305,12 @@ def load_observations(
 
     if shuffle_seed is None:
         return blocks()
-    rows = [row for block in blocks() for row in block]
+    read = list(blocks())
+    if not read:
+        return []
+    rows = np.concatenate(read)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(shuffle_seed)))
-    rows = np.array([rows[i] for i in rng.permutation(len(rows))])
-    return [rows[lo : lo + _BLOCK] for lo in range(0, len(rows), _BLOCK)]
-
-
-def iter_observations(source, resolved, needs_response, means=None, sds=None):
-    """``load_observations`` one observation vector at a time."""
-    for block in load_observations(source, resolved, needs_response, means, sds):
-        yield from block
+    return [rows[rng.permutation(len(rows))]]
 
 
 # -- constraint files ---------------------------------------------------------------

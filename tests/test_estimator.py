@@ -188,7 +188,7 @@ class TestFeasibilityAlongPath:
         state = EstimatorState(LinearModel(4), con)
         worst_iterate = 0.0
         worst_average = 0.0
-        for block in blocks(dgp1_stream(20_000, seed=4), 8):
+        for block in blocks(dgp1_stream(20_000, seed=4), 1):
             state.run_stream([block])
             worst_iterate = max(worst_iterate, con.violation(state.theta))
             worst_average = max(worst_average, con.violation(state.theta_bar))

@@ -11,7 +11,6 @@ from apsgd.ingest import (
     CsvSchema,
     RowSource,
     feature_moments,
-    iter_observations,
     load_constraint,
     load_observations,
     parse_constraint_text,
@@ -23,6 +22,11 @@ from apsgd.ingest import (
 def write_csv(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def observations(*args, **kwargs):
+    """Every row of the blocks ``load_observations`` yields, in order."""
+    return [z for block in load_observations(*args, **kwargs) for z in block]
 
 
 @pytest.fixture
@@ -91,7 +95,7 @@ class TestResolve:
 class TestObservationStream:
     def test_regression_layout(self, small_csv):
         resolved = resolve_schema(RowSource(small_csv), CsvSchema())
-        obs = list(iter_observations(RowSource(small_csv), resolved, True))
+        obs = observations(RowSource(small_csv), resolved, True)
         np.testing.assert_allclose(obs[0], [1.0, 2.0, 3.0])
         assert len(obs) == 3
 
@@ -99,13 +103,13 @@ class TestObservationStream:
         path = write_csv(tmp_path / "bad.csv", "y,a\n1.0,2.0\n1.0,oops\n")
         resolved = resolve_schema(RowSource(path), CsvSchema())
         with pytest.raises(DataError, match="line 3"):
-            list(iter_observations(RowSource(path), resolved, True))
+            observations(RowSource(path), resolved, True)
 
     def test_short_row_reports_line(self, tmp_path):
         path = write_csv(tmp_path / "short.csv", "y,a,b\n1.0,2.0,3.0\n1.0,2.0\n")
         resolved = resolve_schema(RowSource(path), CsvSchema())
         with pytest.raises(DataError, match="line 3"):
-            list(iter_observations(RowSource(path), resolved, True))
+            observations(RowSource(path), resolved, True)
 
     def test_regression_model_needs_a_response_column(self, small_csv):
         resolved = resolve_schema(RowSource(small_csv), CsvSchema(response=None))
@@ -113,7 +117,7 @@ class TestObservationStream:
             DataError,
             match="^model needs a response column but the schema says response=none$",
         ):
-            next(iter_observations(RowSource(small_csv), resolved, True))
+            load_observations(RowSource(small_csv), resolved, True)
 
     def test_shuffle_is_reproducible(self, small_csv):
         resolved = resolve_schema(RowSource(small_csv), CsvSchema())
@@ -140,18 +144,18 @@ class TestReaderParity:
 
     def test_raw_observations(self, reordered):
         source, resolved, y, x = reordered
-        obs = np.vstack(list(iter_observations(source, resolved, True)))
+        obs = np.vstack(observations(source, resolved, True))
         assert obs.tobytes() == np.column_stack([y, x]).tobytes()
 
     def test_standardized_features_and_untouched_response(self, reordered):
         source, resolved, y, x = reordered
         means, sds = feature_moments(source, resolved)
-        obs = np.vstack(list(iter_observations(source, resolved, True, means, sds)))
+        obs = np.vstack(observations(source, resolved, True, means, sds))
         assert obs.tobytes() == np.column_stack([y, (x - means) / sds]).tobytes()
 
     def test_location_fit_yields_the_features_only(self, reordered):
         source, resolved, _, x = reordered
-        obs = np.vstack(list(iter_observations(source, resolved, False)))
+        obs = np.vstack(observations(source, resolved, False))
         assert obs.tobytes() == x.tobytes()
 
 
@@ -250,12 +254,13 @@ class TestBlockReader:
         ]
         assert read[0].tobytes() == read[1].tobytes()
 
-    def test_shuffle_permutes_the_rows_and_keeps_the_block_size(self, tmp_path):
+    def test_shuffle_permutes_the_rows_into_one_block(self, tmp_path):
+        """The estimator cuts the permuted rows into its own blocks."""
         rows = np.array(numbered_rows(600))
         source = RowSource(write_csv(tmp_path / "data.csv", csv_body(rows.tolist())))
         resolved = resolve_schema(source, CsvSchema())
         blocks = load_observations(source, resolved, True, shuffle_seed=5)
-        assert [len(block) for block in blocks] == [256, 256, 88]
+        assert [block.shape for block in blocks] == [(600, 3)]
         order = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).permutation(600)
         assert np.concatenate(blocks).tobytes() == rows[order].tobytes()
 
@@ -266,7 +271,7 @@ class TestNonFiniteCells:
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "NaN"])
     @pytest.mark.parametrize("columns", ["y", "b", "yb"])
-    @pytest.mark.parametrize("reader", ["iter_observations", "feature_moments"])
+    @pytest.mark.parametrize("reader", ["load_observations", "feature_moments"])
     def test_cell_raises_data_error_naming_line_and_column(self, tmp_path, cell, columns, reader):
         """With two bad cells the first in parse order (response, then
         features) is named."""
@@ -277,7 +282,7 @@ class TestNonFiniteCells:
         source = RowSource(write_csv(tmp_path / "bad.csv", body))
         resolved = resolve_schema(source, CsvSchema())
         read = {
-            "iter_observations": lambda: list(iter_observations(source, resolved, True)),
+            "load_observations": lambda: observations(source, resolved, True),
             "feature_moments": lambda: feature_moments(source, resolved),
         }[reader]
         message = rf"^line 3: column '{columns[0]}' is not a finite number: '{cell}'$"
@@ -323,7 +328,7 @@ class TestStandardization:
         means, sds = feature_moments(RowSource(path), resolved)
         assert abs(means[0]) <= 1e-12
         assert sds[0] == pytest.approx(1.0, abs=1e-12)
-        obs = list(iter_observations(RowSource(path), resolved, True, means, sds))
+        obs = observations(RowSource(path), resolved, True, means, sds)
         np.testing.assert_allclose(np.vstack(obs)[:, 1], x, atol=1e-10)
 
 

@@ -18,7 +18,7 @@ from apsgd import ApsgdError, Constraint, DataError
 from apsgd.ingest import (
     CsvSchema,
     RowSource,
-    iter_observations,
+    load_observations,
     parse_constraint_text,
     parse_schema,
     resolve_schema,
@@ -89,7 +89,9 @@ def test_csv_rows_parse_or_raise_data_error(schema_text, rows, needs_response):
         source = RowSource(path)
         try:
             resolved = resolve_schema(source, parse_schema(schema_text))
-            observations = list(iter_observations(source, resolved, needs_response))
+            observations = [
+                z for block in load_observations(source, resolved, needs_response) for z in block
+            ]
         except DataError:
             return
     width = len(resolved.feature_indices) + needs_response
@@ -105,6 +107,6 @@ def test_undecodable_bytes_raise_data_error(data):
             handle.write(b"y,a\n1,2\n" + data)
         source = RowSource(path)
         try:
-            list(iter_observations(source, resolve_schema(source, CsvSchema()), True))
+            list(load_observations(source, resolve_schema(source, CsvSchema()), True))
         except DataError:
             pass
