@@ -55,7 +55,6 @@ from .simulate import (
     DgpSpec,
     ExperimentConfig,
     ExperimentResult,
-    draw,
     draw_block,
     full_scale,
     load_config,
@@ -101,7 +100,6 @@ __all__ = [
     "chi2_quantile",
     "confidence_interval",
     "coordinate_report",
-    "draw",
     "draw_block",
     "efficiency_gap",
     "full_scale",

@@ -8,6 +8,7 @@ configuration error, 3 constraint rejected.  Only diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import replace
@@ -67,7 +68,8 @@ def _add_data_options(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--standardize", action="store_true",
-        help="two-pass feature standardization (response untouched)",
+        help="standardize the features (response untouched); the first pass "
+        "parses the file and the stream replays its parsed blocks",
     )
     sub.add_argument(
         "--shuffle-seed", type=int, default=None,
@@ -116,8 +118,13 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([fmt(headers)] + [fmt(r) for r in rows])
 
 
+@contextlib.contextmanager
 def _prepare_stream(args):
-    """Shared ingestion: returns (model, constraint, schedule, names, blocks)."""
+    """Shared ingestion: yields (model, constraint, schedule, names, blocks).
+
+    With ``--standardize`` the blocks are replayed from the standardization
+    pass's spill file, which is closed when the caller's ``with`` exits.
+    """
     schema = ingest.parse_schema(args.schema)
     source = ingest.RowSource(args.data)
     resolved = ingest.resolve_schema(source, schema)
@@ -129,14 +136,13 @@ def _prepare_stream(args):
         constraint = Constraint.unconstrained(p)
     else:
         constraint = ingest.load_constraint(args.constraint, resolved.feature_names)
-    means = sds = None
-    if args.standardize:
-        means, sds = ingest.feature_moments(source, resolved)
-    blocks = ingest.load_observations(
-        source, resolved, needs_response, means, sds, shuffle_seed=args.shuffle_seed
-    )
-    schedule = LearningRate(gamma=args.gamma, rho=args.rho)
-    return model, constraint, schedule, resolved.feature_names, blocks
+    moments = ingest.feature_moments(source, resolved) if args.standardize else None
+    with moments or contextlib.nullcontext():
+        blocks = ingest.load_observations(
+            source, resolved, needs_response, moments, shuffle_seed=args.shuffle_seed
+        )
+        schedule = LearningRate(gamma=args.gamma, rho=args.rho)
+        yield model, constraint, schedule, resolved.feature_names, blocks
 
 
 def _print_report(report: InferenceReport) -> None:
@@ -158,8 +164,8 @@ def _report_csv_text(report: InferenceReport) -> str:
 
 
 def cmd_estimate(args) -> int:
-    model, constraint, schedule, names, blocks = _prepare_stream(args)
-    state = EstimatorState(model, constraint, schedule).run_stream(blocks)
+    with _prepare_stream(args) as (model, constraint, schedule, names, blocks):
+        state = EstimatorState(model, constraint, schedule).run_stream(blocks)
     report = coordinate_report(state, alpha=args.alpha, names=list(names))
     _print_report(report)
     if args.output:
@@ -175,8 +181,8 @@ def cmd_spec_test(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    model, constraint, schedule, _, blocks = _prepare_stream(args)
-    result = specification_test(blocks, model, constraint, schedule=schedule, alpha=args.alpha)
+    with _prepare_stream(args) as (model, constraint, schedule, _, blocks):
+        result = specification_test(blocks, model, constraint, schedule=schedule, alpha=args.alpha)
     decision = "reject" if result.reject else "fail to reject"
     print(f"kappa = {result.kappa:.6f}")
     print(f"df = {result.df}")

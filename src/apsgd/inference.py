@@ -27,7 +27,14 @@ from .exceptions import (
     NumericalError,
     RankDeficiencyError,
 )
-from .linalg import EIGEN_FLOOR, Constraint, _raise_first, pinv_truncated, symmetric_eigen
+from .linalg import (
+    EIGEN_FLOOR,
+    RANK_THRESHOLD,
+    Constraint,
+    _raise_first,
+    pinv_truncated,
+    symmetric_eigen,
+)
 
 #: Relative eigenvalue guard under which the unconstrained stream's curvature
 #: average is declared numerically singular (it is inverted as a full-rank
@@ -159,7 +166,10 @@ def coordinate_report(
     Standard errors are ``sqrt(V_jj / T)``; p-values are two-sided normal.
     Coordinates pinned by the constraint have zero variance in every feasible
     direction, so their standard error is 0 and the p-value is reported as
-    NaN rather than a 0/0 artifact.
+    NaN rather than a 0/0 artifact.  A coordinate is pinned when its column
+    of ``P`` has norm at most ``RANK_THRESHOLD``: a combination of rows can
+    pin it while leaving rounding entries of about 1e-17 in ``P``, whose
+    variance is zeroed rather than reported as a standard error of 1e-19.
     """
     p = state.model.param_dim
     if names is None:
@@ -168,6 +178,8 @@ def coordinate_report(
         raise DimensionError(f"got {len(names)} names for {p} coordinates")
     cov = asymptotic_covariance(state)
     var = np.diagonal(cov, axis1=-2, axis2=-1) / state.t
+    pinned = np.linalg.norm(state.constraint.P, axis=0) <= RANK_THRESHOLD
+    var = np.where(pinned, 0.0, var)
     negative = var < -_VARIANCE_CLAMP
     _raise_first(
         negative.any(axis=-1), NumericalError,

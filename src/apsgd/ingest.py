@@ -4,20 +4,24 @@ Data files are consumed as streams of blocks; nothing here materialises a
 dataset unless the caller explicitly asks for shuffling.  One reader serves
 every pass: the selected cells of up to ``_READ_ROWS`` rows are parsed at once
 into a float block, the response (if the schema has one) and then the
-features.  Standardization is a two-pass affair by design: one pass over the
-file for feature means and sample standard deviations, a second streaming
-pass that applies the affine transform in place (the response is never
-touched).
+features.  Standardization is a two-pass affair by design, but the text is
+parsed once: the first pass computes the feature means and sample standard
+deviations and spills every parsed block to an unlinked temporary file, and
+the second, streaming pass replays those blocks and applies the affine
+transform in place (the response is never touched).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import operator
 import re
 import sys
+import tempfile
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -243,51 +247,89 @@ def _parse_block(lines, cells, columns, resolved: ResolvedSchema) -> np.ndarray:
     return np.array(values)
 
 
-def feature_moments(source: RowSource, resolved: ResolvedSchema) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class FeatureMoments:
+    """Feature means and sample standard deviations from a first pass over a
+    file, with the float blocks that pass parsed.
+
+    ``spill`` is an unlinked temporary file holding those blocks, appended
+    in order with ``ndarray.tofile``, from which ``load_observations``
+    replays them instead of parsing the text again.  Use the moments as a
+    context manager, or call ``close``, to free it.
+    """
+
+    mean: np.ndarray
+    sd: np.ndarray
+    spill: BinaryIO
+
+    def close(self) -> None:
+        self.spill.close()
+
+    def __enter__(self) -> "FeatureMoments":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _replay(self, width: int):
+        """The spilled blocks in order, each read back as a new ``(n, width)`` array."""
+        self.spill.seek(0)
+        while (block := np.fromfile(self.spill, count=_READ_ROWS * width)).size:
+            yield block.reshape(-1, width)
+
+
+def feature_moments(source: RowSource, resolved: ResolvedSchema) -> FeatureMoments:
     """First pass: feature means and sample standard deviations (n-1).
 
     Each block's mean and sum of squared deviations are merged into the
     running ones (Chan, Golub & LeVeque 1979), so one block lives in memory
-    at a time.  Constant columns are rejected by name.
+    at a time, and each parsed block is spilled for ``load_observations`` to
+    replay.  Constant columns are rejected by name.  The spill file is
+    closed when this raises; otherwise the caller closes the result.
     """
     k = len(resolved.feature_indices)
     lead = int(resolved.response_index is not None)
     count, mean, m2 = 0, np.zeros(k), np.zeros(k)
-    for block in _data_blocks(source, resolved):
-        feats = block[:, lead:]
-        n, block_mean = len(feats), feats.mean(0)
-        delta = block_mean - mean
-        mean += delta * (n / (count + n))
-        m2 += np.square(feats - block_mean).sum(0) + delta * delta * (count * n / (count + n))
-        count += n
-    if count < 2:
-        raise DataError(f"{source.path}: need at least 2 data rows, got {count}")
-    sd = np.sqrt(m2 / (count - 1))
-    overflow = np.flatnonzero(~np.isfinite(sd))
-    if overflow.size:
-        names = [resolved.feature_names[i] for i in overflow]
-        raise DataError(f"feature column(s) too large to standardize: {names}")
-    floor = _CONSTANT_TOL * np.maximum(1.0, np.abs(mean))
-    constant = np.flatnonzero(sd <= floor)
-    if constant.size:
-        names = [resolved.feature_names[i] for i in constant]
-        raise DataError(f"constant feature column(s) cannot be standardized: {names}")
-    return mean, sd
+    with contextlib.ExitStack() as on_error:
+        spill = on_error.enter_context(tempfile.TemporaryFile())
+        for block in _data_blocks(source, resolved):
+            block.tofile(spill)
+            feats = block[:, lead:]
+            n, block_mean = len(feats), feats.mean(0)
+            delta = block_mean - mean
+            mean += delta * (n / (count + n))
+            m2 += np.square(feats - block_mean).sum(0) + delta * delta * (count * n / (count + n))
+            count += n
+        if count < 2:
+            raise DataError(f"{source.path}: need at least 2 data rows, got {count}")
+        sd = np.sqrt(m2 / (count - 1))
+        overflow = np.flatnonzero(~np.isfinite(sd))
+        if overflow.size:
+            names = [resolved.feature_names[i] for i in overflow]
+            raise DataError(f"feature column(s) too large to standardize: {names}")
+        floor = _CONSTANT_TOL * np.maximum(1.0, np.abs(mean))
+        constant = np.flatnonzero(sd <= floor)
+        if constant.size:
+            names = [resolved.feature_names[i] for i in constant]
+            raise DataError(f"constant feature column(s) cannot be standardized: {names}")
+        on_error.pop_all()
+    return FeatureMoments(mean, sd, spill)
 
 
 def load_observations(
     source: RowSource,
     resolved: ResolvedSchema,
     needs_response: bool,
-    means: np.ndarray | None = None,
-    sds: np.ndarray | None = None,
+    moments: FeatureMoments | None = None,
     shuffle_seed: int | None = None,
 ):
     """Blocks of observations: rows ``(y, x...)``, or just ``x`` for location
     fits, at most ``_READ_ROWS`` to a block unless shuffled.
 
-    When ``means``/``sds`` are given the features are standardized on the
-    fly; the response is passed through untouched.  ``shuffle_seed``
+    Without ``moments`` the blocks are parsed from ``source``.  With the
+    ``moments`` of ``feature_moments`` they are the blocks that pass parsed,
+    replayed from its spill file, and their features are standardized in
+    place; the response is passed through untouched.  ``shuffle_seed``
     materialises the rows and returns them, permuted with
     ``PCG64(SeedSequence(shuffle_seed))``, as a single block.
     """
@@ -296,11 +338,15 @@ def load_observations(
     lead = int(resolved.response_index is not None)
 
     def blocks():
-        for block in _data_blocks(source, resolved):
-            if means is not None:
+        if moments is None:
+            read = _data_blocks(source, resolved)
+        else:
+            read = moments._replay(lead + len(resolved.feature_indices))
+        for block in read:
+            if moments is not None:
                 feats = block[:, lead:]
-                feats -= means
-                feats /= sds
+                feats -= moments.mean
+                feats /= moments.sd
             yield block if needs_response else block[:, lead:]
 
     if shuffle_seed is None:

@@ -163,14 +163,13 @@ class _GlmModel(LossModel):
         y, x = z[..., 0], z[..., 1:]
         return self._weight(y, np.vecdot(x, theta))[..., None] * x
 
-    def _walk(self, theta, block, P, steps, path, weight=None) -> None:
+    def _walk(self, theta, block, P, steps, path) -> None:
         """``LossModel._walk`` for a gradient ``w x``: the step ``steps[i] * g P``
         is ``w`` times the direction ``steps[i] * x_i P``, which does not
         depend on ``theta``.  The block's directions are written into
         ``path`` first; row ``i`` then reads its direction from ``path[i]``
-        and overwrites it with the iterate, so no other buffer is needed.
-        ``weight`` replaces ``_weight`` as the function of ``(y, x @ theta)``."""
-        weight = weight or self._weight
+        and overwrites it with the iterate, so no other buffer is needed."""
+        weight = self._weight
         y, x = block[..., 0], block[..., 1:]
         directions = x if P is None else np.matmul(x, P, out=path)
         np.multiply(directions, steps.reshape((-1,) + (1,) * (path.ndim - 1)), out=path)
@@ -230,9 +229,24 @@ class LogisticModel(_GlmModel):
         return -y * expit(-(y * margin))
 
     def _walk(self, theta, block, P, steps, path) -> None:
-        # y = +-1, so the rows (1, y x) are exact and the gradient is -expit(-(y x) @ theta) y x
-        signed = block * block[..., :1]
-        _GlmModel._walk(self, theta, signed, P, steps, path, lambda y, margin: -expit(-margin))
+        """``_GlmModel._walk`` with the label folded into the features: the
+        gradient is ``-s y x`` with ``s = expit(-(y x) @ theta)``.
+
+        ``y = +-1``, so ``u = -y x`` is exact, ``s = expit(u @ theta)`` and the
+        direction ``steps[i] * (y x_i) P`` is ``-steps[i] * u_i P`` bit for
+        bit.  Each row then costs four ufunc calls into preallocated buffers
+        and builds no temporary.
+        """
+        u = block[..., 1:] * -block[..., :1]
+        directions = u if P is None else np.matmul(u, P, out=path)
+        np.multiply(directions, -steps.reshape((-1,) + (1,) * (path.ndim - 1)), out=path)
+        s = np.empty(np.broadcast_shapes(u.shape[1:-1], theta.shape[:-1]))
+        s_col = s[..., None]
+        for u_i, row in zip(u, path):
+            np.vecdot(u_i, theta, out=s)
+            expit(s, out=s)
+            np.multiply(s_col, row, out=row)
+            theta = np.add(theta, row, out=row)
 
     def _hessian(self, theta, z):
         y, x = z[..., 0], z[..., 1:]

@@ -162,11 +162,6 @@ def draw_block(dgp: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     return _draw_replications(dgp, [rng], words, np.empty((n, 1, dgp.obs_dim)))[:, 0]
 
 
-def draw(dgp: DgpSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single observation (see ``draw_block`` for the stream layout)."""
-    return draw_block(dgp, rng, 1)[0]
-
-
 @dataclass(frozen=True)
 class DgpPreset:
     """A named DGP plus the equality constraint its experiments test.

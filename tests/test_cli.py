@@ -3,13 +3,14 @@
 import io
 import re
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 
-from apsgd import LearningRate
-from apsgd.cli import EXIT_DATA, EXIT_OK, build_parser, main
+from apsgd import LearningRate, ingest
+from apsgd.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, build_parser, main
 from apsgd.simulate import PRESETS, draw_block, parse_config_text, replication_rng, run_experiment
 
 
@@ -78,7 +79,7 @@ def linear_csv(rows: int = 300) -> str:
 )
 def test_stdin_matches_the_same_file_by_path(tmp_path, capsys, monkeypatch, argv):
     """``-`` reads the CSV from standard input, which is buffered once so
-    that shuffling and two-pass standardization can re-read it; both
+    that the schema's first row and the data can both be read; both
     commands print the same bytes and write the same report as from the
     file's path."""
     text = linear_csv()
@@ -149,3 +150,60 @@ def test_simulate_reports_each_cell_on_stderr_only(tmp_path, capsys):
         for line, cell in zip(err, cells):
             assert re.fullmatch(rf"cell {cell}: \d+\.\d{{3}}s, \d+\.\d ns per step\*rep", line)
         assert re.fullmatch(r"wall clock: \d+\.\ds", err[-1])
+
+
+@pytest.mark.parametrize(
+    "options, bad_cell, expected",
+    [
+        (["estimate", "--model", "linear"], False, EXIT_OK),
+        (["estimate", "--model", "linear", "--shuffle-seed", "3"], False, EXIT_OK),
+        (["spec-test", "--model", "linear"], False, EXIT_REJECT),
+        (["estimate", "--model", "linear"], True, EXIT_DATA),
+        (["estimate", "--model", "linear", "--schema", "response=none"], False, EXIT_DATA),
+        (["spec-test", "--model", "logistic"], False, EXIT_DATA),
+    ],
+    ids=["estimate", "shuffled", "spec_test", "bad_cell", "no_response", "bad_label"],
+)
+def test_standardize_closes_its_one_spill_file(tmp_path, capsys, monkeypatch, options, bad_cell, expected):
+    """``--standardize`` opens one spill file and closes it on success and on
+    an error in the first pass, between the passes and in the stream (a
+    logistic label that is not +-1)."""
+    text = linear_csv()
+    if bad_cell:
+        text = text.replace("\n", "\nnan,1,2,3\n", 1)
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    constraint = tmp_path / "constraint.txt"
+    constraint.write_text("x2 - x3 = 0\n", encoding="utf-8")
+    spills = []
+
+    def temporary_file(make=tempfile.TemporaryFile):
+        spills.append(make())
+        return spills[-1]
+
+    monkeypatch.setattr(ingest.tempfile, "TemporaryFile", temporary_file)
+    command, *rest = options
+    argv = [command, str(path), "--standardize", "--constraint", str(constraint), *rest]
+    code, _ = run(argv, capsys)
+    assert code == expected
+    assert len(spills) == 1 and spills[0].closed
+
+
+def test_coordinate_pinned_by_a_combination_has_no_p_value(tmp_path, capsys):
+    """``x1 - x2 = 0`` and ``x1 + x2 = 0`` pin both coordinates: standard
+    error 0 and no p-value or significance marker, although rounding leaves
+    entries of about 1e-17 in their columns of the projection."""
+    path = tmp_path / "data.csv"
+    path.write_text(linear_csv(), encoding="utf-8")
+    constraint = tmp_path / "constraint.txt"
+    constraint.write_text("x1 - x2 = 0\nx1 + x2 = 0\n", encoding="utf-8")
+    report = tmp_path / "report.csv"
+    argv = ["estimate", str(path), "--model", "linear", "--constraint", str(constraint)]
+    assert main(argv + ["--output", str(report)]) == EXIT_OK
+    table = capsys.readouterr().out.splitlines()
+    for name in ("x1", "x2"):
+        line = next(line for line in table if line.startswith(name))
+        assert line.split()[2:] == ["0.0000", "--"]
+    rows = report.read_text(encoding="utf-8").splitlines()[1:3]
+    assert [row.split(",")[2] for row in rows] == ["0.0", "0.0"]
+    assert [row.split(",")[5] for row in rows] == ["nan", "nan"]

@@ -149,9 +149,9 @@ class TestReaderParity:
 
     def test_standardized_features_and_untouched_response(self, reordered):
         source, resolved, y, x = reordered
-        means, sds = feature_moments(source, resolved)
-        obs = np.vstack(observations(source, resolved, True, means, sds))
-        assert obs.tobytes() == np.column_stack([y, (x - means) / sds]).tobytes()
+        with feature_moments(source, resolved) as moments:
+            obs = np.vstack(observations(source, resolved, True, moments))
+        assert obs.tobytes() == np.column_stack([y, (x - moments.mean) / moments.sd]).tobytes()
 
     def test_location_fit_yields_the_features_only(self, reordered):
         source, resolved, _, x = reordered
@@ -247,12 +247,16 @@ class TestBlockReader:
         resolved = resolve_schema(stdin, CsvSchema())
         assert resolved == resolve_schema(by_path, CsvSchema())
         moments = [feature_moments(source, resolved) for source in (stdin, by_path)]
-        np.testing.assert_array_equal(moments[0], moments[1])
-        read = [
-            np.concatenate(list(load_observations(source, resolved, True, *moments[0])))
-            for source in (stdin, by_path)
-        ]
+        with moments[0], moments[1]:
+            np.testing.assert_array_equal(moments[0].mean, moments[1].mean)
+            np.testing.assert_array_equal(moments[0].sd, moments[1].sd)
+            read = [
+                np.concatenate(list(load_observations(source, resolved, True, m)))
+                for source, m in zip((stdin, by_path), moments)
+            ]
         assert read[0].tobytes() == read[1].tobytes()
+        raw = [np.concatenate(list(load_observations(s, resolved, True))) for s in (stdin, by_path)]
+        assert raw[0].tobytes() == raw[1].tobytes()
 
     def test_shuffle_permutes_the_rows_into_one_block(self, tmp_path):
         """The estimator cuts the permuted rows into its own blocks."""
@@ -263,6 +267,44 @@ class TestBlockReader:
         assert [block.shape for block in blocks] == [(600, 3)]
         order = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5))).permutation(600)
         assert np.concatenate(blocks).tobytes() == rows[order].tobytes()
+
+
+class TestReplay:
+    """Standardization parses the file once: the stream replays the blocks
+    that ``feature_moments`` parsed, bit for bit the blocks a second parse
+    would give, standardized in place."""
+
+    @pytest.mark.parametrize("case", ["partial_last_block", "response_none", "stdin"])
+    def test_replayed_blocks_equal_reparsed_ones(self, tmp_path, monkeypatch, case):
+        body = csv_body(numbered_rows(600))
+        source = RowSource(write_csv(tmp_path / "data.csv", body))
+        schema, needs_response = CsvSchema(), True
+        if case == "response_none":
+            schema, needs_response = CsvSchema(response=None), False
+        elif case == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+            source = RowSource("-")
+        resolved = resolve_schema(source, schema)
+        reparsed = list(load_observations(source, resolved, needs_response))
+        with feature_moments(source, resolved) as moments:
+            replayed = list(load_observations(source, resolved, needs_response, moments))
+        for block in reparsed:
+            feats = block[:, int(needs_response):]
+            feats -= moments.mean
+            feats /= moments.sd
+        assert [len(block) for block in replayed] == [256, 256, 88]
+        assert [block.tobytes() for block in replayed] == [block.tobytes() for block in reparsed]
+
+    def test_the_stream_pass_does_not_read_the_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        source = RowSource(write_csv(path, csv_body(numbered_rows(300))))
+        resolved = resolve_schema(source, CsvSchema())
+        with feature_moments(source, resolved) as moments:
+            path.unlink()
+            shuffled = load_observations(source, resolved, True, moments, shuffle_seed=2)
+            assert [block.shape for block in shuffled] == [(300, 3)]
+            assert sum(len(block) for block in load_observations(source, resolved, True, moments)) == 300
+        assert moments.spill.closed
 
 
 class TestNonFiniteCells:
@@ -307,7 +349,8 @@ class TestStandardization:
         resolved = resolve_schema(
             RowSource(path), CsvSchema(response="y", features=("x",))
         )
-        means, sds = feature_moments(RowSource(path), resolved)
+        with feature_moments(RowSource(path), resolved) as moments:
+            means, sds = moments.mean, moments.sd
         assert means[0] == pytest.approx(1.0, abs=1e-12)
         assert sds[0] == pytest.approx(np.sqrt(n / (n - 1.0)), rel=1e-12)
         assert sds[0] == pytest.approx(1.000011, abs=1e-6)
@@ -325,10 +368,10 @@ class TestStandardization:
         body = "\n".join(f"0,{float(v)!r}" for v in x)
         path = write_csv(tmp_path / "std.csv", "y,x\n" + body + "\n")
         resolved = resolve_schema(RowSource(path), CsvSchema())
-        means, sds = feature_moments(RowSource(path), resolved)
-        assert abs(means[0]) <= 1e-12
-        assert sds[0] == pytest.approx(1.0, abs=1e-12)
-        obs = observations(RowSource(path), resolved, True, means, sds)
+        with feature_moments(RowSource(path), resolved) as moments:
+            assert abs(moments.mean[0]) <= 1e-12
+            assert moments.sd[0] == pytest.approx(1.0, abs=1e-12)
+            obs = observations(RowSource(path), resolved, True, moments)
         np.testing.assert_allclose(np.vstack(obs)[:, 1], x, atol=1e-10)
 
 

@@ -17,6 +17,7 @@ from apsgd import (
     NumericalError,
     chi2_quantile,
     efficiency_gap,
+    local_power,
 )
 from apsgd.simulate import (
     _BLOCK,
@@ -24,7 +25,6 @@ from apsgd.simulate import (
     PRESETS,
     DgpSpec,
     ExperimentConfig,
-    draw,
     draw_block,
     full_scale,
     parse_config_text,
@@ -56,7 +56,7 @@ class TestDraws:
     def test_blocking_does_not_change_the_stream(self):
         dgp = PRESETS["linear"].spec(0.0)
         one_rng = replication_rng(3, 0, 0)
-        one = np.vstack([draw(dgp, one_rng) for _ in range(64)])
+        one = np.vstack([draw_block(dgp, one_rng, 1)[0] for _ in range(64)])
         whole = draw_block(dgp, replication_rng(3, 0, 0), 64)
         split_rng = replication_rng(3, 0, 0)
         split = np.vstack([draw_block(dgp, split_rng, 20), draw_block(dgp, split_rng, 44)])
@@ -459,8 +459,20 @@ class TestCoverage:
             assert abs(row.value - 0.5) <= 3.5 * se
 
 
+@pytest.fixture(scope="module")
+def size_power_cells():
+    """The linear preset at T = 10 000 with R = 1000 (seed 7), under the true
+    constraint (r = 0, grid cell 0) and under a local violation r = 0.1 of
+    its shifted coordinate (cell 1)."""
+    config = ExperimentConfig(
+        mode="size_power", preset="linear", sample_sizes=(10_000,),
+        replications=1000, base_seed=7, r_grid=(0.0, 0.1),
+    )
+    return run_experiment(config)
+
+
 class TestSizePower:
-    def test_small_sample_size_is_near_alpha(self):
+    def test_small_sample_size_is_near_alpha(self, size_power_cells):
         """Rejection under the true constraint stays below 10% (1000 seeds).
 
         The measured size at T = 1e4 is 0.062, and more than 100 rejections
@@ -470,14 +482,30 @@ class TestSizePower:
         with df = 1, so an oversize that grows or vanishes fails too.
         """
         R = 1000
-        config = ExperimentConfig(
-            mode="size_power", preset="linear", sample_sizes=(10_000,),
-            replications=R, base_seed=7, r_grid=(0.0,),
-        )
-        result = run_experiment(config)
-        assert result.rows[0].value <= 0.10
-        kappa = result.kappa_samples[(10_000, 0.0)]
+        row = size_power_cells.rows[0]
+        assert row.r == 0.0
+        assert row.value <= 0.10
+        kappa = size_power_cells.kappa_samples[(10_000, 0.0)]
         assert abs(kappa.mean() - 1.12) <= 4.0 * np.sqrt(2.0 * 1 / R)
+
+    def test_local_power_matches_the_asymptotic_power(self, size_power_cells):
+        """The rejection rate under the shift r = 0.1 lies within 3 Monte Carlo
+        standard errors of ``local_power``.
+
+        At theta* the linear preset has G = I and S = 9 I, so the test's
+        weight matrix is W = 9 (I - P), and a shift r of coordinate 4 is the
+        root-T-local violation mu = sqrt(T) (I - P) r e4 (measured: 0.467
+        +- 0.016 against 0.486).
+        """
+        T, r = 10_000, 0.1
+        preset = PRESETS["linear"]
+        anti = np.eye(4) - preset.constraint().P
+        shift = np.zeros(4)
+        shift[preset.shift_coordinate] = r
+        theory = local_power(np.sqrt(T) * anti @ shift, 9.0 * anti, df=1)
+        row = size_power_cells.rows[1]
+        assert row.r == r
+        assert abs(row.value - theory) <= 3.0 * row.mc_stderr
 
     def test_power_is_monotone_in_the_shift(self):
         """Rejection frequency non-decreasing in r, two standard errors of slack."""
