@@ -164,7 +164,9 @@ def test_simulate_reports_each_cell_on_stderr_only(tmp_path, capsys):
     ],
     ids=["estimate", "shuffled", "spec_test", "bad_cell", "no_response", "bad_label"],
 )
-def test_standardize_closes_its_one_spill_file(tmp_path, capsys, monkeypatch, options, bad_cell, expected):
+def test_standardize_closes_its_one_spill_file(
+    tmp_path, capsys, monkeypatch, options, bad_cell, expected
+):
     """``--standardize`` opens one spill file and closes it on success and on
     an error in the first pass, between the passes and in the stream (a
     logistic label that is not +-1)."""
