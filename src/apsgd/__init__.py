@@ -27,7 +27,6 @@ from .inference import (
     InferenceReport,
     TestResult,
     asymptotic_covariance,
-    confidence_interval,
     coordinate_report,
     efficiency_gap,
     local_power,
@@ -98,7 +97,6 @@ __all__ = [
     "asymptotic_covariance",
     "build_projection",
     "chi2_quantile",
-    "confidence_interval",
     "coordinate_report",
     "draw_block",
     "efficiency_gap",

@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import ingest
 from .estimator import EstimatorState, LearningRate
 from .exceptions import ApsgdError
@@ -122,22 +120,25 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 def _prepare_stream(args):
     """Shared ingestion: yields (model, constraint, schedule, names, blocks).
 
-    With ``--standardize`` the blocks are replayed from the standardization
-    pass's spill file, which is closed when the caller's ``with`` exits.
+    The data are read in one pass over the input.  With ``--standardize``
+    the blocks are replayed from the standardization pass's spill file.
+    The input and the spill are closed when the caller's ``with`` exits.
     """
     schema = ingest.parse_schema(args.schema)
-    source = ingest.RowSource(args.data)
-    resolved = ingest.resolve_schema(source, schema)
-    family = args.model
-    needs_response = family != "mean"
-    p = len(resolved.feature_indices)
-    model = MODEL_FAMILIES[family](p)
-    if args.constraint == "none":
-        constraint = Constraint.unconstrained(p)
-    else:
-        constraint = ingest.load_constraint(args.constraint, resolved.feature_names)
-    moments = ingest.feature_moments(source, resolved) if args.standardize else None
-    with moments or contextlib.nullcontext():
+    with contextlib.ExitStack() as stack:
+        source = stack.enter_context(contextlib.closing(ingest.RowSource(args.data)))
+        resolved = ingest.resolve_schema(source, schema)
+        family = args.model
+        needs_response = family != "mean"
+        p = len(resolved.feature_indices)
+        model = MODEL_FAMILIES[family](p)
+        if args.constraint == "none":
+            constraint = Constraint.unconstrained(p)
+        else:
+            constraint = ingest.load_constraint(args.constraint, resolved.feature_names)
+        moments = None
+        if args.standardize:
+            moments = stack.enter_context(ingest.feature_moments(source, resolved))
         blocks = ingest.load_observations(
             source, resolved, needs_response, moments, shuffle_seed=args.shuffle_seed
         )
@@ -226,9 +227,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # overflow becomes inf or nan, which the finite checks report as errors
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ApsgdError as exc:
         print(f"apsgd: error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -23,6 +23,7 @@ from .estimator import EstimatorState, LearningRate
 from .exceptions import (
     DegenerateTestError,
     DimensionError,
+    DomainError,
     IdentificationError,
     NumericalError,
     RankDeficiencyError,
@@ -127,37 +128,6 @@ def asymptotic_covariance(state: EstimatorState) -> np.ndarray:
     return 0.5 * (cov + cov.mT)
 
 
-def _quadratic_variance(grad: np.ndarray, cov: np.ndarray, t: int) -> float:
-    var = float(grad @ cov @ grad) / t
-    if var < -_VARIANCE_CLAMP:
-        raise NumericalError(f"negative variance {var:.6e} from plug-in covariance")
-    return max(var, 0.0)
-
-
-def confidence_interval(state, g, grad_g, alpha: float = 0.05) -> tuple[float, float]:
-    """Normal-theory interval for a smooth scalar functional ``g``.
-
-    ``g`` and ``grad_g`` are callables evaluated at the running average; the
-    half-width is ``z_{alpha/2} * sqrt(grad' V grad / T)`` with ``V`` the
-    plug-in covariance.  Since ``V = P V P``, only ``P grad`` enters the
-    quadratic form, so a functional along a constraint row gets a zero
-    width rather than the rounding residual of ``B V B'``.
-    """
-    center = float(g(state.theta_bar))
-    grad = np.asarray(grad_g(state.theta_bar), dtype=float)
-    if grad.shape != (state.model.param_dim,):
-        raise DimensionError(
-            f"functional gradient has shape {grad.shape}, "
-            f"expected ({state.model.param_dim},)"
-        )
-    grad = state.constraint.P @ grad
-    cov = asymptotic_covariance(state)
-    half = normal_quantile(alpha / 2.0) * np.sqrt(
-        _quadratic_variance(grad, cov, state.t)
-    )
-    return center - half, center + half
-
-
 def coordinate_report(
     state: EstimatorState, alpha: float = 0.05, names: list[str] | None = None
 ) -> InferenceReport:
@@ -171,6 +141,8 @@ def coordinate_report(
     pin it while leaving rounding entries of about 1e-17 in ``P``, whose
     variance is zeroed rather than reported as a standard error of 1e-19.
     """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha}")
     p = state.model.param_dim
     if names is None:
         names = [f"theta{j + 1}" for j in range(p)]

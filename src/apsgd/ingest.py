@@ -1,20 +1,23 @@
 """CSV ingestion: schemas, constraint files, and the standardization pass.
 
 Data files are consumed as streams of blocks; nothing here materialises a
-dataset unless the caller explicitly asks for shuffling.  One reader serves
-every pass: the selected cells of up to ``_READ_ROWS`` rows are parsed at once
-into a float block, the response (if the schema has one) and then the
-features.  Standardization is a two-pass affair by design, but the text is
-parsed once: the first pass computes the feature means and sample standard
-deviations and spills every parsed block to an unlinked temporary file, and
-the second, streaming pass replays those blocks and applies the affine
-transform in place (the response is never touched).
+dataset unless the caller explicitly asks for shuffling.  A file and stdin
+are read the same way, once: ``resolve_schema`` peeks at the first row, and
+the pass that follows reads on from there (yielding that row again).  The
+selected cells of up to ``_READ_ROWS`` rows are parsed at once into a float
+block, the response (if the schema has one) and then the features.
+Standardization is a two-pass affair by design, but the input is read once:
+the first pass computes the feature means and sample standard deviations and
+spills every parsed block to an unlinked temporary file, and the second,
+streaming pass replays those blocks and applies the affine transform in
+place (the response is never touched).
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import operator
 import re
@@ -101,29 +104,50 @@ def _is_float(token: str) -> bool:
     return True
 
 
+def _numbered_rows(path: str):
+    """``(line_number, fields)`` pairs of a CSV file, or of stdin for ``-``,
+    opened at the first ``next`` and closed at the end (stdin never is)."""
+    try:
+        if path == "-":
+            handle = contextlib.nullcontext(sys.stdin)
+        else:
+            try:
+                handle = open(path, "r", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise DataError(f"cannot open {path}: {exc}") from exc
+        with handle as lines:
+            yield from enumerate(csv.reader(lines), start=1)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+
+
 class RowSource:
-    """Re-iterable view over a CSV file (or stdin, which is buffered once)."""
+    """One pass over a CSV file, or over stdin for ``-``.
+
+    The input is opened at the first read and closed when its rows run out
+    or on ``close``.  ``peek`` reads the first row and keeps it, so ``rows``
+    yields it again before the rest.
+    """
 
     def __init__(self, path: str):
         self.path = path
-        self._stdin_cache: list[list[str]] | None = None
+        self._head: list[tuple[int, list[str]]] = []
+        self._rest = _numbered_rows(path)
+
+    def peek(self) -> list[str] | None:
+        """The first row (``None`` for an empty input), kept for ``rows``."""
+        if not self._head:
+            self._head = list(itertools.islice(self._rest, 1))
+        return self._head[0][1] if self._head else None
 
     def rows(self):
-        """Yield ``(line_number, fields)`` pairs, 1-based line numbers."""
-        try:
-            if self.path == "-":
-                if self._stdin_cache is None:
-                    self._stdin_cache = [row for row in csv.reader(sys.stdin)]
-                yield from enumerate(self._stdin_cache, start=1)
-                return
-            try:
-                handle = open(self.path, "r", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise DataError(f"cannot open {self.path}: {exc}") from exc
-            with handle:
-                yield from enumerate(csv.reader(handle), start=1)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"{self.path}: not a UTF-8 CSV file: {exc}") from exc
+        """The rows not read yet as ``(line_number, fields)`` pairs, 1-based,
+        starting with the kept first row."""
+        head, self._head = self._head, []
+        return itertools.chain(head, self._rest)
+
+    def close(self) -> None:
+        self._rest.close()
 
 
 @dataclass(frozen=True)
@@ -138,11 +162,8 @@ class ResolvedSchema:
 
 
 def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
-    """Bind a schema to the file's actual columns (reads the first row)."""
-    first = None
-    for _, row in source.rows():
-        first = row
-        break
+    """Bind a schema to the file's actual columns (peeks at the first row)."""
+    first = source.peek()
     if first is None:
         raise DataError(f"{source.path}: file is empty")
     n_cols = len(first)
@@ -284,13 +305,15 @@ def feature_moments(source: RowSource, resolved: ResolvedSchema) -> FeatureMomen
     Each block's mean and sum of squared deviations are merged into the
     running ones (Chan, Golub & LeVeque 1979), so one block lives in memory
     at a time, and each parsed block is spilled for ``load_observations`` to
-    replay.  Constant columns are rejected by name.  The spill file is
-    closed when this raises; otherwise the caller closes the result.
+    replay.  Columns whose moments overflow, and constant columns, are
+    rejected by name.  The spill file is closed when this raises;
+    otherwise the caller closes the result.
     """
     k = len(resolved.feature_indices)
     lead = int(resolved.response_index is not None)
     count, mean, m2 = 0, np.zeros(k), np.zeros(k)
-    with contextlib.ExitStack() as on_error:
+    # overflow leaves inf or nan in sd, which the check below names
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as on_error:
         spill = on_error.enter_context(tempfile.TemporaryFile())
         for block in _data_blocks(source, resolved):
             block.tofile(spill)
@@ -326,7 +349,8 @@ def load_observations(
     """Blocks of observations: rows ``(y, x...)``, or just ``x`` for location
     fits, at most ``_READ_ROWS`` to a block unless shuffled.
 
-    Without ``moments`` the blocks are parsed from ``source``.  With the
+    Without ``moments`` the blocks are parsed from the rows ``source`` has
+    not read yet, its peeked first row included.  With the
     ``moments`` of ``feature_moments`` they are the blocks that pass parsed,
     replayed from its spill file, and their features are standardized in
     place; the response is passed through untouched.  ``shuffle_seed``

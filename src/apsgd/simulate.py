@@ -254,8 +254,9 @@ class ExperimentConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.r_grid:
-            raise ConfigError("r_grid must not be empty")
+        grid = self.r_grid
+        if not grid or not np.isfinite(grid).all() or len(set(grid)) != len(grid):
+            raise ConfigError(f"r_grid must be non-empty, finite and without repeats, got {grid}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 

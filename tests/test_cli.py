@@ -1,9 +1,13 @@
 """The command line reports bad data and numerical faults as typed errors only."""
 
+import builtins
+import contextlib
 import io
+import os
 import re
 import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -33,7 +37,7 @@ def test_non_finite_cell_names_line_and_column(tmp_path, capsys):
 @pytest.mark.parametrize("standardize", [[], ["--standardize"]])
 def test_overflow_is_one_error_line_without_a_runtime_warning(tmp_path, capsys, standardize):
     path = tmp_path / "big.csv"
-    path.write_text("y,x1\n1.0,2.0\n2.0,1e200\n3.0,-1e200\n", encoding="utf-8")
+    path.write_text("y,x1,x2\n1.0,2.0,1.0\n2.0,1e200,1e308\n3.0,-1e200,1e308\n", encoding="utf-8")
     code, err = run(["estimate", str(path), "--model", "linear", *standardize], capsys)
     assert code == EXIT_DATA
     assert err.startswith("apsgd: error: ") and err.count("\n") == 1
@@ -78,10 +82,9 @@ def linear_csv(rows: int = 300) -> str:
     ids=["estimate_shuffled", "spec_test_standardized"],
 )
 def test_stdin_matches_the_same_file_by_path(tmp_path, capsys, monkeypatch, argv):
-    """``-`` reads the CSV from standard input, which is buffered once so
-    that the schema's first row and the data can both be read; both
-    commands print the same bytes and write the same report as from the
-    file's path."""
+    """``-`` reads the CSV from standard input in one pass, as a path is
+    read; both commands print the same bytes and write the same report as
+    from the file's path."""
     text = linear_csv()
     path = tmp_path / "data.csv"
     path.write_text(text, encoding="utf-8")
@@ -104,6 +107,111 @@ def test_stdin_matches_the_same_file_by_path(tmp_path, capsys, monkeypatch, argv
     from_stdin = outputs("-", tmp_path / "from_stdin.csv")
     assert by_path[1].startswith("T = 300" if command == "estimate" else "kappa = ")
     assert from_stdin == by_path
+
+
+def feed_fifo(path, data: bytes, done: threading.Event) -> None:
+    """Write ``data`` once into the named pipe at ``path`` and close it.
+
+    A reader that opens the pipe again would wait for a writer forever, so
+    until ``done`` is set any such reader is released with an end of file.
+    """
+    fd = None
+    while fd is None:  # without a reader the open fails (ENXIO) rather than block
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError:
+            if done.wait(0.01):
+                return
+    os.set_blocking(fd, True)
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        pass
+    finally:
+        os.close(fd)
+    while not done.wait(0.05):
+        with contextlib.suppress(OSError):
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["estimate", "--model", "linear"], ["spec-test", "--model", "linear", "--standardize"]],
+    ids=["estimate", "spec_test_standardized"],
+)
+def test_named_pipe_matches_the_same_file_by_path(tmp_path, capsys, argv):
+    """A named pipe (or ``<(...)`` in a shell) can be read only once: all
+    3000 rows reach the stream, and both commands print the same bytes and
+    write the same report as from the file's path."""
+    text = linear_csv(3000)
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+    constraint = tmp_path / "constraint.txt"
+    constraint.write_text("x2 - x3 = 0\n", encoding="utf-8")
+    command, *options = argv
+    options += ["--constraint", str(constraint)]
+
+    def outputs(source, report):
+        extra = ["--output", str(report)] if command == "estimate" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, str(source), *options, *extra])
+        captured = capsys.readouterr()
+        return code, captured.err, captured.out, report.read_bytes() if report.exists() else b""
+
+    by_path = outputs(path, tmp_path / "by_path.csv")
+    done = threading.Event()
+    writer = threading.Thread(target=feed_fifo, args=(fifo, text.encode(), done))
+    writer.start()
+    try:
+        from_fifo = outputs(fifo, tmp_path / "from_fifo.csv")
+    finally:
+        done.set()
+        writer.join(10)
+    assert not writer.is_alive()
+    assert by_path[2].startswith("T = 3000" if command == "estimate" else "kappa = ")
+    assert from_fifo == by_path
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--standardize"], ["--shuffle-seed", "3"], ["--standardize", "--shuffle-seed", "3"]],
+    ids=["plain", "standardized", "shuffled", "standardized_shuffled"],
+)
+@pytest.mark.parametrize("command", ["estimate", "spec-test"])
+def test_each_command_opens_its_data_file_once(tmp_path, capsys, monkeypatch, command, options):
+    path = tmp_path / "data.csv"
+    path.write_text(linear_csv(), encoding="utf-8")
+    constraint = tmp_path / "constraint.txt"
+    constraint.write_text("x2 - x3 = 0\n", encoding="utf-8")
+    opened = []
+
+    def counting_open(file, *args, _open=open, **kwargs):
+        opened.append(file)
+        return _open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = [command, str(path), "--model", "linear", "--constraint", str(constraint), *options]
+    code, _ = run(argv, capsys)
+    monkeypatch.undo()
+    assert code in (EXIT_OK, EXIT_REJECT)
+    assert opened.count(str(path)) == 1
+
+
+def test_alpha_outside_the_unit_interval_exits_with_a_data_error(tmp_path, capsys):
+    """``--alpha 1.5`` would give intervals with their ends swapped."""
+    path = tmp_path / "data.csv"
+    path.write_text(linear_csv(200), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    argv = ["estimate", str(path), "--model", "linear", "--alpha", "1.5", "--output", str(report)]
+    code, err = run(argv, capsys)
+    assert code == EXIT_DATA
+    assert err == "apsgd: error: alpha must lie strictly in (0, 1), got 1.5\n"
+    assert not report.exists()
 
 
 def test_spec_test_stdout_is_pinned(tmp_path, capsys):

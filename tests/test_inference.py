@@ -7,6 +7,7 @@ from scipy import stats
 from apsgd import (
     Constraint,
     DegenerateTestError,
+    DomainError,
     EstimatorState,
     IdentificationError,
     LearningRate,
@@ -14,7 +15,6 @@ from apsgd import (
     MeanModel,
     RankDeficiencyError,
     asymptotic_covariance,
-    confidence_interval,
     coordinate_report,
     efficiency_gap,
     local_power,
@@ -84,6 +84,16 @@ class TestAsymptoticCovariance:
         with pytest.raises(IdentificationError):
             asymptotic_covariance(state)
 
+    def test_constraint_direction_has_zero_variance(self):
+        """The truncated inverse annihilates the row space of B, so a
+        functional along a constraint row has no plug-in variance."""
+        con = PRESETS["linear"].constraint()
+        state = EstimatorState(LinearModel(4), con).run_stream(dgp1_stream(3000))
+        mid = pinv_truncated(con.P @ state.g_hat @ con.P, con.d)
+        assert np.linalg.norm(con.B @ mid, 2) <= 1e-8 * np.linalg.norm(mid, 2)
+        cov = asymptotic_covariance(state)
+        assert abs(con.B[0] @ cov @ con.B[0]) <= 1e-10 * np.linalg.norm(cov, 2)
+
     def test_symmetric_psd(self):
         con = PRESETS["linear"].constraint()
         state = EstimatorState(LinearModel(4), con).run_stream(dgp1_stream(2000))
@@ -92,29 +102,7 @@ class TestAsymptoticCovariance:
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-10 * np.linalg.norm(cov, 2))
 
 
-class TestConfidenceInterval:
-    def test_half_width_vanishes_as_alpha_approaches_one(self):
-        con = PRESETS["linear"].constraint()
-        state = EstimatorState(LinearModel(4), con).run_stream(dgp1_stream(2000))
-        lo, hi = confidence_interval(
-            state, lambda th: th[0], lambda th: np.eye(4)[0], alpha=1.0 - 1e-12
-        )
-        assert hi - lo <= 1e-10
-
-    def test_constraint_direction_has_zero_variance(self):
-        """A functional aligned with a constraint row is estimated exactly."""
-        con = PRESETS["linear"].constraint()
-        state = EstimatorState(LinearModel(4), con).run_stream(dgp1_stream(3000))
-        row = con.B[0]
-        lo, hi = confidence_interval(
-            state, lambda th: float(row @ th), lambda th: row, alpha=0.05
-        )
-        assert hi - lo <= 1e-10
-        assert abs(0.5 * (lo + hi)) <= 1e-8
-        # the mechanism: the truncated inverse annihilates the row space of B
-        mid = pinv_truncated(con.P @ state.g_hat @ con.P, con.d)
-        assert np.linalg.norm(con.B @ mid, 2) <= 1e-8 * np.linalg.norm(mid, 2)
-
+class TestCoordinateReport:
     def test_interval_brackets_estimate(self):
         con = PRESETS["linear"].constraint()
         state = EstimatorState(LinearModel(4), con).run_stream(dgp1_stream(2000))
@@ -123,8 +111,15 @@ class TestConfidenceInterval:
         assert np.all(report.theta_bar <= report.ci_upper)
         assert np.all(report.std_error >= 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_is_rejected(self, alpha):
+        """``alpha = 1.5`` would give the quantile at 0.75, which is negative,
+        and so intervals with their ends swapped."""
+        state = EstimatorState(MeanModel(2), Constraint.unconstrained(2))
+        state.run_stream(mean_stream(50))
+        with pytest.raises(DomainError, match="alpha"):
+            coordinate_report(state, alpha=alpha)
 
-class TestCoordinateReport:
     def test_pinned_coordinate_has_nan_p_value(self):
         con = Constraint.from_equalities([[1.0, 0.0]], [2.0])  # theta_1 pinned at 2
         state = EstimatorState(MeanModel(2), con)

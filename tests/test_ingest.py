@@ -241,9 +241,14 @@ class TestBlockReader:
 
     def test_stdin_is_read_once_for_both_passes(self, tmp_path, monkeypatch):
         body = csv_body(numbered_rows(300))
-        by_path = RowSource(write_csv(tmp_path / "data.csv", body))
-        monkeypatch.setattr(sys, "stdin", io.StringIO(body))
-        stdin = RowSource("-")
+        path = write_csv(tmp_path / "data.csv", body)
+
+        def sources():
+            """Fresh one-pass sources over stdin and over the file by path."""
+            monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+            return RowSource("-"), RowSource(path)
+
+        stdin, by_path = sources()
         resolved = resolve_schema(stdin, CsvSchema())
         assert resolved == resolve_schema(by_path, CsvSchema())
         moments = [feature_moments(source, resolved) for source in (stdin, by_path)]
@@ -255,8 +260,17 @@ class TestBlockReader:
                 for source, m in zip((stdin, by_path), moments)
             ]
         assert read[0].tobytes() == read[1].tobytes()
-        raw = [np.concatenate(list(load_observations(s, resolved, True))) for s in (stdin, by_path)]
+        raw = [np.concatenate(list(load_observations(s, resolved, True))) for s in sources()]
         assert raw[0].tobytes() == raw[1].tobytes()
+
+    def test_schema_reads_only_the_first_line_of_stdin(self, monkeypatch):
+        """The first row is peeked and kept; the rest is read by the pass
+        that needs it."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(csv_body(numbered_rows(300))))
+        source = RowSource("-")
+        resolved = resolve_schema(source, CsvSchema())
+        assert sys.stdin.tell() == len("y,a,b\n")
+        assert len(observations(source, resolved, True)) == 300
 
     def test_shuffle_permutes_the_rows_into_one_block(self, tmp_path):
         """The estimator cuts the permuted rows into its own blocks."""
@@ -277,16 +291,22 @@ class TestReplay:
     @pytest.mark.parametrize("case", ["partial_last_block", "response_none", "stdin"])
     def test_replayed_blocks_equal_reparsed_ones(self, tmp_path, monkeypatch, case):
         body = csv_body(numbered_rows(600))
-        source = RowSource(write_csv(tmp_path / "data.csv", body))
+        path = write_csv(tmp_path / "data.csv", body)
         schema, needs_response = CsvSchema(), True
         if case == "response_none":
             schema, needs_response = CsvSchema(response=None), False
-        elif case == "stdin":
-            monkeypatch.setattr(sys, "stdin", io.StringIO(body))
-            source = RowSource("-")
+
+        def fresh_source():
+            """A one-pass source for each pass, from stdin in the stdin case."""
+            if case == "stdin":
+                monkeypatch.setattr(sys, "stdin", io.StringIO(body))
+                return RowSource("-")
+            return RowSource(path)
+
+        source = fresh_source()
         resolved = resolve_schema(source, schema)
         reparsed = list(load_observations(source, resolved, needs_response))
-        with feature_moments(source, resolved) as moments:
+        with feature_moments(fresh_source(), resolved) as moments:
             replayed = list(load_observations(source, resolved, needs_response, moments))
         for block in reparsed:
             feats = block[:, int(needs_response):]
@@ -334,9 +354,7 @@ class TestNonFiniteCells:
     def test_overflowing_standardization_is_rejected_by_name(self, tmp_path):
         path = write_csv(tmp_path / "big.csv", "y,a,b\n1,1e200,1\n2,-1e200,2\n3,1,4\n")
         resolved = resolve_schema(RowSource(path), CsvSchema())
-        with np.errstate(over="ignore"), pytest.raises(
-            DataError, match=r"too large to standardize: \['a'\]"
-        ):
+        with pytest.raises(DataError, match=r"too large to standardize: \['a'\]"):
             feature_moments(RowSource(path), resolved)
 
 

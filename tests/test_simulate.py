@@ -664,6 +664,18 @@ class TestConfigs:
                 mode="nope", preset="linear", sample_sizes=(100,), replications=5
             )
 
+    @pytest.mark.parametrize(
+        "r_grid", [(), (0.0, 0.0), (0.0, 0.1, -0.0), (float("nan"),), (0.0, float("inf"))]
+    )
+    def test_r_grid_must_hold_distinct_finite_shifts(self, r_grid):
+        """Each shift is one cell keyed ``(T, r)``; a repeat would run twice
+        but keep one entry for its statistics and its timing."""
+        with pytest.raises(ConfigError, match="r_grid"):
+            ExperimentConfig(
+                mode="size_power", preset="linear", sample_sizes=(100,), replications=5,
+                r_grid=r_grid,
+            )
+
     def test_bundled_configs_resolve(self):
         for name in ("table_s1_desk", "table_s2_desk", "figure_s1_desk"):
             config = resolve_config(name)
