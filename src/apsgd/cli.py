@@ -16,7 +16,7 @@ from dataclasses import replace
 from . import ingest
 from .estimator import EstimatorState, LearningRate
 from .exceptions import ApsgdError
-from .inference import InferenceReport, coordinate_report, specification_test
+from .inference import InferenceReport, _check_alpha, coordinate_report, specification_test
 from .linalg import Constraint
 from .models import MODEL_FAMILIES
 from .simulate import full_scale, resolve_config, run_experiment
@@ -123,7 +123,9 @@ def _prepare_stream(args):
     The data are read in one pass over the input.  With ``--standardize``
     the blocks are replayed from the standardization pass's spill file.
     The input and the spill are closed when the caller's ``with`` exits.
+    ``--alpha`` is checked before the input is opened.
     """
+    _check_alpha(args.alpha)
     schema = ingest.parse_schema(args.schema)
     with contextlib.ExitStack() as stack:
         source = stack.enter_context(contextlib.closing(ingest.RowSource(args.data)))

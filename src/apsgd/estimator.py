@@ -10,10 +10,10 @@ every caller, a CSV stream and the Monte Carlo lockstep (``simulate``)
 alike, over blocks of at most ``_BLOCK`` rows.  Within a block only the
 iterate is sequential: the model's ``_walk`` moves the iterates over the
 block along the projected gradient, one cumulative sum turns them into
-running averages, and one fold adds the block's curvature and
-gradient-outer-product averages, evaluated along those running averages,
-which inference consumes later.  States may be handed between threads
-between blocks.
+running averages, and the block's curvature and gradient-outer-product
+sums, evaluated along those averages, are folded into the averages that
+inference consumes later.  A block that fails is advanced again row by row.
+States may be handed between threads between blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .exceptions import ApsgdError, DimensionError, DomainError, NumericalError
 from .linalg import Constraint
-from .models import LossModel, _gram, _outer
+from .models import LossModel, _gram
 
 #: The per-stream arrays of a state; their leading axes are the batch shape.
 _STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
@@ -99,22 +99,16 @@ class EstimatorState:
     ``k`` as an ordinary state with its own constraint, and ``concatenate``
     joins pairs along their replication axis (axis 1).
 
-    The engine (``_move_block``) never re-projects from ``c``: it moves a
-    feasible iterate along the projected gradient with the model's
-    ``LossModel._walk`` (for the regression families, a weight times a
-    direction ``gamma_t x_t P`` computed once per block), so its iterates
-    stay feasible up to rounding.  How a stream is cut into blocks changes
-    its numbers by a few ulps only.
+    The engine never re-projects from ``c``: it moves a feasible iterate
+    along the projected gradient with the model's ``LossModel._walk`` (for
+    the regression families, a weight times a direction ``gamma_t x_t P``
+    computed once per block), so its iterates stay feasible up to rounding.
+    How a stream is cut into blocks changes its numbers by a few ulps only.
 
-    A ``NumericalError`` names the step at which a gradient or a moment first
-    went non-finite, and the state is then not meant to be resumed.  After a
-    non-finite gradient at step ``s``, everything still describes step
-    ``s - 1``, also when it is found in the middle of a block; the moments of
-    the rows before ``s`` are still folded, so a moment that went non-finite
-    earlier is the error reported.  After a non-finite moment, ``t``,
-    ``theta`` and ``theta_bar`` have moved on to the end of the block (or to
-    the step before a non-finite gradient in it), while ``g_hat`` and
-    ``s_hat`` hold the averages up to the end of the previous block.
+    One rule locates every error: a block that fails is advanced again one
+    row at a time.  An error at step ``s`` (a bad observation, or a gradient,
+    iterate or moment gone non-finite) names ``s`` and leaves the state
+    after step ``s - 1``, whatever the block size.
     """
 
     def __init__(
@@ -177,139 +171,95 @@ class EstimatorState:
         """Advance every stream over an iterable of observation blocks, in order.
 
         Each block has shape ``(n, *batch_shape, obs_dim)`` (no side axis)
-        and is advanced ``_BLOCK`` rows at a time: validated once with the
-        model's ``_check_obs``, then moved and folded by ``_advance_block``.
-        Errors are re-raised with the offending observation's position in
-        the stream prepended: the row after the state's last step, or the
-        ``step`` that the error carries (a moment's, or the first row that
-        fails validation on its own).
+        and is advanced ``_BLOCK`` rows at a time by ``_advance_block``.  An
+        error leaves the state after the row before the offending one, and
+        is re-raised with that row's position in the stream prepended.
         """
         start = self.t
-        batch = self.theta.shape[:-1] if self.sides is None else self.theta.shape[1:-1]
         path = np.empty((_BLOCK,) + self.theta.shape)
         for block in blocks:
             for lo in range(0, len(block), _BLOCK):
                 try:
-                    self._advance_block(self._check_rows(block[lo : lo + _BLOCK], batch), path)
+                    self._advance_block(block[lo : lo + _BLOCK], path)
                 except ApsgdError as exc:
-                    index = getattr(exc, "step", self.t + 1) - 1 - start
-                    raise type(exc)(f"observation {index}: {exc}") from exc
+                    raise type(exc)(f"observation {self.t - start}: {exc}") from exc
         return self
 
-    def _check_rows(self, rows, batch_shape) -> np.ndarray:
-        """``rows`` validated as one block; when that fails, each row on its
-        own, so that the error carries the step of the first bad row."""
-        check = self.model._check_obs
+    def _advance_block(self, rows, path: np.ndarray) -> None:
+        """Advance every stream over ``rows``, an ``(n, ..., obs_dim)`` block
+        of at most ``len(path)`` rows (no side axis): at once, or again one
+        row at a time if that raises (the class's error rule)."""
         try:
-            return check(rows, (len(rows), *batch_shape))
+            return self._commit_block(rows, path)
         except ApsgdError:
-            for i, z in enumerate(rows):
-                try:
-                    check(z, batch_shape)
-                except ApsgdError as exc:
-                    exc.step = self.t + 1 + i
-                    raise
-            raise
+            if len(rows) == 1:
+                raise
+        # replayed outside the handler, so that an error does not chain the block's
+        for i in range(len(rows)):
+            self._commit_block(rows[i : i + 1], path)
 
-    def _advance_block(self, block: np.ndarray, path: np.ndarray) -> None:
-        """Advance every stream over the rows of a validated ``(n, ..., obs_dim)``
-        block: ``_move_block``, then ``_fold_path`` over the rows it moved.
-
-        Overflow becomes inf or nan, which the finite checks report as a
-        ``NumericalError``.  The fold also runs when the move stopped at a
-        non-finite gradient, so that a moment that went non-finite before it
-        is the error reported.
+    def _commit_block(self, rows, path: np.ndarray) -> None:
+        """Validate ``rows`` with the model's ``_check_obs`` and walk them; the
+        model's ``_walk`` writes each iterate into ``path``, and one in-place
+        cumulative sum turns them into running averages, along which the
+        block's moments are summed (one side's gradients at a time for a
+        pair).  The state changes only once all of these are finite.  An
+        error names step ``t + 1``, which is exact for a one-row block.
         """
-        block = block if self.sides is None else block[:, None]  # both sides read it
-        t0 = self.t
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                self._move_block(block, path)
-            finally:
-                moved = self.t - t0
-                if moved:
-                    self._fold_path(path[:moved], block[:moved])
-
-    def _move_block(self, block: np.ndarray, path: np.ndarray) -> None:
-        """Projected SGD steps and running averages over the rows of a
-        validated block; ``path[i]`` ends up holding the average after row
-        ``i``.
-
-        Only the iterate is sequential: the model's ``_walk`` writes each
-        ``theta_t`` straight into ``path``, moving the feasible iterate along
-        the projected gradient with no re-projection from ``c``.  One finite
-        check then covers the block, since a non-finite gradient always makes
-        its row's iterate non-finite, and one in-place cumulative sum turns
-        the iterates into averages.  When a gradient is non-finite, the
-        block's gradients are evaluated again along the stored path to find
-        the first such row; the state is left after the row before it
-        (``path`` holding the averages up to there) and the error names its
-        step.
-        """
-        gradient, at, con = self.model._gradient, self.schedule.at, self.constraint
-        t0, n = self.t, len(block)
+        model, con, t0 = self.model, self.constraint, self.t
+        batch = self.theta.shape[:-1] if self.sides is None else self.theta.shape[1:-1]
+        rows = model._check_obs(rows, (len(rows), *batch))
+        n, at = len(rows), self.schedule.at
+        block = rows if self.sides is None else rows[:, None]  # both sides read it
         path = path[:n]
         steps = np.array([at(t) for t in range(t0 + 1, t0 + n + 1)])
         P = None if con.d == con.p else con.P
-        theta, rows, iterates = self.theta, block, path
+        theta, walked, iterates = self.theta, block, path
         if self.sides is not None:  # x @ I is exact, so the free side loses no bit
             P = np.stack([side.P for side in self.sides])
             if theta.ndim == 2:
                 # one stream per side: a replication axis of length 1 keeps x P
                 # one matrix product per side
-                theta, rows, iterates = theta[:, None], block[..., None, :], path[..., None, :]
-        self.model._walk(theta, rows, P, steps, iterates)
-        moved = n
-        if not np.isfinite(path).all():
-            before = np.concatenate([self.theta[None], path[:-1]])
-            with np.errstate(all="ignore"):
-                finite = np.isfinite(gradient(before, block)).reshape(n, -1).all(1)
-            if not finite.all():
-                moved = int(np.argmin(finite))
-        if moved:
-            self.theta = path[moved - 1].copy()
-            avg = path[:moved]
-            np.cumsum(avg, axis=0, out=avg)
-            avg += t0 * self.theta_bar
-            counts = np.arange(t0 + 1, t0 + moved + 1, dtype=float)
-            avg /= counts.reshape((-1,) + (1,) * (avg.ndim - 1))
-            self.theta_bar[...] = avg[-1]
-            self.t = t0 + moved
-        if moved < n:
-            raise NumericalError(
-                f"non-finite gradient at step {self.t + 1} (theta={self.theta.tolist()})"
-            )
-
-    def _fold_path(self, path: np.ndarray, block: np.ndarray) -> None:
-        """Fold the moments of the last ``len(block)`` moved rows, evaluated
-        along their stored ``(n, ..., p)`` path of averages, into ``g_hat``
-        and ``s_hat``; a pair holds one side's gradients at a time.
-
-        A non-finite sum raises ``NumericalError`` naming the first row whose
-        running sum of either moment is non-finite, and leaves both
-        untouched.
-        """
-        model, n, t = self.model, len(block), self.t
-        if self.sides is None:
-            outer_sum = _gram(model._gradient(path, block))
-        else:
-            outer_sum = np.stack([_gram(model._gradient(path[:, k], block[:, 0])) for k in (0, 1)])
-        hess_sum = model._hessian_sum(path, block)
+                theta, walked, iterates = theta[:, None], block[..., None, :], path[..., None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            model._walk(theta, walked, P, steps, iterates)
+            last = path[-1].copy()
+            np.cumsum(path, axis=0, out=path)
+            path += t0 * self.theta_bar
+            counts = np.arange(t0 + 1, t0 + n + 1, dtype=float)
+            path /= counts.reshape((-1,) + (1,) * (path.ndim - 1))
+            if not np.isfinite(path).all():
+                raise NumericalError(self._path_fault(block[0], last))
+            if self.sides is None:
+                outer_sum = _gram(model._gradient(path, block))
+            else:
+                outer_sum = np.stack(
+                    [_gram(model._gradient(path[:, k], block[:, 0])) for k in (0, 1)]
+                )
+            hess_sum = model._hessian_sum(path, block)
         if not (np.isfinite(hess_sum).all() and np.isfinite(outer_sum).all()):
-            with np.errstate(all="ignore"):
-                grad = model._gradient(path, block)
-                sums = (np.cumsum(model._hessian(path, block), 0), np.cumsum(_outer(grad), 0))
-            finite = [np.isfinite(s).reshape(n, -1).all(1) for s in sums]
-            step = t - n + 1 + int(np.argmin(finite[0] & finite[1]))
-            error = NumericalError(f"non-finite moment update at step {step}")
-            error.step = step
-            raise error
-        w_old = (t - n) / t
+            raise NumericalError(f"non-finite moment update at step {t0 + 1}")
+        t = self.t = t0 + n
+        self.theta = last
+        self.theta_bar[...] = path[-1]
+        w_old = t0 / t
         w_new = 1.0 / t
         self.g_hat *= w_old
         self.g_hat += w_new * hess_sum
         self.s_hat *= w_old
         self.s_hat += w_new * outer_sum
+
+    def _path_fault(self, z, theta) -> str:
+        """Why the iterate ``theta`` after observation ``z``, at step ``t + 1``,
+        or the running average with it is not finite: a non-finite gradient,
+        a finite one whose update overflows, or an overflowing average."""
+        with np.errstate(all="ignore"):
+            gradient = self.model._gradient(self.theta, z)
+        if not np.isfinite(gradient).all():
+            what = "gradient"
+        else:
+            what = "running average" if np.isfinite(theta).all() else "iterate"
+        return f"non-finite {what} at step {self.t + 1} (theta={self.theta.tolist()})"
 
     # -- snapshot serialization ------------------------------------------------
 

@@ -128,6 +128,11 @@ def asymptotic_covariance(state: EstimatorState) -> np.ndarray:
     return 0.5 * (cov + cov.mT)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha}")
+
+
 def coordinate_report(
     state: EstimatorState, alpha: float = 0.05, names: list[str] | None = None
 ) -> InferenceReport:
@@ -141,8 +146,7 @@ def coordinate_report(
     pin it while leaving rounding entries of about 1e-17 in ``P``, whose
     variance is zeroed rather than reported as a standard error of 1e-19.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     p = state.model.param_dim
     if names is None:
         names = [f"theta{j + 1}" for j in range(p)]
@@ -245,6 +249,7 @@ def specification_test(
     ``constraint.c``, and the test reads its sides back as ``pair[0]`` and
     ``pair[1]``.  An error names the observation at which it arose.
     """
+    _check_alpha(alpha)
     if constraint.d == constraint.p:
         raise DegenerateTestError(
             "constraint has no effective rows (d = p), the test has 0 degrees "

@@ -104,9 +104,10 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _numbered_rows(path: str):
-    """``(line_number, fields)`` pairs of a CSV file, or of stdin for ``-``,
-    opened at the first ``next`` and closed at the end (stdin never is)."""
+def _records(path: str, opened: list):
+    """The records of a CSV file, or of stdin for ``-``, opened at the first
+    ``next`` and closed at the end (stdin never is); the reader is appended
+    to ``opened``, so that its ``line_num`` can be read."""
     try:
         if path == "-":
             handle = contextlib.nullcontext(sys.stdin)
@@ -116,7 +117,9 @@ def _numbered_rows(path: str):
             except OSError as exc:
                 raise DataError(f"cannot open {path}: {exc}") from exc
         with handle as lines:
-            yield from enumerate(csv.reader(lines), start=1)
+            reader = csv.reader(lines)
+            opened.append(reader)
+            yield from reader
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
 
@@ -131,20 +134,23 @@ class RowSource:
 
     def __init__(self, path: str):
         self.path = path
-        self._head: list[tuple[int, list[str]]] = []
-        self._rest = _numbered_rows(path)
+        self._head: list[list[str]] = []
+        self._opened: list = []
+        self._rest = _records(path, self._opened)
 
     def peek(self) -> list[str] | None:
         """The first row (``None`` for an empty input), kept for ``rows``."""
         if not self._head:
             self._head = list(itertools.islice(self._rest, 1))
-        return self._head[0][1] if self._head else None
+        return self._head[0] if self._head else None
 
     def rows(self):
-        """The rows not read yet as ``(line_number, fields)`` pairs, 1-based,
-        starting with the kept first row."""
+        """The rows not read yet, starting with the kept first row, and the
+        input's ``csv.reader``, whose ``line_num`` is the last line read
+        (records may span lines)."""
+        self.peek()
         head, self._head = self._head, []
-        return itertools.chain(head, self._rest)
+        return itertools.chain(head, self._rest), self._opened[0]
 
     def close(self) -> None:
         self._rest.close()
@@ -223,17 +229,19 @@ def _data_blocks(source: RowSource, resolved: ResolvedSchema):
         columns = (resolved.response_index,) + columns
     width = max(columns) + 1
     pick = operator.itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
-    rows = source.rows()
+    rows, reader = source.rows()
     if resolved.has_header:
         next(rows, None)
     lines, cells = [], []
-    for lineno, row in rows:
+    for row in rows:
         if not row:
             continue
         if len(row) < width:
             _parse_block(lines, cells, columns, resolved)  # a bad cell above is named first
-            raise DataError(f"line {lineno}: expected at least {width} columns, got {len(row)}")
-        lines.append(lineno)
+            raise DataError(
+                f"line {reader.line_num}: expected at least {width} columns, got {len(row)}"
+            )
+        lines.append(reader.line_num)
         cells.append(pick(row))
         if len(cells) == _READ_ROWS:
             yield _parse_block(lines, cells, columns, resolved)

@@ -199,9 +199,7 @@ class Constraint:
     @classmethod
     def unconstrained(cls, p: int) -> "Constraint":
         """The trivial constraint on R^p (``P = I``, ``c = 0``, ``d = p``)."""
-        return cls(
-            B=np.zeros((0, p)), b=np.zeros(0), P=np.eye(p), c=np.zeros(p), d=p
-        )
+        return cls.from_equalities(np.zeros((0, p)), np.zeros(0))
 
     @property
     def p(self) -> int:

@@ -214,6 +214,19 @@ def test_alpha_outside_the_unit_interval_exits_with_a_data_error(tmp_path, capsy
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "spec-test"])
+def test_alpha_is_checked_before_the_data_are_opened(tmp_path, capsys, command):
+    """A bad ``--alpha`` is named before a missing data file would be."""
+    constraint = tmp_path / "constraint.txt"
+    constraint.write_text("x1 = 0\n", encoding="utf-8")
+    argv = [command, str(tmp_path / "missing.csv"), "--model", "linear", "--alpha", "1.5"]
+    if command == "spec-test":
+        argv += ["--constraint", str(constraint)]
+    code, err = run(argv, capsys)
+    assert code == EXIT_DATA
+    assert err == "apsgd: error: alpha must lie strictly in (0, 1), got 1.5\n"
+
+
 def test_spec_test_stdout_is_pinned(tmp_path, capsys):
     """``spec-test --standardize`` on a seeded 600-row logistic CSV prints the
     bytes recorded before its two streams were paired into one state."""

@@ -152,22 +152,31 @@ class TestRunStream:
     @pytest.mark.parametrize("size", [1, 256])
     def test_non_finite_moment_names_the_observation(self, size):
         """The moment's step is named whether it is folded alone or with
-        the rows after it; ``g_hat`` keeps the averages before its block."""
+        the rows after it, and the state is left after the row before it."""
 
         def hessian(theta, z):
             return np.full((2, 2), np.inf) if z[0] > 0.5 else np.eye(2)
 
         model = CustomModel(2, 2, lambda t, z: 0.0, lambda t, z: t - z, hessian)
-        state = EstimatorState(model, Constraint.unconstrained(2)).run_stream([np.zeros((300, 2))])
+
+        def advanced(rows):
+            return EstimatorState(model, Constraint.unconstrained(2)).run_stream(
+                [np.zeros((300, 2)), rows]
+            )
+
         obs = np.zeros((40, 2))
         obs[25, 0] = 1.0
-        g_hat = state.g_hat.copy()
+        state = advanced(obs[:0])
         with pytest.raises(
             NumericalError, match="^observation 25: non-finite moment update at step 326$"
         ):
             state.run_stream(blocks(obs, size))
-        assert state.t == 300 + (26 if size == 1 else 40)
-        np.testing.assert_array_equal(state.g_hat, g_hat)
+        before = advanced(obs[:25])
+        assert state.t == before.t == 325
+        for name in STREAM_ARRAYS:
+            np.testing.assert_allclose(
+                getattr(state, name), getattr(before, name), rtol=1e-12, atol=1e-15
+            )
 
     @pytest.mark.parametrize("size", [1, 256])
     def test_a_bad_label_names_the_first_bad_row(self, size):
@@ -179,7 +188,64 @@ class TestRunStream:
             DataError, match=r"^observation 270: logistic label must be -1 or \+1, got 0.5$"
         ):
             state.run_stream(blocks(obs, size))
-        assert state.t == (270 if size == 1 else 256)
+        assert state.t == 270
+
+
+    def test_a_block_sum_that_overflows_is_advanced_row_by_row(self):
+        """The Hessians of these four rows sum past the largest float, while
+        every running average stays finite: in one block the stream ends
+        where it ends in one-row blocks."""
+        obs = np.array([[0.0, 1e154, 0.0], [0.0, 1e154, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        one_row, whole = (
+            EstimatorState(LinearModel(2), Constraint.unconstrained(2)).run_stream(blocks(obs, size))
+            for size in (1, 4)
+        )
+        assert whole.t == one_row.t == 4
+        assert whole.g_hat[0, 0] == pytest.approx(5e307, rel=1e-12)
+        for name in STREAM_ARRAYS:
+            np.testing.assert_allclose(
+                getattr(whole, name), getattr(one_row, name), rtol=1e-12, atol=0.0
+            )
+
+    @pytest.mark.parametrize("size", [1, 7, 256, "lockstep"])
+    @pytest.mark.parametrize("fault", ["label", "gradient", "hessian"])
+    def test_an_error_leaves_the_state_after_the_row_before(self, fault, size):
+        """Row 270 of 300 (of replication 1 in a lockstep block) has a bad
+        label, or makes the gradient or the Hessian infinite.  At every block
+        size the error names it, and the state equals the state advanced over
+        the 270 rows before it."""
+        base = LogisticModel(4)
+
+        def gradient(theta, z):
+            return np.full(4, np.inf) if fault == "gradient" and z[1] == 7.0 else base.gradient(theta, z)
+
+        def hessian(theta, z):
+            return np.full((4, 4), np.inf) if z[1] == 7.0 else base.hessian(theta, z)
+
+        model = base if fault == "label" else CustomModel(4, 5, base.loss, gradient, hessian)
+        con = PRESETS["logistic"].constraint()
+        lockstep = size == "lockstep"
+        obs = batched_stream(300, 3, seed=2, preset="logistic")
+        obs, theta0 = (obs, np.tile(con.c, (3, 1))) if lockstep else (obs[:, 0], con.c)
+        bad = obs[270, 1] if lockstep else obs[270]
+        if fault == "label":
+            bad[0] = 0.5
+        else:
+            bad[1] = 7.0
+        message = {
+            "label": r"logistic label must be -1 or \+1, got 0.5$",
+            "gradient": r"non-finite gradient at step 271 \(theta=",
+            "hessian": r"non-finite moment update at step 271$",
+        }[fault]
+        state = EstimatorState(model, con, theta0=theta0)
+        with pytest.raises((DataError, NumericalError), match=rf"^observation 270: {message}"):
+            state.run_stream([obs] if lockstep else blocks(obs, size))
+        before = EstimatorState(model, con, theta0=theta0).run_stream([obs[:270]])
+        assert state.t == before.t == 270
+        for name in STREAM_ARRAYS:
+            np.testing.assert_allclose(
+                getattr(state, name), getattr(before, name), rtol=1e-12, atol=1e-15
+            )
 
 
 class TestFeasibilityAlongPath:

@@ -216,6 +216,24 @@ class TestBlockReader:
             list(load_observations(source, resolve_schema(source, CsvSchema()), True))
         assert str(caught.value) == f"line 5: {message}"
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("2.0,oops,x", "could not convert string to float: 'oops'"),
+            ("2.0", "expected at least 2 columns, got 1"),
+        ],
+        ids=["unparsable", "short_row"],
+    )
+    def test_lines_are_counted_across_quoted_line_breaks(self, tmp_path, bad, message):
+        """The header and the first data row each span two lines, so the bad
+        row is record 3 on line 5."""
+        body = '"y\nlabel",x1,note\n1.0,2.0,"two\nlines"\n' + bad + "\n"
+        source = RowSource(write_csv(tmp_path / "quoted.csv", body))
+        resolved = resolve_schema(source, CsvSchema(features=("x1",)))
+        with pytest.raises(DataError) as caught:
+            list(load_observations(source, resolved, True))
+        assert str(caught.value) == f"line 5: {message}"
+
     def test_blocks_hold_256_rows_and_match_the_file(self, tmp_path):
         rows = numbered_rows(600)
         source = RowSource(write_csv(tmp_path / "data.csv", csv_body(rows)))

@@ -250,19 +250,17 @@ def failing_step(run):
 
 class TestNonFiniteGradients:
     @pytest.mark.parametrize(
-        "marked,step",
+        "marked,what",
         [
-            # a non-finite gradient at step 17 makes theta_17 non-finite
-            (np.full(2, np.inf), 17),
-            # a finite gradient whose update overflows makes theta_17 non-finite,
-            # and the first non-finite gradient is the next one, at theta_17
-            (np.array([1e308, -1e308]), 18),
+            (np.full(2, np.inf), "gradient"),
+            # a finite gradient whose update overflows makes theta_17 non-finite
+            (np.array([1e308, -1e308]), "iterate"),
         ],
         ids=["inf_gradient", "overflowing_iterate"],
     )
-    def test_move_block_names_the_row_in_a_later_block(self, marked, step):
-        """The first non-finite gradient of a block is found exactly, and the
-        state is left after the step before it."""
+    def test_advance_block_names_the_row_in_a_later_block(self, marked, what):
+        """A row of a later block whose iterate goes non-finite is named, and
+        the state is left after the step before it, finite."""
 
         def gradient(theta, z):
             return marked if z[0] > 0.5 else 0.1 * (theta - z)
@@ -274,34 +272,33 @@ class TestNonFiniteGradients:
         blocks[1, 6, 2, 0] = blocks[1, 8, 0, 0] = 1.0
         path = np.empty((10, 3, 2))
 
-        def moved(rows):
+        def advanced(rows):
             state = EstimatorState(model, con, schedule, theta0=np.zeros((3, 2)))
-            state._move_block(blocks[0], path)
+            state._advance_block(blocks[0], path)
             if rows:
-                state._move_block(blocks[1, :rows], path)
+                state._advance_block(blocks[1, :rows], path)
             return state
 
-        # the lockstep moves blocks under this errstate (see _advance_chunk)
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = moved(0)
-            with pytest.raises(
-                NumericalError, match=rf"^non-finite gradient at step {step} \(theta="
-            ):
-                state._move_block(blocks[1], path)
-            before = moved(step - 11)
-        assert state.t == before.t == step - 1
-        np.testing.assert_array_equal(state.theta, before.theta)
-        np.testing.assert_array_equal(state.theta_bar, before.theta_bar)
+        state = advanced(0)
+        with pytest.raises(NumericalError, match=rf"^non-finite {what} at step 17 \(theta="):
+            state._advance_block(blocks[1], path)
+        before = advanced(6)
+        assert state.t == before.t == 16
+        for name in ("theta", "theta_bar", "g_hat", "s_hat"):
+            assert np.isfinite(getattr(state, name)).all()
+            np.testing.assert_allclose(
+                getattr(state, name), getattr(before, name), rtol=1e-12, atol=1e-15
+            )
 
         # one-row blocks name the same step and move the same way
         one_row = EstimatorState(model, con, schedule, theta0=np.zeros((3, 2)))
 
-        def move_rows(rows):
+        def advance_rows(rows):
             for z in rows:
-                one_row._move_block(z[None], path)
+                one_row._advance_block(z[None], path)
 
-        assert failing_step(lambda: move_rows(blocks.reshape(20, 3, 2))) == step
-        assert one_row.t == step - 1
+        assert failing_step(lambda: advance_rows(blocks.reshape(20, 3, 2))) == 17
+        assert one_row.t == 16
         np.testing.assert_allclose(one_row.theta, before.theta, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(one_row.theta_bar, before.theta_bar, rtol=1e-12, atol=1e-15)
 
@@ -347,23 +344,28 @@ class TestNonFiniteMoments:
             return np.full((2, 2), np.inf) if z[0] > 0.5 else np.eye(2)
 
         model = CustomModel(2, 2, lambda theta, z: 0.0, lambda theta, z: theta - z, hessian)
-        state = EstimatorState(model, Constraint.unconstrained(2), theta0=np.zeros((3, 2)))
-        state.run_stream([np.zeros((20, 3, 2))])
         block = np.zeros((10, 3, 2))
         block[6, 2, 0] = block[8, 0, 0] = 1.0
         path = np.empty((10, 3, 2))
-        state._move_block(block, path)
-        g_hat = state.g_hat.copy()
-        with pytest.raises(NumericalError, match=r"non-finite moment update at step 27$"):
-            state._fold_path(path, block)
-        assert state.t == 30
-        np.testing.assert_array_equal(state.g_hat, g_hat)
+
+        def advanced(rows):
+            state = EstimatorState(model, Constraint.unconstrained(2), theta0=np.zeros((3, 2)))
+            return state.run_stream([np.zeros((20, 3, 2)), block[:rows]])
+
+        state = advanced(0)
+        with pytest.raises(NumericalError, match=r"^non-finite moment update at step 27$"):
+            state._advance_block(block, path)
+        before = advanced(6)
+        assert state.t == before.t == 26
+        for name in ("theta", "theta_bar", "g_hat", "s_hat"):
+            np.testing.assert_allclose(
+                getattr(state, name), getattr(before, name), rtol=1e-12, atol=1e-15
+            )
 
     def test_advance_block_folds_the_moved_rows_before_raising(self):
         """In a later block the Hessian goes non-finite at row 3 and the
-        gradient at row 7.  The rows before row 7 are folded first, so the
-        moment's step is the error reported, ``t`` stops before row 7 and
-        ``g_hat`` keeps the averages of the previous block."""
+        gradient at row 7.  The moment's step is the error reported, and the
+        state is left after row 2, its moments folded."""
 
         def gradient(theta, z):
             return np.full(2, np.inf) if z[0] > 0.5 else 0.1 * (theta - z)
@@ -373,18 +375,26 @@ class TestNonFiniteMoments:
 
         model = CustomModel(2, 2, lambda theta, z: 0.0, gradient, hessian)
         con = Constraint.from_equalities([[1.0, 1.0]], [0.0])
-        state = EstimatorState(model, con, LearningRate(gamma=10.0), theta0=np.zeros((3, 2)))
         blocks = np.random.default_rng(1).uniform(-0.4, 0.4, size=(2, 10, 3, 2))
         blocks[1, 3, 1, 1] = blocks[1, 7, 2, 0] = 1.0
         path = np.empty((10, 3, 2))
-        # the lockstep advances blocks under this errstate (see _advance_chunk)
-        with np.errstate(over="ignore", invalid="ignore"):
+
+        def advanced(rows):
+            state = EstimatorState(model, con, LearningRate(gamma=10.0), theta0=np.zeros((3, 2)))
             state._advance_block(blocks[0], path)
-            g_hat = state.g_hat.copy()
-            with pytest.raises(NumericalError, match=r"^non-finite moment update at step 14$"):
-                state._advance_block(blocks[1], path)
-        assert state.t == 17
-        np.testing.assert_array_equal(state.g_hat, g_hat)
+            if rows:
+                state._advance_block(blocks[1, :rows], path)
+            return state
+
+        state = advanced(0)
+        with pytest.raises(NumericalError, match=r"^non-finite moment update at step 14$"):
+            state._advance_block(blocks[1], path)
+        before = advanced(3)
+        assert state.t == before.t == 13
+        for name in ("theta", "theta_bar", "g_hat", "s_hat"):
+            np.testing.assert_allclose(
+                getattr(state, name), getattr(before, name), rtol=1e-12, atol=1e-15
+            )
 
 
 class TestEstimationError:
