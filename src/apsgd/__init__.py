@@ -36,7 +36,6 @@ from .inference import (
 from .linalg import (
     Constraint,
     EigenDecomposition,
-    build_projection,
     pinv_truncated,
     symmetric_eigen,
 )
@@ -56,7 +55,6 @@ from .simulate import (
     ExperimentResult,
     draw_block,
     full_scale,
-    load_config,
     parse_config_text,
     replicate_streams,
     replication_rng,
@@ -95,13 +93,11 @@ __all__ = [
     "RankDeficiencyError",
     "TestResult",
     "asymptotic_covariance",
-    "build_projection",
     "chi2_quantile",
     "coordinate_report",
     "draw_block",
     "efficiency_gap",
     "full_scale",
-    "load_config",
     "local_power",
     "noncentral_chi2_cdf",
     "normal_quantile",

@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from dataclasses import replace
 
 from . import ingest
 from .estimator import EstimatorState, LearningRate
-from .exceptions import ApsgdError
+from .exceptions import ApsgdError, DataError
 from .inference import InferenceReport, _check_alpha, coordinate_report, specification_test
 from .linalg import Constraint
 from .models import MODEL_FAMILIES
@@ -148,6 +149,34 @@ def _prepare_stream(args):
         yield model, constraint, schedule, resolved.feature_names, blocks
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Yield ``write(text)``, which writes ``path`` whole (nothing without a path).
+
+    ``path`` is opened for appending before the work starts, so that an
+    unwritable one fails first while an existing file keeps its bytes until
+    ``write``.  A command that fails removes the file if it created it.
+    """
+    def write(text: str, mode: str = "w") -> None:
+        if path is None:
+            return
+        try:
+            with open(path, mode, encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+
+    created = path is not None and not os.path.lexists(path)
+    write("", "a")
+    try:
+        yield write
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _print_report(report: InferenceReport) -> None:
     rows = []
     for name, est, se, p_value in zip(report.names, report.theta_bar, report.std_error, report.p_value):
@@ -167,13 +196,12 @@ def _report_csv_text(report: InferenceReport) -> str:
 
 
 def cmd_estimate(args) -> int:
-    with _prepare_stream(args) as (model, constraint, schedule, names, blocks):
-        state = EstimatorState(model, constraint, schedule).run_stream(blocks)
-    report = coordinate_report(state, alpha=args.alpha, names=list(names))
-    _print_report(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_report_csv_text(report))
+    with _output(args.output) as write:
+        with _prepare_stream(args) as (model, constraint, schedule, names, blocks):
+            state = EstimatorState(model, constraint, schedule).run_stream(blocks)
+        report = coordinate_report(state, alpha=args.alpha, names=list(names))
+        _print_report(report)
+        write(_report_csv_text(report))
     return EXIT_OK
 
 
@@ -200,8 +228,9 @@ def cmd_simulate(args) -> int:
         config = replace(config, base_seed=args.seed)
     if args.full:
         config = full_scale(config)
-    result = run_experiment(config)
-    result.write_csv(args.output)
+    with _output(args.output) as write:
+        result = run_experiment(config)
+        write(result.to_csv_text())
     print(
         f"mode = {config.mode}, preset = {config.preset}, "
         f"replications = {config.replications}, seed = {config.base_seed}"

@@ -43,16 +43,17 @@ _BLOCK = 256
 class LearningRate:
     """Polynomial decay ``gamma * t**(-rho)``.
 
-    ``rho`` must lie strictly inside (1/2, 1); that decay window is what the
-    averaged iterate's root-T asymptotics require.
+    ``gamma`` must be positive and finite, and ``rho`` must lie strictly
+    inside (1/2, 1); that decay window is what the averaged iterate's root-T
+    asymptotics require.
     """
 
     gamma: float = 1.0
     rho: float = 0.505
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.5 < self.rho < 1.0:
             raise DomainError(f"rho must lie strictly in (1/2, 1), got {self.rho}")
 
@@ -266,47 +267,47 @@ class EstimatorState:
     def to_record(self) -> dict:
         """Self-describing snapshot of everything except the model.
 
-        The model holds callables and cannot be serialized; supply it again
-        to ``from_record``.  Floats survive the JSON round trip exactly.
+        For a state of batch shape ``S`` (``(2, *S)`` for a pair) and ``m``
+        constraint rows, the record holds ``t`` (int), ``theta`` and
+        ``theta_bar`` (``(*S, p)``), ``g_hat`` and ``s_hat`` (``(*S, p, p)``),
+        ``constraint`` ``{B: (m, p), b: (m,)}``, ``schedule``
+        ``{gamma, rho}`` and ``paired`` (bool), as nested lists.  The
+        constraint's geometry (``P``, ``c``, ``d``) is not stored; ``from_record``
+        derives it again from ``B`` and ``b``.  The model holds callables and
+        cannot be serialized; supply it again to ``from_record``.  Floats
+        survive the JSON round trip exactly.
         """
         con = self.constraint
         return {
             "t": self.t,
-            "theta": self.theta.tolist(),
-            "theta_bar": self.theta_bar.tolist(),
-            "g_hat": self.g_hat.tolist(),
-            "s_hat": self.s_hat.tolist(),
-            "constraint": {
-                "B": con.B.tolist(),
-                "b": con.b.tolist(),
-                "P": con.P.tolist(),
-                "c": con.c.tolist(),
-                "d": con.d,
-            },
+            **{name: getattr(self, name).tolist() for name in _STREAM_ARRAYS},
+            "constraint": {"B": con.B.tolist(), "b": con.b.tolist()},
             "schedule": {"gamma": self.schedule.gamma, "rho": self.schedule.rho},
             "paired": self.sides is not None,
         }
 
     @classmethod
     def from_record(cls, record: dict, model: LossModel) -> "EstimatorState":
-        """Rebuild a snapshot produced by ``to_record``."""
+        """Rebuild a snapshot produced by ``to_record``.
+
+        The constraint is built from its ``B`` and ``b`` by
+        ``Constraint.from_equalities`` (the ``P``, ``c`` and ``d`` of older
+        records are ignored), and each stream array must have the shape that
+        the model, the batch and ``paired`` give it.
+        """
         con_rec = record["constraint"]
-        p = model.param_dim
-        constraint = Constraint(
-            B=np.asarray(con_rec["B"], dtype=float).reshape(-1, p),
-            b=np.asarray(con_rec["b"], dtype=float).reshape(-1),
-            P=np.asarray(con_rec["P"], dtype=float),
-            c=np.asarray(con_rec["c"], dtype=float),
-            d=int(con_rec["d"]),
+        constraint = Constraint.from_equalities(
+            np.asarray(con_rec["B"], dtype=float).reshape(-1, model.param_dim), con_rec["b"]
         )
+        schedule = LearningRate(**record["schedule"])
         theta = np.array(record["theta"], dtype=float)
-        state = cls(model, constraint, LearningRate(**record["schedule"]), theta0=theta)
         if record.get("paired"):
-            state.sides = (constraint, Constraint.unconstrained(p))
+            state = cls.paired(model, constraint, schedule, theta0=theta[0])
+        else:
+            state = cls(model, constraint, schedule, theta0=theta)
         state.t = int(record["t"])
-        # the stored iterate is feasible already; keep its exact bits
-        state.theta = theta
-        for name in _STREAM_ARRAYS[1:]:
+        # the stored arrays replace the fresh ones: the iterate keeps its exact bits
+        for name in _STREAM_ARRAYS:
             value = np.array(record[name], dtype=float)
             expected = getattr(state, name).shape
             if value.shape != expected:

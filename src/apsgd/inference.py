@@ -189,6 +189,7 @@ def test_from_states(
     averages, its curvature inverted as a full-rank matrix, and the outer
     pseudoinverse truncated at the structural rank ``p - d``.
     """
+    _check_alpha(alpha)
     con = constrained.constraint
     p = con.p
     df = p - con.d

@@ -129,50 +129,6 @@ def pinv_truncated(a, rank: int) -> np.ndarray:
     return 0.5 * (out + out.mT)
 
 
-def build_projection(B, b) -> tuple[np.ndarray, np.ndarray, int]:
-    """Projection machinery for the affine set ``{theta : B theta = b}``.
-
-    Returns
-    -------
-    P : ndarray, shape (p, p)
-        Orthogonal projection onto the kernel of ``B``.
-    c : ndarray, shape (p,)
-        Minimum-norm solution of ``B c = b``.
-    d : int
-        Rank of ``P``, i.e. ``p`` minus the numerical rank of ``B``.
-
-    A matrix with zero rows (no constraints) yields ``P = I``, ``c = 0`` and
-    ``d = p``.  An inconsistent system raises ``InfeasibleConstraintError``.
-    """
-    B = _as_matrix(B, "B")
-    b = _as_vector(b, "b")
-    m, p = B.shape
-    if b.shape[0] != m:
-        raise DimensionError(f"b has dimension {b.shape[0]}, expected {m} (rows of B)")
-    if m == 0:
-        return np.eye(p), np.zeros(p), p
-
-    u, s, vt = np.linalg.svd(B, full_matrices=False)
-    rank = int(np.sum(s > RANK_THRESHOLD * s[0])) if s.size and s[0] > 0.0 else 0
-    if rank == 0:
-        P = np.eye(p)
-        c = np.zeros(p)
-        d = p
-    else:
-        vr = vt[:rank].T
-        c = vr @ ((u[:, :rank].T @ b) / s[:rank])
-        P = np.eye(p) - vr @ vr.T
-        P = 0.5 * (P + P.T)
-        d = p - rank
-
-    residual = np.linalg.norm(B @ c - b)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(b)):
-        raise InfeasibleConstraintError(
-            f"system B theta = b is inconsistent (residual {residual:.6e})"
-        )
-    return P, c, d
-
-
 @dataclass(frozen=True)
 class Constraint:
     """The affine feasible set ``{theta : B theta = b}`` and its geometry.
@@ -190,11 +146,33 @@ class Constraint:
 
     @classmethod
     def from_equalities(cls, B, b) -> "Constraint":
-        """Build from an equality system; see ``build_projection``."""
+        """Build from the equality system ``B theta = b``, the only place its
+        geometry is derived.
+
+        ``P`` (shape ``(p, p)``) is the orthogonal projection onto the kernel
+        of ``B``, ``c`` (shape ``(p,)``) the minimum-norm solution of
+        ``B c = b``, and ``d`` the rank of ``P``, i.e. ``p`` minus the
+        numerical rank of ``B``.  A matrix with no rows, or with zero rows
+        only, yields ``P = I``, ``c = 0`` and ``d = p``.  An inconsistent
+        system raises ``InfeasibleConstraintError``.
+        """
         B = _as_matrix(B, "B")
         b = _as_vector(b, "b")
-        P, c, d = build_projection(B, b)
-        return cls(B=B, b=b, P=P, c=c, d=d)
+        m, p = B.shape
+        if b.shape[0] != m:
+            raise DimensionError(f"b has dimension {b.shape[0]}, expected {m} (rows of B)")
+        u, s, vt = np.linalg.svd(B, full_matrices=False)
+        rank = int(np.sum(s > RANK_THRESHOLD * s.max(initial=0.0)))
+        vr = vt[:rank].T
+        c = vr @ ((u[:, :rank].T @ b) / s[:rank])
+        P = np.eye(p) - vr @ vr.T
+        P = 0.5 * (P + P.T)
+        residual = np.linalg.norm(B @ c - b)
+        if residual > 1e-8 * max(1.0, np.linalg.norm(b)):
+            raise InfeasibleConstraintError(
+                f"system B theta = b is inconsistent (residual {residual:.6e})"
+            )
+        return cls(B=B, b=b, P=P, c=c, d=p - rank)
 
     @classmethod
     def unconstrained(cls, p: int) -> "Constraint":

@@ -33,6 +33,7 @@ because every replication owns its seed.
 from __future__ import annotations
 
 import itertools
+import pathlib
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -259,6 +260,10 @@ class ExperimentConfig:
             raise ConfigError(f"r_grid must be non-empty, finite and without repeats, got {grid}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        try:
+            self.schedule()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def schedule(self) -> LearningRate:
         return LearningRate(gamma=self.gamma, rho=self.rho)
@@ -307,17 +312,15 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read(), source=path)
-
-
 def resolve_config(name_or_path: str) -> ExperimentConfig:
     """Load a bundled config by name, or any path to a config file."""
-    root = resources.files("apsgd").joinpath("configs").joinpath(f"{name_or_path}.cfg")
-    if root.is_file():
-        return parse_config_text(root.read_text(encoding="utf-8"), source=name_or_path)
-    return load_config(name_or_path)
+    bundled = resources.files("apsgd").joinpath("configs").joinpath(f"{name_or_path}.cfg")
+    source = bundled if bundled.is_file() else pathlib.Path(name_or_path)
+    try:
+        text = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {name_or_path}: {exc}") from exc
+    return parse_config_text(text, source=name_or_path)
 
 
 def full_scale(config: ExperimentConfig) -> ExperimentConfig:

@@ -9,12 +9,21 @@ import sys
 import tempfile
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from apsgd import LearningRate, ingest
-from apsgd.cli import EXIT_DATA, EXIT_OK, EXIT_REJECT, build_parser, main
+from apsgd import LearningRate, NumericalError, cli, ingest
+from apsgd.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_REJECT,
+    EXIT_USAGE,
+    build_parser,
+    main,
+    significance_marker,
+)
 from apsgd.simulate import PRESETS, draw_block, parse_config_text, replication_rng, run_experiment
 
 
@@ -330,3 +339,116 @@ def test_coordinate_pinned_by_a_combination_has_no_p_value(tmp_path, capsys):
     rows = report.read_text(encoding="utf-8").splitlines()[1:3]
     assert [row.split(",")[2] for row in rows] == ["0.0", "0.0"]
     assert [row.split(",")[5] for row in rows] == ["nan", "nan"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["estimate", "{d}/data.csv"], EXIT_USAGE,
+         "apsgd estimate: error: the following arguments are required: --model"),
+        (["spec-test", "{d}/data.csv", "--model", "linear"], EXIT_USAGE,
+         "apsgd: error: spec-test requires a constraint file (got 'none')"),
+        (["estimate", "{d}/empty.csv", "--model", "linear"], EXIT_DATA,
+         "apsgd: error: {d}/empty.csv: file is empty"),
+        (["estimate", "{d}/one_row.csv", "--model", "linear", "--standardize"], EXIT_DATA,
+         "apsgd: error: {d}/one_row.csv: need at least 2 data rows, got 1"),
+        (["estimate", "{d}/data.csv", "--model", "linear", "--schema", "header=maybe"], EXIT_DATA,
+         "apsgd: error: schema header must be yes/no/auto, got 'maybe'"),
+        (["estimate", "{d}/missing.csv", "--model", "linear"], EXIT_DATA,
+         "apsgd: error: cannot open {d}/missing.csv: [Errno 2] No such file or directory: "
+         "'{d}/missing.csv'"),
+        (["estimate", "{d}/data.csv", "--model", "linear", "--constraint", "{d}/missing.txt"],
+         EXIT_DATA,
+         "apsgd: error: cannot open constraint file {d}/missing.txt: [Errno 2] No such file "
+         "or directory: '{d}/missing.txt'"),
+        (["estimate", "{d}/data.csv", "--model", "linear", "--gamma", "inf"], EXIT_DATA,
+         "apsgd: error: gamma must be positive and finite, got inf"),
+        (["estimate", "{d}/data.csv", "--model", "linear", "--output", "{d}/no/report.csv"],
+         EXIT_DATA, "apsgd: error: cannot write {d}/no/report.csv: No such file or directory"),
+        (["simulate", "{d}/missing.cfg", "--output", "{d}/out.csv"], EXIT_DATA,
+         "apsgd: error: cannot read config {d}/missing.cfg: [Errno 2] No such file or "
+         "directory: '{d}/missing.cfg'"),
+        (["simulate", "{d}/latin1.cfg", "--output", "{d}/out.csv"], EXIT_DATA,
+         "apsgd: error: cannot read config {d}/latin1.cfg: 'utf-8' codec can't decode byte "
+         "0xe9 in position 18: invalid continuation byte"),
+        (["simulate", "{d}/rho.cfg", "--output", "{d}/out.csv"], EXIT_DATA,
+         "apsgd: error: {d}/rho.cfg: rho must lie strictly in (1/2, 1), got 0.4"),
+    ],
+    ids=[
+        "usage", "spec_test_without_constraint", "empty_file", "one_row_standardized",
+        "bad_header", "missing_data", "missing_constraint", "infinite_gamma",
+        "unwritable_report", "missing_config", "non_utf8_config", "config_rho",
+    ],
+)
+def test_each_error_exits_with_its_code_and_one_line(tmp_path, capsys, argv, code, line):
+    """A usage error exits 1 and a data or configuration error 2, each with
+    one ``error:`` line last on stderr, and no output file is left behind."""
+    (tmp_path / "data.csv").write_text(linear_csv(20), encoding="utf-8")
+    (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+    (tmp_path / "one_row.csv").write_text("y,x1\n1.0,2.0\n", encoding="utf-8")
+    (tmp_path / "latin1.cfg").write_bytes("mode = coverage # \xe9\n".encode("latin-1"))
+    (tmp_path / "rho.cfg").write_text(
+        "mode = coverage\npreset = linear\nsample_sizes = 10\nreplications = 2\nrho = 0.4\n",
+        encoding="utf-8",
+    )
+    before = set(os.listdir(tmp_path))
+    try:
+        got, err = run([arg.format(d=tmp_path) for arg in argv], capsys)
+    except SystemExit as exc:  # argparse's usage errors
+        got, err = exc.code, capsys.readouterr().err
+    assert got == code
+    assert err.splitlines()[-1] == line.format(d=tmp_path)
+    assert set(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("p_value, marker", [(0.01, "*"), (0.07, "•"), (0.5, ""), (np.nan, "")])
+def test_significance_marker(p_value, marker):
+    assert significance_marker(p_value) == marker
+
+
+SMALL_CONFIG = "mode = size_power\npreset = linear\nsample_sizes = 200\nreplications = 3\n"
+
+
+def test_simulate_seed_overrides_the_config(tmp_path, capsys):
+    config = tmp_path / "experiment.cfg"
+    config.write_text(SMALL_CONFIG, encoding="utf-8")
+    output = tmp_path / "out.csv"
+    assert main(["simulate", str(config), "--output", str(output), "--seed", "5"]) == EXIT_OK
+    expected = run_experiment(replace(parse_config_text(SMALL_CONFIG), base_seed=5))
+    assert output.read_text(encoding="utf-8") == expected.to_csv_text()
+    assert "seed = 5" in capsys.readouterr().out
+
+
+def test_simulate_checks_its_output_before_the_first_cell(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "experiment.cfg"
+    config.write_text(SMALL_CONFIG, encoding="utf-8")
+    monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("a cell ran"))
+    output = tmp_path / "missing" / "out.csv"
+    code, err = run(["simulate", str(config), "--output", str(output)], capsys)
+    assert code == EXIT_DATA
+    assert err == f"apsgd: error: cannot write {output}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_a_failing_command_leaves_no_output_file(tmp_path, capsys, monkeypatch, command):
+    """The output is claimed before the work; a failure removes a file that
+    the command created and leaves one that existed untouched."""
+    if command == "estimate":
+        data = tmp_path / "data.csv"
+        data.write_text("y,x1\n1.0,2.0\n2.0,oops\n", encoding="utf-8")
+        argv = ["estimate", str(data), "--model", "linear"]
+    else:
+        (tmp_path / "experiment.cfg").write_text(SMALL_CONFIG, encoding="utf-8")
+        argv = ["simulate", str(tmp_path / "experiment.cfg")]
+
+        def fail(config):
+            raise NumericalError("a cell failed")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+    created, kept = tmp_path / "created.csv", tmp_path / "kept.csv"
+    kept.write_text("old report\n", encoding="utf-8")
+    for output in (created, kept):
+        code, err = run(argv + ["--output", str(output)], capsys)
+        assert code == EXIT_DATA and err.count("\n") == 1
+    assert not created.exists()
+    assert kept.read_text(encoding="utf-8") == "old report\n"

@@ -1,5 +1,7 @@
 """Estimator state machine: projections, averaging, recursions, snapshots."""
 
+from math import inf
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from apsgd import (
     Constraint,
     CustomModel,
     DataError,
+    DimensionError,
     DomainError,
     EstimatorState,
     LearningRate,
@@ -45,8 +48,12 @@ class TestLearningRate:
         assert lr.at(1) == 1.0
         assert lr.at(4) == pytest.approx(4.0 ** -0.505)
 
-    @pytest.mark.parametrize("gamma,rho", [(0.0, 0.6), (-1.0, 0.6), (1.0, 0.5), (1.0, 1.0), (1.0, 1.3)])
+    @pytest.mark.parametrize(
+        "gamma,rho", [(0.0, 0.6), (-1.0, 0.6), (inf, 0.6), (1.0, 0.5), (1.0, 1.0), (1.0, 1.3)]
+    )
     def test_invalid_parameters(self, gamma, rho):
+        """An infinite gamma would fail only at the first step, as a
+        non-finite iterate that seems to blame the data."""
         with pytest.raises(DomainError):
             LearningRate(gamma=gamma, rho=rho)
 
@@ -338,6 +345,46 @@ class TestSnapshots:
         np.testing.assert_array_equal(resumed.theta_bar, straight.theta_bar)
         np.testing.assert_array_equal(resumed.g_hat, straight.g_hat)
         np.testing.assert_array_equal(resumed.s_hat, straight.s_hat)
+
+
+    @pytest.mark.parametrize("tamper", [{"d": 4}, {"P": np.eye(4).tolist()}], ids=["d", "P"])
+    def test_geometry_is_derived_from_the_equalities(self, tamper):
+        """A record's ``P``, ``c`` and ``d`` (written by older versions) are
+        ignored: a record that says ``d = 4`` or ``P = I`` under the linear
+        preset's constraint still resumes as a constrained fit."""
+        obs = dgp1_stream(3000, seed=7)
+        con = PRESETS["linear"].constraint()
+        record = EstimatorState(LinearModel(4), con).run_stream([obs[:1000]]).to_record()
+        record["constraint"].update(
+            {"P": con.P.tolist(), "c": con.c.tolist(), "d": con.d}, **tamper
+        )
+        resumed = EstimatorState.from_record(record, LinearModel(4)).run_stream([obs[1000:]])
+        assert resumed.constraint.d == 3
+        np.testing.assert_array_equal(resumed.constraint.P, con.P)
+        assert resumed.constraint.violation(resumed.theta_bar) <= 1e-12
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+    def test_record_holds_the_equalities_only(self, paired):
+        """A record carries ``B`` and ``b``, not ``P``, ``c`` or ``d``, and
+        loads with every stream array and ``P`` bit for bit."""
+        model, con = LinearModel(4), PRESETS["linear"].constraint()
+        build = EstimatorState.paired if paired else EstimatorState
+        state = build(model, con).run_stream([dgp1_stream(300, seed=15)])
+        record = state.to_record()
+        assert sorted(record["constraint"]) == ["B", "b"]
+        restored = EstimatorState.from_record(record, model)
+        assert restored.t == 300 and (restored.sides is not None) == paired
+        assert restored.constraint.P.tobytes() == con.P.tobytes()
+        for name in STREAM_ARRAYS:
+            assert getattr(restored, name).tobytes() == getattr(state, name).tobytes()
+
+    def test_paired_record_theta_must_have_two_sides(self):
+        model = LinearModel(4)
+        pair = EstimatorState.paired(model, PRESETS["linear"].constraint())
+        record = pair.run_stream([dgp1_stream(20, seed=16)]).to_record()
+        record["theta"] = np.zeros((3, 4)).tolist()
+        with pytest.raises(DimensionError, match=r"^theta has shape \(3, 4\), expected"):
+            EstimatorState.from_record(record, model)
 
 
 class TestBatchedState:

@@ -187,6 +187,16 @@ class TestSpecificationTest:
         assert not result.reject
         assert result.p_value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_the_unit_interval_is_named(self, alpha):
+        """A bad alpha is named as alpha, before the weight matrix is built."""
+        con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
+        free = Constraint.unconstrained(2)
+        states = [moment_state(c, [0.5, 0.5], np.eye(2)) for c in (con, free)]
+        message = rf"^alpha must lie strictly in \(0, 1\), got {alpha}$"
+        with pytest.raises(DomainError, match=message):
+            test_from_states(*states, alpha=alpha)
+
     def test_p_value_does_not_underflow(self):
         """kappa = 80 on one degree of freedom has upper tail 3.7e-19, not 1 - 1.0 = 0."""
         shift = np.sqrt(0.8)  # kappa = T shift^2 with T = 100

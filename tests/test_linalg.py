@@ -9,7 +9,6 @@ from apsgd import (
     DomainError,
     InfeasibleConstraintError,
     RankDeficiencyError,
-    build_projection,
     pinv_truncated,
     symmetric_eigen,
 )
@@ -108,39 +107,62 @@ class TestPinvTruncated:
             assert np.linalg.norm(m @ a - (m @ a).T, 2) <= tol
 
 
-class TestBuildProjection:
+def geometry(B, b):
+    """``(P, c, d)`` of ``Constraint.from_equalities(B, b)``."""
+    con = Constraint.from_equalities(B, b)
+    return con.P, con.c, con.d
+
+
+class TestFromEqualities:
     def test_two_coordinate_equality(self):
         # B = (1, -1): kernel is the diagonal, so P averages the coordinates
-        P, c, d = build_projection([[1.0, -1.0]], [0.0])
+        P, c, d = geometry([[1.0, -1.0]], [0.0])
         np.testing.assert_allclose(P, np.full((2, 2), 0.5), atol=1e-12)
         np.testing.assert_allclose(c, [0.0, 0.0], atol=1e-14)
         assert d == 1
 
     def test_empty_system_is_unconstrained(self):
-        P, c, d = build_projection(np.zeros((0, 5)), np.zeros(0))
+        P, c, d = geometry(np.zeros((0, 5)), np.zeros(0))
         np.testing.assert_allclose(P, np.eye(5))
         np.testing.assert_allclose(c, np.zeros(5))
         assert d == 5
 
     def test_fully_pinned(self):
         b0 = np.array([2.0, -1.0, 0.5])
-        P, c, d = build_projection(np.eye(3), b0)
+        P, c, d = geometry(np.eye(3), b0)
         np.testing.assert_allclose(P, np.zeros((3, 3)), atol=1e-12)
         np.testing.assert_allclose(c, b0, atol=1e-12)
         assert d == 0
 
     def test_inconsistent_system(self):
         with pytest.raises(InfeasibleConstraintError):
-            build_projection([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
+            geometry([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0])
 
     def test_redundant_consistent_rows(self):
-        P, c, d = build_projection([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
+        P, c, d = geometry([[1.0, 0.0], [2.0, 0.0]], [1.0, 2.0])
         assert d == 1
         np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            build_projection([[1.0, 0.0]], [0.0, 1.0])
+            geometry([[1.0, 0.0]], [0.0, 1.0])
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 7])
+    def test_unconstrained_geometry_is_exact(self, p):
+        con = Constraint.unconstrained(p)
+        assert con.B.shape == (0, p) and con.b.shape == (0,) and con.d == p
+        for got, want in ((con.P, np.eye(p)), (con.c, np.zeros(p))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_zero_rows_are_no_constraint(self):
+        """An all-zero row has rank 0: P = I, c = 0 and d = p, bit for bit."""
+        P, c, d = geometry([[0.0, 0.0, 0.0]], [0.0])
+        assert P.tobytes() == np.eye(3).tobytes() and c.tobytes() == np.zeros(3).tobytes()
+        assert d == 3
+
+    def test_zero_row_with_a_nonzero_constant_is_infeasible(self):
+        with pytest.raises(InfeasibleConstraintError, match="inconsistent"):
+            geometry([[0.0, 0.0, 0.0]], [1.0])
 
     def test_projection_invariants_random_systems(self):
         """P idempotent/symmetric, B P = 0, B c = b on random consistent systems."""
@@ -150,7 +172,7 @@ class TestBuildProjection:
             m = int(rng.integers(1, p + 1))
             B = rng.standard_normal((m, p))
             b = B @ rng.standard_normal(p)  # consistent by construction
-            P, c, d = build_projection(B, b)
+            P, c, d = geometry(B, b)
             assert np.linalg.norm(P @ P - P, 2) <= 1e-10
             assert np.linalg.norm(P - P.T, 2) <= 1e-10
             assert np.linalg.norm(B @ P, 2) <= 1e-8 * np.linalg.norm(B, 2)

@@ -686,6 +686,24 @@ class TestConfigs:
                 r_grid=r_grid,
             )
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("rho = 0.4", r"rho must lie strictly in \(1/2, 1\), got 0.4"),
+         ("gamma = inf", "gamma must be positive and finite, got inf")],
+    )
+    def test_schedule_is_checked_with_the_config(self, line, message):
+        """A bad schedule is named with its file, not when the run starts."""
+        text = f"mode = coverage\npreset = linear\nsample_sizes = 10\nreplications = 3\n{line}\n"
+        with pytest.raises(ConfigError, match=f"^exp.cfg: {message}$"):
+            parse_config_text(text, source="exp.cfg")
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "latin1.cfg", "."])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, name):
+        (tmp_path / "latin1.cfg").write_bytes("mode = coverage # \xe9\n".encode("latin-1"))
+        path = str(tmp_path / name)
+        with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(path)}: "):
+            resolve_config(path)
+
     def test_bundled_configs_resolve(self):
         for name in ("table_s1_desk", "table_s2_desk", "figure_s1_desk"):
             config = resolve_config(name)
