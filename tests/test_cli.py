@@ -381,8 +381,9 @@ def test_coordinate_pinned_by_a_combination_has_no_p_value(tmp_path, capsys):
     ],
 )
 def test_each_error_exits_with_its_code_and_one_line(tmp_path, capsys, argv, code, line):
-    """A usage error exits 1 and a data or configuration error 2, each with
-    one ``error:`` line last on stderr, and no output file is left behind."""
+    """A usage error exits 1 and a data or configuration error 2 with one
+    ``error:`` line on stderr (after argparse's usage line for a parse
+    error), and no output file is left behind."""
     (tmp_path / "data.csv").write_text(linear_csv(20), encoding="utf-8")
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     (tmp_path / "one_row.csv").write_text("y,x1\n1.0,2.0\n", encoding="utf-8")
@@ -398,6 +399,7 @@ def test_each_error_exits_with_its_code_and_one_line(tmp_path, capsys, argv, cod
         got, err = exc.code, capsys.readouterr().err
     assert got == code
     assert err.splitlines()[-1] == line.format(d=tmp_path)
+    assert code == EXIT_USAGE or err.count("\n") == 1
     assert set(os.listdir(tmp_path)) == before
 
 
