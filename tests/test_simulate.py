@@ -595,6 +595,12 @@ class TestGoldenOutputs:
             "b8a1f6413b740492663090ad9b3ee7436ddf9c148117d95c386e0a5ef4c44841"
         )
 
+    def test_logistic_shift_size_power_cells(self):
+        result = self.run("size_power", "logistic_shift", 20, 6, (0.0, 0.05))
+        assert sha256(result.to_csv_text().encode()) == (
+            "b6c30da142c81fbea5335ecddc09a0793f86f3a31f0f149766fee2d583fc2446"
+        )
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_results(self):
