@@ -30,8 +30,8 @@ from .inference import (
     coordinate_report,
     efficiency_gap,
     local_power,
+    spec_test_from_state,
     specification_test,
-    test_from_states,
 )
 from .linalg import (
     Constraint,
@@ -107,7 +107,7 @@ __all__ = [
     "replication_rng",
     "resolve_config",
     "run_experiment",
+    "spec_test_from_state",
     "specification_test",
     "symmetric_eigen",
-    "test_from_states",
 ]

@@ -2,12 +2,11 @@
 
 An ``EstimatorState`` advances one stream, or a stack of independent streams
 in lockstep: the shape of ``theta0`` without its last axis is the batch
-shape, so a CSV fit is a ``(p,)`` state, a Monte Carlo cell a single
-``(R, p)`` state, and the constrained and unconstrained sides of a
-specification test one ``paired`` state with a leading side axis, which
-evaluates each observation once for both sides.  ``run_stream`` advances
-every caller, a CSV stream and the Monte Carlo lockstep (``simulate``)
-alike, over blocks of at most ``_BLOCK`` rows.  Within a block only the
+shape, so a CSV fit is a ``(p,)`` state and a Monte Carlo cell a single
+``(R, p)`` state.  Every caller advances over blocks of at most ``_BLOCK``
+rows: a CSV stream through ``run_stream``, and the Monte Carlo lockstep
+(``simulate``), which hands each drawn block to every state of a cell,
+through ``_advance_block``.  Within a block only the
 iterate is sequential: the model's ``_walk`` moves the iterates over the
 block along the projected gradient, one cumulative sum turns them into
 running averages, and the block's curvature and gradient-outer-product
@@ -20,12 +19,11 @@ from __future__ import annotations
 
 import copy
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ApsgdError, DimensionError, DomainError, NumericalError
+from .exceptions import ApsgdError, DataError, DimensionError, DomainError, NumericalError
 from .linalg import Constraint
 from .models import LossModel, _gram
 
@@ -95,11 +93,6 @@ class EstimatorState:
     ``theta_bar``, ``g_hat`` and ``s_hat`` are updated in place by every
     block; copy them to keep a trajectory.
 
-    A ``paired`` state has shapes ``(2, ..., p)`` and ``sides``, the two
-    constraints; its observations carry no side axis.  ``pair[k]`` is side
-    ``k`` as an ordinary state with its own constraint, and ``concatenate``
-    joins pairs along their replication axis (axis 1).
-
     The engine never re-projects from ``c``: it moves a feasible iterate
     along the projected gradient with the model's ``LossModel._walk`` (for
     the regression families, a weight times a direction ``gamma_t x_t P``
@@ -135,46 +128,33 @@ class EstimatorState:
         self.theta_bar = self.theta.copy()
         self.g_hat = np.zeros(theta.shape + (p,))
         self.s_hat = np.zeros(theta.shape + (p,))
-        self.sides: tuple[Constraint, Constraint] | None = None
-
-    @classmethod
-    def paired(cls, model, constraint, schedule=None, theta0=None) -> "EstimatorState":
-        """A specification test's two sides as one ``(2, ..., p)`` state: side 0
-        under ``constraint``, side 1 without, both from the projected ``theta0``."""
-        theta = np.asarray(constraint.c if theta0 is None else theta0, dtype=float)
-        state = cls(model, constraint, schedule, np.stack([theta, theta]))
-        state.sides = (constraint, Constraint.unconstrained(model.param_dim))
-        return state
 
     def __getitem__(self, index) -> "EstimatorState":
-        """The streams at ``index`` of the batch (side ``index`` of a pair) as a state."""
+        """The streams at ``index`` of the batch as a state."""
         part = copy.copy(self)
-        if self.sides is not None:
-            part.constraint, part.sides = self.sides[operator.index(index)], None
         for name in _STREAM_ARRAYS:
             setattr(part, name, getattr(self, name)[index].copy())
         return part
 
     @classmethod
     def concatenate(cls, states) -> "EstimatorState":
-        """Join batched states along their first batch axis (axis 1 of pairs).
+        """Join batched states along their first batch axis.
 
         The states must share ``t``, model, constraint and schedule, as the
         replication chunks of one Monte Carlo cell do.
         """
         joined = copy.copy(states[0])
-        axis = 0 if joined.sides is None else 1
         for name in _STREAM_ARRAYS:
-            setattr(joined, name, np.concatenate([getattr(s, name) for s in states], axis))
+            setattr(joined, name, np.concatenate([getattr(s, name) for s in states]))
         return joined
 
     def run_stream(self, blocks) -> "EstimatorState":
         """Advance every stream over an iterable of observation blocks, in order.
 
-        Each block has shape ``(n, *batch_shape, obs_dim)`` (no side axis)
-        and is advanced ``_BLOCK`` rows at a time by ``_advance_block``.  An
-        error leaves the state after the row before the offending one, and
-        is re-raised with that row's position in the stream prepended.
+        Each block has shape ``(n, *batch_shape, obs_dim)`` and is advanced
+        ``_BLOCK`` rows at a time by ``_advance_block``.  An error leaves the
+        state after the row before the offending one, and is re-raised with
+        that row's position in the stream prepended.
         """
         start = self.t
         path = np.empty((_BLOCK,) + self.theta.shape)
@@ -188,8 +168,8 @@ class EstimatorState:
 
     def _advance_block(self, rows, path: np.ndarray) -> None:
         """Advance every stream over ``rows``, an ``(n, ..., obs_dim)`` block
-        of at most ``len(path)`` rows (no side axis): at once, or again one
-        row at a time if that raises (the class's error rule)."""
+        of at most ``len(path)`` rows: at once, or again one row at a time if
+        that raises (the class's error rule)."""
         try:
             return self._commit_block(rows, path)
         except ApsgdError:
@@ -203,27 +183,18 @@ class EstimatorState:
         """Validate ``rows`` with the model's ``_check_obs`` and walk them; the
         model's ``_walk`` writes each iterate into ``path``, and one in-place
         cumulative sum turns them into running averages, along which the
-        block's moments are summed (one side's gradients at a time for a
-        pair).  The state changes only once all of these are finite.  An
-        error names step ``t + 1``, which is exact for a one-row block.
+        block's moments are summed.  The state changes only once all of these
+        are finite.  An error names step ``t + 1``, which is exact for a
+        one-row block.
         """
         model, con, t0 = self.model, self.constraint, self.t
-        batch = self.theta.shape[:-1] if self.sides is None else self.theta.shape[1:-1]
-        rows = model._check_obs(rows, (len(rows), *batch))
-        n, at = len(rows), self.schedule.at
-        block = rows if self.sides is None else rows[:, None]  # both sides read it
+        block = model._check_obs(rows, (len(rows), *self.theta.shape[:-1]))
+        n, at = len(block), self.schedule.at
         path = path[:n]
         steps = np.array([at(t) for t in range(t0 + 1, t0 + n + 1)])
         P = None if con.d == con.p else con.P
-        theta, walked, iterates = self.theta, block, path
-        if self.sides is not None:  # x @ I is exact, so the free side loses no bit
-            P = np.stack([side.P for side in self.sides])
-            if theta.ndim == 2:
-                # one stream per side: a replication axis of length 1 keeps x P
-                # one matrix product per side
-                theta, walked, iterates = theta[:, None], block[..., None, :], path[..., None, :]
         with np.errstate(over="ignore", invalid="ignore"):
-            model._walk(theta, walked, P, steps, iterates)
+            model._walk(self.theta, block, P, steps, path)
             last = path[-1].copy()
             np.cumsum(path, axis=0, out=path)
             path += t0 * self.theta_bar
@@ -231,12 +202,7 @@ class EstimatorState:
             path /= counts.reshape((-1,) + (1,) * (path.ndim - 1))
             if not np.isfinite(path).all():
                 raise NumericalError(self._path_fault(block[0], last))
-            if self.sides is None:
-                outer_sum = _gram(model._gradient(path, block))
-            else:
-                outer_sum = np.stack(
-                    [_gram(model._gradient(path[:, k], block[:, 0])) for k in (0, 1)]
-                )
+            outer_sum = _gram(model._gradient(path, block))
             hess_sum = model._hessian_sum(path, block)
         if not (np.isfinite(hess_sum).all() and np.isfinite(outer_sum).all()):
             raise NumericalError(f"non-finite moment update at step {t0 + 1}")
@@ -267,15 +233,14 @@ class EstimatorState:
     def to_record(self) -> dict:
         """Self-describing snapshot of everything except the model.
 
-        For a state of batch shape ``S`` (``(2, *S)`` for a pair) and ``m``
-        constraint rows, the record holds ``t`` (int), ``theta`` and
-        ``theta_bar`` (``(*S, p)``), ``g_hat`` and ``s_hat`` (``(*S, p, p)``),
-        ``constraint`` ``{B: (m, p), b: (m,)}``, ``schedule``
-        ``{gamma, rho}`` and ``paired`` (bool), as nested lists.  The
-        constraint's geometry (``P``, ``c``, ``d``) is not stored; ``from_record``
-        derives it again from ``B`` and ``b``.  The model holds callables and
-        cannot be serialized; supply it again to ``from_record``.  Floats
-        survive the JSON round trip exactly.
+        For a state of batch shape ``S`` and ``m`` constraint rows, the
+        record holds ``t`` (int), ``theta`` and ``theta_bar`` (``(*S, p)``),
+        ``g_hat`` and ``s_hat`` (``(*S, p, p)``), ``constraint``
+        ``{B: (m, p), b: (m,)}`` and ``schedule`` ``{gamma, rho}``, as nested
+        lists.  The constraint's geometry (``P``, ``c``, ``d``) is not stored;
+        ``from_record`` derives it again from ``B`` and ``b``.  The model
+        holds callables and cannot be serialized; supply it again to
+        ``from_record``.  Floats survive the JSON round trip exactly.
         """
         con = self.constraint
         return {
@@ -283,7 +248,6 @@ class EstimatorState:
             **{name: getattr(self, name).tolist() for name in _STREAM_ARRAYS},
             "constraint": {"B": con.B.tolist(), "b": con.b.tolist()},
             "schedule": {"gamma": self.schedule.gamma, "rho": self.schedule.rho},
-            "paired": self.sides is not None,
         }
 
     @classmethod
@@ -293,22 +257,27 @@ class EstimatorState:
         The constraint is built from its ``B`` and ``b`` by
         ``Constraint.from_equalities`` (the ``P``, ``c`` and ``d`` of older
         records are ignored), and each stream array must have the shape that
-        the model, the batch and ``paired`` give it.
+        the model and the batch give it.  A missing entry raises
+        ``DataError`` naming it, as does a record of the two-stream state
+        that older versions wrote for the specification test.
         """
-        con_rec = record["constraint"]
-        constraint = Constraint.from_equalities(
-            np.asarray(con_rec["B"], dtype=float).reshape(-1, model.param_dim), con_rec["b"]
-        )
-        schedule = LearningRate(**record["schedule"])
-        theta = np.array(record["theta"], dtype=float)
         if record.get("paired"):
-            state = cls.paired(model, constraint, schedule, theta0=theta[0])
-        else:
-            state = cls(model, constraint, schedule, theta0=theta)
-        state.t = int(record["t"])
+            raise DataError(
+                "paired records (both streams of a specification test) no longer load"
+            )
+        try:
+            con_rec, schedule, t = record["constraint"], record["schedule"], record["t"]
+            B, b = con_rec["B"], con_rec["b"]
+            arrays = {name: np.array(record[name], dtype=float) for name in _STREAM_ARRAYS}
+        except KeyError as exc:
+            raise DataError(f"record has no {exc.args[0]!r} entry") from exc
+        constraint = Constraint.from_equalities(
+            np.asarray(B, dtype=float).reshape(-1, model.param_dim), b
+        )
+        state = cls(model, constraint, LearningRate(**schedule), theta0=arrays["theta"])
+        state.t = int(t)
         # the stored arrays replace the fresh ones: the iterate keeps its exact bits
-        for name in _STREAM_ARRAYS:
-            value = np.array(record[name], dtype=float)
+        for name, value in arrays.items():
             expected = getattr(state, name).shape
             if value.shape != expected:
                 raise DimensionError(f"{name} has shape {value.shape}, expected {expected}")

@@ -4,9 +4,10 @@ The estimate's limiting covariance is the sandwich
 ``pinv(P G P) S pinv(P G P)`` with the pseudoinverse truncated at the
 structural rank ``d`` of the projection; the plug-in version substitutes the
 streaming averages accumulated by the estimator.  The specification test
-compares the constrained and unconstrained averages computed from one shared
-pass over the data.
-``asymptotic_covariance``, ``coordinate_report`` and ``test_from_states``
+compares the constrained and unconstrained averages; every constrained
+iterate is feasible, so the test reads the constrained side only through the
+constraint and needs one pass of the unconstrained stream.
+``asymptotic_covariance``, ``coordinate_report`` and ``spec_test_from_state``
 take a CSV fit's ``(p,)`` state or a Monte Carlo cell's ``(R, p)`` state,
 whose results equal each ``state[k]``'s bit for bit.
 """
@@ -70,8 +71,8 @@ class InferenceReport:
 class TestResult:
     """Outcome of the constraint specification test.
 
-    ``kappa``, ``p_value`` and ``reject`` have the states' batch shape
-    ``(...)``, the averages ``(..., p)`` and ``weight_matrix`` ``(..., p, p)``.
+    ``kappa``, ``p_value`` and ``reject`` have the state's batch shape
+    ``(...)``, the average ``(..., p)`` and ``weight_matrix`` ``(..., p, p)``.
     ``reject`` is exactly ``kappa > chi2_quantile(alpha, df)`` and ``p_value``
     is the upper chi-square tail at ``kappa``.  ``weight_matrix`` is the
     estimated weight matrix the statistic was normalised by, kept for
@@ -83,7 +84,6 @@ class TestResult:
     p_value: np.ndarray
     alpha: float
     reject: np.ndarray
-    theta_bar_constrained: np.ndarray
     theta_bar_unconstrained: np.ndarray
     weight_matrix: np.ndarray
 
@@ -179,34 +179,41 @@ def coordinate_report(
     )
 
 
-def test_from_states(
-    constrained: EstimatorState, unconstrained: EstimatorState, alpha: float = 0.05
+def spec_test_from_state(
+    unconstrained: EstimatorState, constraint: Constraint, alpha: float = 0.05
 ) -> TestResult:
-    """Specification test from two already-advanced paired streams.
+    """Specification test of ``constraint`` from an advanced unconstrained stream.
 
-    Both states must have consumed the same observations in the same order.
-    The weight matrix is built from the unconstrained stream's moment
-    averages, its curvature inverted as a full-rank matrix, and the outer
-    pseudoinverse truncated at the structural rank ``p - d``.
+    The paper's statistic is ``kappa = T (theta_c - theta_u)' pinv(W)
+    (theta_c - theta_u)``, the difference of the constrained (projected SGD)
+    and unconstrained (SGD) averages over the same observations.  ``W`` is
+    ``(I - P) G^-1 S G^-1 (I - P)``, built from the unconstrained stream's
+    moment averages, its curvature inverted as a full-rank matrix, and
+    pseudo-inverted truncated at the structural rank ``p - d``; ``pinv(W)``
+    lives in the range of ``I - P``.  Every projected iterate is feasible,
+    so ``(I - P) theta_c = (I - P) c`` with ``c`` the constraint's feasible
+    point, and the difference is taken as ``(c - theta_u)(I - P)``: the
+    constrained stream need not be run.
     """
     _check_alpha(alpha)
-    con = constrained.constraint
-    p = con.p
-    df = p - con.d
+    p = constraint.p
+    df = p - constraint.d
     if df == 0:
         raise DegenerateTestError(
             "constraint has no effective rows (d = p), the test has 0 degrees "
             "of freedom"
         )
-    if constrained.t != unconstrained.t or constrained.t == 0:
-        raise IdentificationError(
-            f"paired streams must be advanced together on a nonempty stream "
-            f"(t = {constrained.t} vs {unconstrained.t})"
+    if unconstrained.constraint.d != p:
+        raise DomainError(
+            f"the test reads an unconstrained stream on R^{p}, got one with "
+            f"{unconstrained.constraint.d} free directions"
         )
-    T = constrained.t
+    T = unconstrained.t
+    if T == 0:
+        raise IdentificationError("the unconstrained stream has consumed no observations")
     g_inv = _invert_pd(unconstrained.g_hat, "unconstrained curvature average")
     mid = g_inv @ unconstrained.s_hat @ g_inv
-    anti = np.eye(p) - con.P
+    anti = np.eye(p) - constraint.P
     weight = anti @ mid @ anti
     weight = 0.5 * (weight + weight.mT)
     try:
@@ -216,7 +223,7 @@ def test_from_states(
             f"weight matrix is rank-deficient below the test's degrees of "
             f"freedom: {exc}"
         ) from exc
-    diff = constrained.theta_bar - unconstrained.theta_bar
+    diff = (constraint.c - unconstrained.theta_bar) @ anti
     # associated as ((T diff) W^-1) diff: the seeded kappa values depend on the order
     kappa = np.maximum(((T * diff)[..., None, :] @ w_inv @ diff[..., None])[..., 0, 0], 0.0)
     return TestResult(
@@ -225,13 +232,9 @@ def test_from_states(
         p_value=special.chdtrc(df, kappa),
         alpha=alpha,
         reject=kappa > chi2_quantile(alpha, df),
-        theta_bar_constrained=constrained.theta_bar.copy(),
         theta_bar_unconstrained=unconstrained.theta_bar.copy(),
         weight_matrix=weight,
     )
-
-
-test_from_states.__test__ = False  # a library function, not a pytest test
 
 
 def specification_test(
@@ -244,11 +247,10 @@ def specification_test(
     """Run the constraint test on a single pass over one stream of
     ``(n, obs_dim)`` observation blocks.
 
-    One paired state (``EstimatorState.paired``) advances the constrained
-    side and the unconstrained side on the same blocks, with one walk and one
-    fold per block, both from the constraint's feasible point
-    ``constraint.c``, and the test reads its sides back as ``pair[0]`` and
-    ``pair[1]``.  An error names the observation at which it arose.
+    One unconstrained state, started at the constraint's feasible point
+    ``constraint.c``, advances over the blocks, and ``spec_test_from_state``
+    compares its average with the constraint.  An error names the
+    observation at which it arose.
     """
     _check_alpha(alpha)
     if constraint.d == constraint.p:
@@ -256,8 +258,9 @@ def specification_test(
             "constraint has no effective rows (d = p), the test has 0 degrees "
             "of freedom"
         )
-    pair = EstimatorState.paired(model, constraint, schedule).run_stream(blocks)
-    return test_from_states(pair[0], pair[1], alpha=alpha)
+    free = Constraint.unconstrained(constraint.p)
+    state = EstimatorState(model, free, schedule, theta0=constraint.c).run_stream(blocks)
+    return spec_test_from_state(state, constraint, alpha=alpha)
 
 
 def efficiency_gap(G, S, P, d: int) -> np.ndarray:

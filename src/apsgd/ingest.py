@@ -509,7 +509,7 @@ def load_constraint(path: str, feature_names: tuple[str, ...]) -> Constraint:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot open constraint file {path}: {exc}") from exc
     B, b = parse_constraint_text(text, feature_names)
     return Constraint.from_equalities(B, b)

@@ -285,7 +285,6 @@ class CustomModel(LossModel):
         self._hessian_fn = hessian_fn
 
     def _rows(self, what: str, fn, theta, z, shape: tuple[int, ...]):
-        z = np.broadcast_to(z, theta.shape[:-1] + z.shape[-1:])  # a pair shares z
         out = np.empty(theta.shape[:-1] + shape)
         for row in np.ndindex(theta.shape[:-1]):
             value = np.asarray(fn(theta[row], z[row]), dtype=float)

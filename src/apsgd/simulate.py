@@ -2,10 +2,11 @@
 
 An experiment is a grid of ``(T, r)`` cells in every mode: each sample size
 ``T`` crossed with each misspecification shift ``r`` of the data-generating
-process.  One runner replicates each cell's constrained stream and, except
-for coverage, the unconstrained stream on the same observations, then
-summarises the cell as estimation error, interval coverage or the rejection
-rate of the specification test.
+process.  One runner replicates each cell's streams on the same observations,
+the constrained one for coverage, the unconstrained one for the
+specification test and both for estimation error, then summarises the cell
+as estimation error, interval coverage or the rejection rate of the
+specification test.
 
 Replication streams are fully reproducible: replication ``k`` of grid cell
 ``c`` draws from ``PCG64(SeedSequence((base_seed, c, k)))``, and normal
@@ -13,18 +14,18 @@ variates are produced by inverse-CDF from open-interval uniforms, so any
 implementation of the same documented scheme reproduces the streams.
 
 For throughput the runner advances all replications of a cell in lockstep as
-one batched ``(R, p)`` ``EstimatorState`` (``(2, R, p)`` with both sides), so
-a replication runs the same block engine as a CSV stream, in blocks of
-``_BLOCK`` rows (``(_BLOCK, R, obs_dim)``-sized, as are the raw words).  Each
-replication's generator fills its row of one reused buffer of raw words, and
-one vectorised transform turns the buffer into the block's observations,
-which the state moves and folds at once (``EstimatorState.run_stream``).
+one batched ``(R, p)`` ``EstimatorState`` per stream, so a replication runs
+the same block engine as a CSV stream, in blocks of ``_BLOCK`` rows
+(``(_BLOCK, R, obs_dim)``-sized, as are the raw words).  Each replication's
+generator fills its row of one reused buffer of raw words, and one
+vectorised transform turns the buffer into the block's observations, which
+every state moves and folds at once (``EstimatorState._advance_block``).
 The move is the model's ``_walk``: for the linear and logistic families the
 projected step directions ``gamma_t x_t P`` of the whole block come from one
 matrix product, and each row then costs a margin, a weight and a
 multiply-subtract.
 Inference then runs once per cell on the batched states: one
-``coordinate_report`` (coverage) or ``test_from_states`` (size/power).
+``coordinate_report`` (coverage) or ``spec_test_from_state`` (size/power).
 Each cell's wall time is kept on the result (``cell_seconds``).
 Chunking the replications over worker processes cannot change any number
 because every replication owns its seed.
@@ -45,7 +46,7 @@ from scipy.special import expit, ndtri
 
 from .estimator import _BLOCK, EstimatorState, LearningRate
 from .exceptions import ConfigError, DomainError
-from .inference import coordinate_report, test_from_states
+from .inference import coordinate_report, spec_test_from_state
 from .distributions import normal_quantile
 from .linalg import Constraint
 from .models import MODEL_FAMILIES, LossModel
@@ -337,66 +338,58 @@ def full_scale(config: ExperimentConfig) -> ExperimentConfig:
 
 def _advance_chunk(
     dgp: DgpSpec,
-    constraint: Constraint,
+    constraints: tuple[Constraint, ...],
     schedule: LearningRate,
     T: int,
     reps: range,
     base_seed: int,
     cell: int,
-    include_unconstrained: bool,
-) -> EstimatorState:
+) -> list[EstimatorState]:
     rngs = [replication_rng(base_seed, cell, k) for k in reps]
-    # both sides start from the constraint's feasible point
-    start = np.tile(constraint.c, (len(reps), 1))
-    build = EstimatorState.paired if include_unconstrained else EstimatorState
-    state = build(dgp.model(), constraint, schedule, theta0=start)
-    # one reused buffer each for the raw words and the observations; the
-    # stream draws each block only once the state has consumed the last one
+    start = np.tile(constraints[0].c, (len(reps), 1))
+    states = [EstimatorState(dgp.model(), con, schedule, theta0=start) for con in constraints]
+    # one reused buffer each for the raw words, the observations and the
+    # states' paths; a block is drawn once every state has consumed the last
     words = np.empty((len(reps), _BLOCK, dgp.obs_dim), dtype=np.uint64)
     obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
-    blocks = (
-        _draw_replications(dgp, rngs, words, obs[: min(_BLOCK, T - t)])
-        for t in range(0, T, _BLOCK)
-    )
-    return state.run_stream(blocks)
+    path = np.empty((_BLOCK,) + start.shape)
+    for t in range(0, T, _BLOCK):
+        block = _draw_replications(dgp, rngs, words, obs[: min(_BLOCK, T - t)])
+        for state in states:
+            state._advance_block(block, path)
+    return states
 
 
 def replicate_streams(
     dgp: DgpSpec,
-    constraint: Constraint,
+    constraints: tuple[Constraint, ...],
     schedule: LearningRate,
     T: int,
     replications: int,
     base_seed: int,
     cell: int = 0,
-    include_unconstrained: bool = False,
     workers: int = 1,
-) -> tuple[EstimatorState, EstimatorState | None]:
-    """Advance every replication of one grid cell for ``T`` steps.
+) -> tuple[EstimatorState, ...]:
+    """Advance every replication of one grid cell for ``T`` steps, once per
+    constraint in ``constraints``.
 
-    Returns the constrained stream as one batched ``(R, p)`` state, which
-    the inference functions take whole (``state[k]`` is replication ``k``),
-    and, when requested, the unconstrained stream advanced on the same
-    observations: the sides ``pair[0]`` and ``pair[1]`` of one ``(2, R, p)``
-    ``EstimatorState.paired`` state.
+    Returns one batched ``(R, p)`` state per constraint, in order, which the
+    inference functions take whole (``state[k]`` is replication ``k``).
+    Every block of observations is drawn once and fed to each state, and
+    every state starts at the first constraint's feasible point ``c``.
     ``workers`` only chunks the replications across worker processes; every
     replication owns its seed, so results are identical for any worker count.
     """
     if workers <= 1 or replications == 1:
-        state = _advance_chunk(
-            dgp, constraint, schedule, T, range(replications), base_seed, cell,
-            include_unconstrained,
+        return tuple(
+            _advance_chunk(dgp, constraints, schedule, T, range(replications), base_seed, cell)
         )
-    else:
-        bounds = np.linspace(0, replications, min(workers, replications) + 1).astype(int)
-        chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        tasks = [
-            (dgp, constraint, schedule, T, reps, base_seed, cell, include_unconstrained)
-            for reps in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            state = EstimatorState.concatenate(list(pool.map(_advance_chunk, *zip(*tasks))))
-    return (state[0], state[1]) if include_unconstrained else (state, None)
+    bounds = np.linspace(0, replications, min(workers, replications) + 1).astype(int)
+    chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    tasks = [(dgp, constraints, schedule, T, reps, base_seed, cell) for reps in chunks]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = list(pool.map(_advance_chunk, *zip(*tasks)))
+    return tuple(EstimatorState.concatenate(chunk) for chunk in zip(*parts))
 
 
 # -- experiment runners -------------------------------------------------------------
@@ -454,7 +447,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Cells are enumerated sample-size-major (all ``r`` values for the first
     ``T``, then the next ``T``), which fixes each cell's seed stream.  Both
-    estimators see the same observations.  ``estimation_error`` reports the
+    estimators see the same observations, and the specification test reads
+    only the unconstrained one.  ``estimation_error`` reports the
     mean absolute error per coordinate of the constrained and unconstrained
     averages, with the sample standard error; ``coverage`` the frequency with
     which the constrained fit's per-coordinate intervals cover the truth;
@@ -463,6 +457,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     preset = PRESETS[config.preset]
     constraint = preset.constraint()
+    # a preset's constraint has b = 0, so its c is 0: the free stream of
+    # size/power starts where specification_test starts it
+    free = Constraint.unconstrained(constraint.p)
+    streams = {
+        "estimation_error": (constraint, free), "coverage": (constraint,), "size_power": (free,)
+    }[config.mode]
     schedule = config.schedule()
     R = config.replications
     z = normal_quantile(config.alpha / 2.0)
@@ -488,22 +488,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cell_start = time.perf_counter()
         dgp = preset.spec(r)
         theta_star = dgp.theta()
-        con, uncon = replicate_streams(
-            dgp, constraint, schedule, T, R, config.base_seed, cell,
-            include_unconstrained=config.mode != "coverage", workers=config.workers,
+        states = replicate_streams(
+            dgp, streams, schedule, T, R, config.base_seed, cell, workers=config.workers
         )
         if config.mode == "estimation_error":
-            for metric, state in (("mae_constrained", con), ("mae_unconstrained", uncon)):
+            for metric, state in zip(("mae_constrained", "mae_unconstrained"), states):
                 err = np.abs(state.theta_bar - theta_star)
                 means = err.mean(axis=0)
                 stderrs = err.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros_like(means)
                 add(T, r, coordinates, metric, means, stderrs)
         elif config.mode == "coverage":
-            report = coordinate_report(con, alpha=config.alpha)
+            report = coordinate_report(states[0], alpha=config.alpha)
             covered = np.abs(report.theta_bar - theta_star) <= z * report.std_error
             add(T, r, coordinates, "coverage", *rate(covered))
         else:
-            test = test_from_states(con, uncon, alpha=config.alpha)
+            test = spec_test_from_state(states[0], constraint, alpha=config.alpha)
             result.kappa_samples[(T, r)] = test.kappa
             add(T, r, [""], "rejection_rate", *rate(test.reject[:, None]))
         result.cell_seconds[(T, r)] = time.perf_counter() - cell_start

@@ -237,8 +237,8 @@ def test_alpha_is_checked_before_the_data_are_opened(tmp_path, capsys, command):
 
 
 def test_spec_test_stdout_is_pinned(tmp_path, capsys):
-    """``spec-test --standardize`` on a seeded 600-row logistic CSV prints the
-    bytes recorded before its two streams were paired into one state."""
+    """``spec-test --standardize`` on a seeded 600-row logistic CSV prints
+    these bytes."""
     rows = draw_block(PRESETS["logistic"].spec(0.0), replication_rng(5, 0, 0), 600)
     path = tmp_path / "data.csv"
     path.write_text(
@@ -361,6 +361,10 @@ def test_coordinate_pinned_by_a_combination_has_no_p_value(tmp_path, capsys):
          EXIT_DATA,
          "apsgd: error: cannot open constraint file {d}/missing.txt: [Errno 2] No such file "
          "or directory: '{d}/missing.txt'"),
+        (["spec-test", "{d}/data.csv", "--model", "linear", "--constraint", "{d}/latin1.txt"],
+         EXIT_DATA,
+         "apsgd: error: cannot open constraint file {d}/latin1.txt: 'utf-8' codec can't "
+         "decode byte 0xe9 in position 7: invalid continuation byte"),
         (["estimate", "{d}/data.csv", "--model", "linear", "--gamma", "inf"], EXIT_DATA,
          "apsgd: error: gamma must be positive and finite, got inf"),
         (["estimate", "{d}/data.csv", "--model", "linear", "--output", "{d}/no/report.csv"],
@@ -376,7 +380,8 @@ def test_coordinate_pinned_by_a_combination_has_no_p_value(tmp_path, capsys):
     ],
     ids=[
         "usage", "spec_test_without_constraint", "empty_file", "one_row_standardized",
-        "bad_header", "missing_data", "missing_constraint", "infinite_gamma",
+        "bad_header", "missing_data", "missing_constraint", "non_utf8_constraint",
+        "infinite_gamma",
         "unwritable_report", "missing_config", "non_utf8_config", "config_rho",
     ],
 )
@@ -388,6 +393,7 @@ def test_each_error_exits_with_its_code_and_one_line(tmp_path, capsys, argv, cod
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     (tmp_path / "one_row.csv").write_text("y,x1\n1.0,2.0\n", encoding="utf-8")
     (tmp_path / "latin1.cfg").write_bytes("mode = coverage # \xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.txt").write_bytes("x1 - x2\xe9 = 0\n".encode("latin-1"))
     (tmp_path / "rho.cfg").write_text(
         "mode = coverage\npreset = linear\nsample_sizes = 10\nreplications = 2\nrho = 0.4\n",
         encoding="utf-8",

@@ -363,27 +363,48 @@ class TestSnapshots:
         np.testing.assert_array_equal(resumed.constraint.P, con.P)
         assert resumed.constraint.violation(resumed.theta_bar) <= 1e-12
 
-    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
-    def test_record_holds_the_equalities_only(self, paired):
+    def test_record_holds_the_equalities_only(self):
         """A record carries ``B`` and ``b``, not ``P``, ``c`` or ``d``, and
         loads with every stream array and ``P`` bit for bit."""
         model, con = LinearModel(4), PRESETS["linear"].constraint()
-        build = EstimatorState.paired if paired else EstimatorState
-        state = build(model, con).run_stream([dgp1_stream(300, seed=15)])
+        state = EstimatorState(model, con).run_stream([dgp1_stream(300, seed=15)])
         record = state.to_record()
+        assert sorted(record) == [
+            "constraint", "g_hat", "s_hat", "schedule", "t", "theta", "theta_bar"
+        ]
         assert sorted(record["constraint"]) == ["B", "b"]
         restored = EstimatorState.from_record(record, model)
-        assert restored.t == 300 and (restored.sides is not None) == paired
+        assert restored.t == 300
         assert restored.constraint.P.tobytes() == con.P.tobytes()
         for name in STREAM_ARRAYS:
             assert getattr(restored, name).tobytes() == getattr(state, name).tobytes()
 
-    def test_paired_record_theta_must_have_two_sides(self):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda record: {"t": 1}, "record has no 'constraint' entry"),
+            (
+                lambda record: {**record, "constraint": {"B": record["constraint"]["B"]}},
+                "record has no 'b' entry",
+            ),
+            (
+                lambda record: {k: v for k, v in record.items() if k != "s_hat"},
+                "record has no 's_hat' entry",
+            ),
+            (
+                lambda record: {**record, "paired": True},
+                r"paired records \(both streams of a specification test\) no longer load",
+            ),
+        ],
+        ids=["only_t", "no_b", "no_s_hat", "paired"],
+    )
+    def test_a_bad_record_is_a_data_error(self, edit, message):
+        """A record with an entry missing, or one of the two-stream state that
+        older versions wrote for the specification test, raises one
+        ``DataError`` that names the problem."""
         model = LinearModel(4)
-        pair = EstimatorState.paired(model, PRESETS["linear"].constraint())
-        record = pair.run_stream([dgp1_stream(20, seed=16)]).to_record()
-        record["theta"] = np.zeros((3, 4)).tolist()
-        with pytest.raises(DimensionError, match=r"^theta has shape \(3, 4\), expected"):
+        record = edit(EstimatorState(model, PRESETS["linear"].constraint()).to_record())
+        with pytest.raises(DataError, match=f"^{message}$"):
             EstimatorState.from_record(record, model)
 
 
@@ -448,90 +469,3 @@ class TestBatchedState:
         ):
             state.run_stream([obs])
         assert state.t == 2
-
-
-class TestPairedState:
-    """A specification test's two sides as one ``(2, ..., p)`` state."""
-
-    def test_csv_blocks_equal_two_separate_states(self):
-        """Advancing the pair over a logistic stream under ``x2 - x3 = 0`` (two
-        full blocks and a partial one) gives each side's arrays bit for bit,
-        and ``pair[k]`` carries its side's constraint."""
-        model = LogisticModel(4)
-        con = Constraint.from_equalities([[0.0, 1.0, -1.0, 0.0]], [0.0])
-        free = Constraint.unconstrained(4)
-        obs = draw_block(PRESETS["logistic"].spec(0.0), replication_rng(3, 0, 0), 600)
-        pair = EstimatorState.paired(model, con).run_stream([obs])
-        sides = (
-            EstimatorState(model, con).run_stream([obs]),
-            EstimatorState(model, free, theta0=con.c).run_stream([obs]),
-        )
-        assert pair.theta.shape == (2, 4) and pair.g_hat.shape == (2, 4, 4)
-        for k, single in enumerate(sides):
-            assert pair[k].t == single.t == 600
-            assert pair[k].constraint is pair.sides[k] and pair[k].sides is None
-            np.testing.assert_array_equal(pair[k].constraint.P, single.constraint.P)
-            for name in STREAM_ARRAYS:
-                np.testing.assert_array_equal(getattr(pair[k], name), getattr(single, name))
-
-    def test_one_row_blocks_match_full_blocks(self):
-        """The pair over one-row blocks and over two full blocks and a partial
-        one agrees at 1e-12, on both sides."""
-        model = LogisticModel(4)
-        con = Constraint.from_equalities([[0.0, 1.0, -1.0, 0.0]], [0.0])
-        obs = draw_block(PRESETS["logistic"].spec(0.0), replication_rng(4, 0, 0), 600)
-        whole = EstimatorState.paired(model, con).run_stream([obs])
-        one_row = EstimatorState.paired(model, con).run_stream(blocks(obs, 1))
-        assert one_row.t == whole.t == 600
-        for name in STREAM_ARRAYS:
-            np.testing.assert_allclose(
-                getattr(one_row, name), getattr(whole, name), rtol=1e-12, atol=1e-14
-            )
-
-    def test_record_round_trip_is_exact(self):
-        model = LinearModel(4)
-        con = PRESETS["linear"].constraint()
-        obs = dgp1_stream(300, seed=14)
-        pair = EstimatorState.paired(model, con).run_stream([obs[:150]])
-        restored = EstimatorState.from_json(pair.to_json(), model)
-        assert restored.t == 150 and restored.sides is not None
-        np.testing.assert_array_equal(restored[0].constraint.P, con.P)
-        assert restored[1].constraint.d == 4
-        for state in (pair, restored):
-            state.run_stream([obs[150:]])
-        for name in STREAM_ARRAYS:
-            np.testing.assert_array_equal(getattr(restored, name), getattr(pair, name))
-
-    @pytest.mark.parametrize("side", [0, 1])
-    @pytest.mark.parametrize("engine", ["one_row", "block", "lockstep"])
-    def test_non_finite_gradient_on_either_side_stops_both(self, side, engine):
-        """A gradient that goes non-finite on one side only names the step,
-        and both sides are left after the step before it, whether the stream
-        comes in one-row blocks, in one block, or as a lockstep block with a
-        replication axis."""
-
-        def gradient(theta, z):
-            # side 0 keeps theta1 = theta2; side 1 never does on these rows
-            on_side = (abs(theta[0] - theta[1]) < 1e-12) == (side == 0)
-            return np.full(2, np.inf) if z[0] > 0.5 and on_side else theta - z
-
-        model = CustomModel(2, 2, lambda t, z: 0.0, gradient, lambda t, z: np.eye(2))
-        con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
-        obs = np.array([[0.1, -0.2], [0.2, 0.1], [1.0, 0.0], [0.3, 0.3]])
-        before = EstimatorState.paired(model, con).run_stream([obs[:2]])
-        if engine != "lockstep":
-            pair = EstimatorState.paired(model, con)
-            with pytest.raises(
-                NumericalError, match=r"^observation 2: non-finite gradient at step 3 "
-            ):
-                pair.run_stream(blocks(obs, 1 if engine == "one_row" else 4))
-        else:
-            pair = EstimatorState.paired(model, con, theta0=np.zeros((1, 2)))
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericalError, match=r"^non-finite gradient at step 3 "
-            ):
-                pair._advance_block(obs[:, None], np.empty((4, 2, 1, 2)))
-        assert pair.t == 2
-        for name in STREAM_ARRAYS:
-            expected = getattr(before, name).reshape(getattr(pair, name).shape)
-            np.testing.assert_allclose(getattr(pair, name), expected, rtol=1e-12, atol=1e-15)

@@ -15,12 +15,13 @@ from apsgd import (
     MeanModel,
     RankDeficiencyError,
     asymptotic_covariance,
+    chi2_quantile,
     coordinate_report,
     efficiency_gap,
     local_power,
     pinv_truncated,
+    spec_test_from_state,
     specification_test,
-    test_from_states,
 )
 from apsgd.simulate import PRESETS, draw_block, replicate_streams, replication_rng
 
@@ -41,12 +42,14 @@ def moment_state(constraint, theta_bar, s_hat, t=100):
     return state
 
 
-def cell(preset, include_unconstrained, R=5):
-    """One seeded Monte Carlo cell of ``R`` replications as batched states."""
-    return replicate_streams(
-        PRESETS[preset].spec(0.0), PRESETS[preset].constraint(), LearningRate(), T=600,
-        replications=R, base_seed=11, include_unconstrained=include_unconstrained,
+def cell(preset, constraint, R=5):
+    """One seeded Monte Carlo cell of ``R`` replications under ``constraint``
+    as one batched state."""
+    (state,) = replicate_streams(
+        PRESETS[preset].spec(0.0), (constraint,), LearningRate(), T=600,
+        replications=R, base_seed=11,
     )
+    return state
 
 
 def mean_stream(n, seed=0):
@@ -153,37 +156,14 @@ class TestSpecificationTest:
                 dgp1_stream(50), LinearModel(4), Constraint.unconstrained(4)
             )
 
-    def test_statistic_zero_when_averages_coincide(self):
-        """kappa is exactly 0 when the two averages agree."""
+    def test_statistic_zero_when_the_free_average_is_feasible(self):
+        """kappa is 0, up to the rounding of ``P``, when the unconstrained
+        average satisfies the constraint, as the constrained average always
+        does: their difference lies in the kernel of ``B``."""
         con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
-        base = {
-            "t": 100,
-            "theta": [0.5, 0.5],
-            "theta_bar": [0.5, 0.5],
-            "g_hat": np.eye(2).tolist(),
-            "s_hat": (2.0 * np.eye(2)).tolist(),
-            "schedule": {"gamma": 1.0, "rho": 0.505},
-        }
-        rec_p = dict(
-            base,
-            constraint={
-                "B": con.B.tolist(), "b": con.b.tolist(), "P": con.P.tolist(),
-                "c": con.c.tolist(), "d": con.d,
-            },
-        )
-        uncon = Constraint.unconstrained(2)
-        rec_i = dict(
-            base,
-            constraint={
-                "B": uncon.B.tolist(), "b": uncon.b.tolist(), "P": uncon.P.tolist(),
-                "c": uncon.c.tolist(), "d": uncon.d,
-            },
-        )
-        result = test_from_states(
-            EstimatorState.from_record(rec_p, MeanModel(2)),
-            EstimatorState.from_record(rec_i, MeanModel(2)),
-        )
-        assert result.kappa == 0.0
+        free = moment_state(Constraint.unconstrained(2), [0.5, 0.5], 2.0 * np.eye(2))
+        result = spec_test_from_state(free, con)
+        assert 0.0 <= result.kappa <= 1e-28
         assert not result.reject
         assert result.p_value == pytest.approx(1.0)
 
@@ -191,19 +171,39 @@ class TestSpecificationTest:
     def test_alpha_outside_the_unit_interval_is_named(self, alpha):
         """A bad alpha is named as alpha, before the weight matrix is built."""
         con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
-        free = Constraint.unconstrained(2)
-        states = [moment_state(c, [0.5, 0.5], np.eye(2)) for c in (con, free)]
+        free = moment_state(Constraint.unconstrained(2), [0.5, 0.5], np.eye(2))
         message = rf"^alpha must lie strictly in \(0, 1\), got {alpha}$"
         with pytest.raises(DomainError, match=message):
-            test_from_states(*states, alpha=alpha)
+            spec_test_from_state(free, con, alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "state, error, message",
+        [
+            (
+                moment_state(Constraint.from_equalities([[1.0, 1.0]], [0.0]), [0.5, -0.5], np.eye(2)),
+                DomainError,
+                r"^the test reads an unconstrained stream on R\^2, got one with 1 free",
+            ),
+            (
+                EstimatorState(MeanModel(2), Constraint.unconstrained(2)),
+                IdentificationError,
+                "^the unconstrained stream has consumed no observations$",
+            ),
+        ],
+        ids=["constrained_state", "empty_stream"],
+    )
+    def test_a_state_the_test_cannot_read_is_named(self, state, error, message):
+        con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
+        with pytest.raises(error, match=message):
+            spec_test_from_state(state, con)
 
     def test_p_value_does_not_underflow(self):
         """kappa = 80 on one degree of freedom has upper tail 3.7e-19, not 1 - 1.0 = 0."""
         shift = np.sqrt(0.8)  # kappa = T shift^2 with T = 100
         con = Constraint.from_equalities([[1.0, -1.0]], [0.0])
-        result = test_from_states(
-            moment_state(con, [0.5, 0.5], 2.0 * np.eye(2)),
+        result = spec_test_from_state(
             moment_state(Constraint.unconstrained(2), [0.5 + shift, 0.5 - shift], 2.0 * np.eye(2)),
+            con,
         )
         assert result.kappa == pytest.approx(80.0, rel=1e-12)
         assert result.p_value == pytest.approx(stats.chi2(1).sf(result.kappa), rel=1e-9)
@@ -218,7 +218,6 @@ class TestSpecificationTest:
         from apsgd import chi2_quantile
 
         assert result.reject == (result.kappa > chi2_quantile(result.alpha, result.df))
-        assert con.violation(result.theta_bar_constrained) <= 1e-8
 
     def test_weight_matrix_structure(self):
         """The weight matrix lives entirely in the orthogonal complement of P."""
@@ -231,12 +230,63 @@ class TestSpecificationTest:
         assert np.linalg.norm(w_inv - anti @ w_inv, 2) <= 1e-8 * np.linalg.norm(w_inv, 2)
 
 
+def two_stream_kappa(blocks, model, constraint):
+    """The paper's statistic from its definition: the constrained and the
+    unconstrained averages, each from its own pass over ``blocks`` started
+    at ``c``, compared under the weight built from the unconstrained moments."""
+    free = Constraint.unconstrained(constraint.p)
+    con_state, free_state = (
+        EstimatorState(model, con, theta0=constraint.c).run_stream(blocks)
+        for con in (constraint, free)
+    )
+    g_inv = np.linalg.inv(free_state.g_hat)
+    anti = np.eye(constraint.p) - constraint.P
+    weight = anti @ g_inv @ free_state.s_hat @ g_inv @ anti
+    w_inv = pinv_truncated(0.5 * (weight + weight.T), constraint.p - constraint.d)
+    diff = con_state.theta_bar - free_state.theta_bar
+    return con_state.t * diff @ w_inv @ diff
+
+
+#: Constraints on the linear preset's four coefficients beyond its own.
+LINEAR_SYSTEMS = {
+    "df2": ([[0.0, 1.0, 1.0, 1.0], [2.0, 1.0, 0.0, 0.0]], [0.0, 0.0]),
+    "redundant": ([[0.0, 1.0, 1.0, 1.0], [0.0, 2.0, 2.0, 2.0]], [0.0, 0.0]),
+    "b_nonzero": ([[1.0, 0.0, 0.0, 0.0]], [1.5]),
+}
+
+
+class TestOneStreamKappa:
+    """kappa from the unconstrained stream and the constraint equals the
+    paper's two-stream definition: the constrained average's ``(I - P)``
+    part is ``(I - P) c``."""
+
+    @pytest.mark.parametrize("T", [600, 5000])
+    @pytest.mark.parametrize(
+        "preset, system",
+        [("linear", None), ("logistic", None), ("logistic_shift", None),
+         *(("linear", name) for name in LINEAR_SYSTEMS)],
+        ids=["linear", "logistic", "logistic_shift", *LINEAR_SYSTEMS],
+    )
+    def test_matches_the_two_stream_definition(self, preset, system, T):
+        dgp = PRESETS[preset].spec(0.05)
+        if system is None:
+            constraint = PRESETS[preset].constraint()
+        else:
+            constraint = Constraint.from_equalities(*LINEAR_SYSTEMS[system])
+        blocks = [draw_block(dgp, replication_rng(31, 0, 0), T)]
+        result = specification_test(blocks, dgp.model(), constraint)
+        reference = two_stream_kappa(blocks, dgp.model(), constraint)
+        assert result.df == 4 - constraint.d
+        assert result.kappa == pytest.approx(reference, rel=1e-10, abs=0.0)
+        assert result.reject == (reference > chi2_quantile(0.05, result.df))
+
+
 class TestBatchedStates:
     """An ``(R, p)`` Monte Carlo cell gives each replication's results bit for bit."""
 
     @pytest.mark.parametrize("preset", ["linear", "logistic"])
     def test_covariance_and_report_equal_each_replication(self, preset):
-        state, _ = cell(preset, include_unconstrained=False)
+        state = cell(preset, PRESETS[preset].constraint())
         cov = asymptotic_covariance(state)
         report = coordinate_report(state, alpha=0.1)
         assert cov.shape == (5, 4, 4) and report.p_value.shape == (5, 4)
@@ -246,17 +296,20 @@ class TestBatchedStates:
             for name in ("theta_bar", "std_error", "ci_lower", "ci_upper", "p_value", "covariance"):
                 np.testing.assert_array_equal(getattr(report, name)[k], getattr(single, name))
 
-    def test_paired_test_equals_each_replication(self):
-        con, uncon = cell("linear", include_unconstrained=True)
-        result = test_from_states(con, uncon)
+    def test_spec_test_equals_each_replication(self):
+        con = PRESETS["linear"].constraint()
+        free = cell("linear", Constraint.unconstrained(4))
+        result = spec_test_from_state(free, con)
         assert result.kappa.shape == result.reject.shape == (5,)
         for k in range(5):
-            single = test_from_states(con[k], uncon[k])
-            for name in ("kappa", "p_value", "reject", "weight_matrix", "theta_bar_constrained"):
+            single = spec_test_from_state(free[k], con)
+            for name in ("kappa", "p_value", "reject", "weight_matrix", "theta_bar_unconstrained"):
                 np.testing.assert_array_equal(getattr(result, name)[k], getattr(single, name))
 
     def test_failure_names_the_first_bad_replication(self):
-        con, uncon = cell("linear", include_unconstrained=True)
+        constraint = PRESETS["linear"].constraint()
+        con = cell("linear", constraint)
+        uncon = cell("linear", Constraint.unconstrained(4))
         con.g_hat[[2, 4]] = 0.0
         with pytest.raises(IdentificationError, match=r"rank-deficient: matrix \(2,\): requested"):
             asymptotic_covariance(con)
@@ -264,7 +317,7 @@ class TestBatchedStates:
             asymptotic_covariance(con[2])
         uncon.g_hat[3] = np.diag([1.0, 1.0, 1.0, 0.0])
         with pytest.raises(IdentificationError, match=r"^matrix \(3,\): unconstrained curvature"):
-            test_from_states(cell("linear", True)[0], uncon)
+            spec_test_from_state(uncon, constraint)
 
 
 class TestEfficiencyGap:

@@ -123,8 +123,8 @@ def assert_lockstep_matches_one_row_blocks(kind, T):
     dgp, con = LOCKSTEP_CASES[kind]
     schedule = LearningRate()
     batch_c, batch_i = replicate_streams(
-        dgp, con, schedule, T=T, replications=3, base_seed=17, cell=0,
-        include_unconstrained=True,
+        dgp, (con, Constraint.unconstrained(con.p)), schedule, T=T, replications=3,
+        base_seed=17, cell=0,
     )
     for k in range(3):
         rows = draw_block(dgp, replication_rng(17, 0, k), T)[:, None]
@@ -193,21 +193,21 @@ class TestEngineEquivalence:
         gradients and never re-projects from ``c``; rounding drift stays tiny."""
         preset = PRESETS[preset_name]
         con = preset.constraint()
-        state, _ = replicate_streams(
-            preset.spec(0.0), con, LearningRate(), T=20_000, replications=4, base_seed=3
+        (state,) = replicate_streams(
+            preset.spec(0.0), (con,), LearningRate(), T=20_000, replications=4, base_seed=3
         )
         assert con.violation(state.theta).max() <= 1e-12
         assert con.violation(state.theta_bar).max() <= 1e-12
 
     def test_worker_count_is_invisible(self):
-        """Paired chunks from worker processes join along the replication axis."""
+        """Each stream's chunks from worker processes join along the replication axis."""
         preset = PRESETS["linear"]
         dgp = preset.spec(0.01)
         con = preset.constraint()
         serial, chunked = (
             replicate_streams(
-                dgp, con, LearningRate(), T=400, replications=6, base_seed=21,
-                include_unconstrained=True, workers=workers,
+                dgp, (con, Constraint.unconstrained(con.p)), LearningRate(), T=400,
+                replications=6, base_seed=21, workers=workers,
             )
             for workers in (1, 3)
         )
@@ -217,28 +217,20 @@ class TestEngineEquivalence:
                 np.testing.assert_array_equal(getattr(side, name), getattr(other, name))
 
     @pytest.mark.parametrize("kind, R", [("linear", 200), ("logistic", 20)])
-    def test_pair_sides_equal_two_separate_states(self, kind, R):
-        """One walk and one fold per block for both sides of a pair give each
-        side's arrays bit for bit, over two full blocks and a partial one."""
+    def test_shared_draws_equal_one_call_per_constraint(self, kind, R):
+        """Feeding each drawn block to a constrained and a free state gives
+        each state's arrays bit for bit as a call with its constraint alone,
+        over two full blocks and a partial one."""
         dgp, con = LOCKSTEP_CASES[kind]
-        rngs = [replication_rng(23, 0, k) for k in range(R)]
-        words = np.empty((R, _BLOCK, dgp.obs_dim), dtype=np.uint64)
-        obs = np.empty((_BLOCK, R, dgp.obs_dim))
-        start = np.tile(con.c, (R, 1))
-        pair = EstimatorState.paired(dgp.model(), con, theta0=start)
-        sides = [
-            EstimatorState(dgp.model(), side, theta0=start)
-            for side in (con, Constraint.unconstrained(con.p))
-        ]
-        for n in (_BLOCK, _BLOCK, 17):
-            block = _draw_replications(dgp, rngs, words, obs[:n])
-            pair._advance_block(block, np.empty((_BLOCK, 2, R, con.p)))
-            for state in sides:
-                state._advance_block(block, np.empty((_BLOCK, R, con.p)))
-        for k, single in enumerate(sides):
-            assert pair[k].t == single.t == 2 * _BLOCK + 17
+        free = Constraint.unconstrained(con.p)
+        args = dict(schedule=LearningRate(), T=2 * _BLOCK + 17, replications=R, base_seed=23)
+        both = replicate_streams(dgp, (con, free), **args)
+        # alone, the free stream starts at its own c = 0, which is the presets' c
+        alone = replicate_streams(dgp, (con,), **args) + replicate_streams(dgp, (free,), **args)
+        for shared, single in zip(both, alone, strict=True):
+            assert shared.t == single.t == 2 * _BLOCK + 17
             for name in ("theta", "theta_bar", "g_hat", "s_hat"):
-                np.testing.assert_array_equal(getattr(pair[k], name), getattr(single, name))
+                assert getattr(shared, name).tobytes() == getattr(single, name).tobytes()
 
 
 def failing_step(run):
@@ -308,7 +300,7 @@ class TestNonFiniteGradients:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="at step 2$"):
                 replicate_streams(
-                    preset.spec(0.0), preset.constraint(), LearningRate(gamma=1e150),
+                    preset.spec(0.0), (preset.constraint(),), LearningRate(gamma=1e150),
                     T=50, replications=3, base_seed=1,
                 )
 
@@ -335,7 +327,7 @@ class TestNonFiniteMoments:
                 raise
 
         lockstep = failing_step(
-            lambda: replicate_streams(dgp, con, schedule, T=50, replications=3, base_seed=1)
+            lambda: replicate_streams(dgp, (con,), schedule, T=50, replications=3, base_seed=1)
         )
         assert lockstep == min(failing_step(lambda: one_row(k)) for k in range(3)) == step
 
@@ -545,8 +537,8 @@ class TestDeskScaleConsistency:
         con = preset.constraint()
         medians = {}
         for cell, T in enumerate((10_000, 100_000)):
-            moments, _ = replicate_streams(
-                dgp, con, LearningRate(), T=T, replications=50, base_seed=9, cell=cell,
+            (moments,) = replicate_streams(
+                dgp, (con,), LearningRate(), T=T, replications=50, base_seed=9, cell=cell,
             )
             medians[T] = np.median(
                 np.linalg.norm(moments.theta_bar - dgp.theta(), axis=1)
@@ -559,9 +551,9 @@ def sha256(data: bytes) -> str:
 
 
 class TestGoldenOutputs:
-    """Seeded outputs pinned to digests recorded before the two sides of a
-    cell were paired into one state; a change that moves any bit of the
-    result CSV (rates and mean errors as ``repr``) or of kappa fails here."""
+    """Seeded outputs pinned to digests of their bytes; a change that moves
+    any bit of the result CSV (rates and mean errors as ``repr``) or of kappa
+    fails here."""
 
     @staticmethod
     def run(mode, preset, R, seed, r_grid):
@@ -577,7 +569,7 @@ class TestGoldenOutputs:
             "9f4bf1e3786ec0d2b39bc626310094948add7a8cfd47523157052c3d3ea92ec5"
         )
         assert sha256(kappa.tobytes()) == (
-            "0b203abfd6d07bc1ea83ab55b4f599a6392e87c90d334dfd1493feaad6592e9d"
+            "dc9d9564cf8d2b96f7a9dae01b2319ce69699a33514c2f19f858d391bac96bc5"
         )
 
     def test_linear_estimation_error_cells(self):
@@ -592,7 +584,7 @@ class TestGoldenOutputs:
             "b357a39d24c14974bd7a7588263d17e590ad50d4308afb493b6f5e711b8e3674"
         )
         assert sha256(result.kappa_samples[(600, 0.0)].tobytes()) == (
-            "b8a1f6413b740492663090ad9b3ee7436ddf9c148117d95c386e0a5ef4c44841"
+            "90e86e94f6e202c972a369d1836ec4fb44c6b88e08a15d258ea62317cbf1f219"
         )
 
     def test_logistic_shift_size_power_cells(self):
