@@ -6,13 +6,13 @@ shape, so a CSV fit is a ``(p,)`` state and a Monte Carlo cell a single
 ``(R, p)`` state.  Every caller advances over blocks of at most ``_BLOCK``
 rows: a CSV stream through ``run_stream``, and the Monte Carlo lockstep
 (``simulate``), which hands each drawn block to every state of a cell,
-through ``_advance_block``.  Within a block only the
-iterate is sequential: the model's ``_walk`` moves the iterates over the
-block along the projected gradient, one cumulative sum turns them into
-running averages, and the block's curvature and gradient-outer-product
-sums, evaluated along those averages, are folded into the averages that
-inference consumes later.  A block that fails is advanced again row by row.
-States may be handed between threads between blocks.
+through ``_advance_block``.  Within a block only the iterate is sequential:
+the model's ``_walk`` moves the iterates over the block along the projected
+gradient, one cumulative sum turns them into running averages, and the
+block's curvature and gradient-outer-product sums, evaluated along those
+averages, are folded into the averages that inference consumes later.  A
+block that fails is advanced again row by row.  States may be handed
+between threads between blocks.
 """
 
 from __future__ import annotations

@@ -215,8 +215,6 @@ class TestSpecificationTest:
         assert result.kappa >= 0.0
         assert result.df == 1
         assert 0.0 <= result.p_value <= 1.0
-        from apsgd import chi2_quantile
-
         assert result.reject == (result.kappa > chi2_quantile(result.alpha, result.df))
 
     def test_weight_matrix_structure(self):
