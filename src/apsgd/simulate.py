@@ -346,13 +346,15 @@ def _advance_chunk(
     cell: int,
 ) -> list[EstimatorState]:
     rngs = [replication_rng(base_seed, cell, k) for k in reps]
-    start = np.tile(constraints[0].c, (len(reps), 1))
-    states = [EstimatorState(dgp.model(), con, schedule, theta0=start) for con in constraints]
+    states = [
+        EstimatorState(dgp.model(), con, schedule, theta0=np.tile(con.c, (len(reps), 1)))
+        for con in constraints
+    ]
     # one reused buffer each for the raw words, the observations and the
     # states' paths; a block is drawn once every state has consumed the last
     words = np.empty((len(reps), _BLOCK, dgp.obs_dim), dtype=np.uint64)
     obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
-    path = np.empty((_BLOCK,) + start.shape)
+    path = np.empty((_BLOCK,) + states[0].theta.shape)
     for t in range(0, T, _BLOCK):
         block = _draw_replications(dgp, rngs, words, obs[: min(_BLOCK, T - t)])
         for state in states:
@@ -376,7 +378,7 @@ def replicate_streams(
     Returns one batched ``(R, p)`` state per constraint, in order, which the
     inference functions take whole (``state[k]`` is replication ``k``).
     Every block of observations is drawn once and fed to each state, and
-    every state starts at the first constraint's feasible point ``c``.
+    each state starts at its own constraint's feasible point ``c``.
     ``workers`` only chunks the replications across worker processes; every
     replication owns its seed, so results are identical for any worker count.
     """
@@ -457,8 +459,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     preset = PRESETS[config.preset]
     constraint = preset.constraint()
-    # a preset's constraint has b = 0, so its c is 0: the free stream of
-    # size/power starts where specification_test starts it
     free = Constraint.unconstrained(constraint.p)
     streams = {
         "estimation_error": (constraint, free), "coverage": (constraint,), "size_power": (free,)

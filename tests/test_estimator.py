@@ -407,6 +407,27 @@ class TestSnapshots:
         with pytest.raises(DataError, match=f"^{message}$"):
             EstimatorState.from_record(record, model)
 
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("theta_bar", (4,)), ("g_hat", (3, 4)), ("s_hat", (4, 4))],
+    )
+    def test_stream_arrays_must_match_the_batch(self, name, shape):
+        """In a record of three streams (``theta`` of shape ``(3, 4)``), a
+        stream array without the batch axis, or with too few axes, raises
+        ``DimensionError`` naming it and both shapes."""
+        model = LinearModel(4)
+        con = PRESETS["linear"].constraint()
+        state = EstimatorState(model, con, theta0=np.tile(con.c, (3, 1)))
+        record = state.run_stream([batched_stream(20, 3, seed=16)]).to_record()
+        record[name] = np.zeros(shape).tolist()
+        expected = getattr(state, name).shape
+        with pytest.raises(
+            DimensionError,
+            match=rf"^{name} has shape \({', '.join(map(str, shape))},?\), "
+            rf"expected \({', '.join(map(str, expected))}\)$",
+        ):
+            EstimatorState.from_record(record, model)
+
 
 class TestBatchedState:
     """A state whose theta0 has leading axes advances that many streams at once."""

@@ -225,7 +225,6 @@ class TestEngineEquivalence:
         free = Constraint.unconstrained(con.p)
         args = dict(schedule=LearningRate(), T=2 * _BLOCK + 17, replications=R, base_seed=23)
         both = replicate_streams(dgp, (con, free), **args)
-        # alone, the free stream starts at its own c = 0, which is the presets' c
         alone = replicate_streams(dgp, (con,), **args) + replicate_streams(dgp, (free,), **args)
         for shared, single in zip(both, alone, strict=True):
             assert shared.t == single.t == 2 * _BLOCK + 17
