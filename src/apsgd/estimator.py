@@ -8,17 +8,19 @@ rows: a CSV stream through ``run_stream``, and the Monte Carlo lockstep
 (``simulate``), which hands each drawn block to every state of a cell,
 through ``_advance_block``.  Within a block only the iterate is sequential:
 the model's ``_walk`` moves the iterates over the block along the projected
-gradient, one cumulative sum turns them into running averages, and the
-block's curvature and gradient-outer-product sums, evaluated along those
-averages, are folded into the averages that inference consumes later.  A
-block that fails is advanced again row by row.  States may be handed
-between threads between blocks.
+gradient (row by row, or for a single stream of the linear or mean family
+by a prefix scan of the block's affine steps), one cumulative sum turns them
+into running averages, and the block's curvature and gradient-outer-product
+sums, evaluated along those averages, are folded into the averages that
+inference consumes later.  A block that fails is advanced again row by row.
+States may be handed between threads between blocks.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +99,11 @@ class EstimatorState:
     along the projected gradient with the model's ``LossModel._walk`` (for
     the regression families, a weight times a direction ``gamma_t x_t P``
     computed once per block), so its iterates stay feasible up to rounding.
-    How a stream is cut into blocks changes its numbers by a few ulps only.
+    A single ``(p,)`` stream of the linear or mean family composes each
+    block's steps with a prefix scan instead, which rounds differently from
+    the row-by-row walk that a batched state takes, by a few ulps of the
+    largest iterate.  How a stream is cut into blocks changes its numbers by
+    a few ulps only.
 
     One rule locates every error: a block that fails is advanced again one
     row at a time.  An error at step ``s`` (a bad observation, or a gradient,
@@ -257,25 +263,38 @@ class EstimatorState:
         The constraint is built from its ``B`` and ``b`` by
         ``Constraint.from_equalities`` (the ``P``, ``c`` and ``d`` of older
         records are ignored), and each stream array must have the shape that
-        the model and the batch give it.  A missing entry raises
-        ``DataError`` naming it, as does a record of the two-stream state
-        that older versions wrote for the specification test.
+        the model and the batch give it.  A missing entry, or one of the
+        wrong type, raises ``DataError`` naming it, as does a record of the
+        two-stream state that older versions wrote for the specification
+        test.
         """
         if record.get("paired"):
             raise DataError(
                 "paired records (both streams of a specification test) no longer load"
             )
+
+        def read(name, convert, value):
+            try:
+                return convert(value)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"record entry {name!r} is malformed: {exc}") from exc
+
+        def equalities(entry):
+            B = np.asarray(entry["B"], dtype=float).reshape(-1, model.param_dim)
+            return Constraint.from_equalities(B, entry["b"])
+
         try:
-            con_rec, schedule, t = record["constraint"], record["schedule"], record["t"]
-            B, b = con_rec["B"], con_rec["b"]
-            arrays = {name: np.array(record[name], dtype=float) for name in _STREAM_ARRAYS}
+            constraint = read("constraint", equalities, record["constraint"])
+            schedule = read("schedule", lambda entry: LearningRate(**entry), record["schedule"])
+            t = read("t", operator.index, record["t"])
+            arrays = {
+                name: read(name, lambda entry: np.array(entry, dtype=float), record[name])
+                for name in _STREAM_ARRAYS
+            }
         except KeyError as exc:
             raise DataError(f"record has no {exc.args[0]!r} entry") from exc
-        constraint = Constraint.from_equalities(
-            np.asarray(B, dtype=float).reshape(-1, model.param_dim), b
-        )
-        state = cls(model, constraint, LearningRate(**schedule), theta0=arrays["theta"])
-        state.t = int(t)
+        state = cls(model, constraint, schedule, theta0=arrays["theta"])
+        state.t = t
         # the stored arrays replace the fresh ones: the iterate keeps its exact bits
         for name, value in arrays.items():
             expected = getattr(state, name).shape

@@ -2,10 +2,15 @@
 
 Data files are consumed as streams of blocks; nothing here materialises a
 dataset unless the caller explicitly asks for shuffling.  A file and stdin
-are read the same way, once: ``resolve_schema`` peeks at the first row, and
-the pass that follows reads on from there (yielding that row again).  The
-selected cells of up to ``_READ_ROWS`` rows are parsed at once into a float
-block, the response (if the schema has one) and then the features.
+are read the same way, once: ``resolve_schema`` peeks at the first record,
+and the pass that follows reads on from there (reading that record's lines
+again).  The lines are read ``_CHUNK_LINES`` at a time, and the selected
+cells of a chunk are parsed by one C-level ``np.loadtxt`` call into floats,
+the response (if the schema has one) and then the features.  A chunk that
+call might read differently from the ``csv`` module and ``float`` (a quote,
+a bad or non-finite cell, a short row, a whitespace-only line) is parsed
+again through ``csv.reader``, which names the first bad cell by its line.
+Either way the rows are handed on in blocks of ``_READ_ROWS``.
 Standardization is a two-pass affair by design, but the input is read once:
 the first pass computes the feature means and sample standard deviations and
 spills every parsed block to an unlinked temporary file, and the second,
@@ -35,8 +40,19 @@ from .linalg import Constraint
 #: their mean's magnitude) are rejected as constant.
 _CONSTANT_TOL = 1e-12
 
-#: Data rows parsed into one float block (the estimator's block size).
+#: Data rows per block handed to the caller (the estimator's block size).
 _READ_ROWS = 256
+
+#: Lines parsed by one ``np.loadtxt`` call.  Larger chunks were no faster.
+_CHUNK_LINES = 16 * _READ_ROWS
+
+#: A chunk holding one of these is parsed by ``csv.reader`` and ``float``:
+#: ``np.loadtxt`` does not unquote, and it strips the ASCII separators
+#: ``\x1c``-``\x1f`` from a cell as whitespace where ``float`` rejects them.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+
+#: The lines ``csv.reader`` reads as empty records, which ``np.loadtxt`` skips.
+_BLANK_LINES = ("\n", "\r\n", "\r")
 
 
 @dataclass(frozen=True)
@@ -104,56 +120,80 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _records(path: str, opened: list):
-    """The records of a CSV file, or of stdin for ``-``, opened at the first
-    ``next`` and closed at the end (stdin never is); the reader is appended
-    to ``opened``, so that its ``line_num`` can be read."""
+def _opened(path: str):
+    """Yields the open CSV file, or stdin for ``-``, once, and closes the
+    file when it is closed itself (stdin never is)."""
+    if path == "-":
+        yield sys.stdin
+        return
     try:
-        if path == "-":
-            handle = contextlib.nullcontext(sys.stdin)
-        else:
-            try:
-                handle = open(path, "r", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise DataError(f"cannot open {path}: {exc}") from exc
-        with handle as lines:
-            reader = csv.reader(lines)
-            opened.append(reader)
-            yield from reader
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    with handle:
+        yield handle
+
+
+def _unreadable(path: str, exc: Exception) -> DataError:
+    return DataError(f"{path}: not a UTF-8 CSV file: {exc}")
+
+
+def _records(path: str, lines):
+    """``(line_num, record)`` for each CSV record of ``lines``, where
+    ``line_num`` counts the lines read up to the record's end (records may
+    span lines).  Lines are read only as far as the record returned."""
+    reader = csv.reader(lines)
+    try:
+        for record in reader:
+            yield reader.line_num, record
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+        raise _unreadable(path, exc) from exc
+
+
+def _kept(lines, kept: list):
+    """``lines``, each appended to ``kept`` as it is read."""
+    for line in lines:
+        kept.append(line)
+        yield line
 
 
 class RowSource:
     """One pass over a CSV file, or over stdin for ``-``.
 
-    The input is opened at the first read and closed when its rows run out
-    or on ``close``.  ``peek`` reads the first row and keeps it, so ``rows``
-    yields it again before the rest.
+    The input is opened at the first read and closed on ``close``, or when
+    the source is dropped.  ``peek`` reads the first record and keeps its
+    lines, so ``lines`` can hand them out again before the rest.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._head: list[list[str]] = []
-        self._opened: list = []
-        self._rest = _records(path, self._opened)
+        self._opened = _opened(path)
+        self._rest = None
+        self._head: list[str] | None = None
+        self._first: list[str] | None = None
 
     def peek(self) -> list[str] | None:
-        """The first row (``None`` for an empty input), kept for ``rows``."""
-        if not self._head:
-            self._head = list(itertools.islice(self._rest, 1))
-        return self._head[0] if self._head else None
+        """The first record (``None`` for an empty input), its lines kept."""
+        if self._head is None:
+            self._rest = next(self._opened)
+            self._head = []
+            first = next(_records(self.path, _kept(self._rest, self._head)), None)
+            self._first = None if first is None else first[1]
+        return self._first
 
-    def rows(self):
-        """The rows not read yet, starting with the kept first row, and the
-        input's ``csv.reader``, whose ``line_num`` is the last line read
-        (records may span lines)."""
+    def lines(self, skip_first: bool):
+        """The lines not read yet, with their line ends, starting with the
+        first record's unless ``skip_first``; and the number of lines before
+        them.  Reading them raises ``UnicodeDecodeError`` on a non-UTF-8
+        input."""
         self.peek()
         head, self._head = self._head, []
-        return itertools.chain(head, self._rest), self._opened[0]
+        if skip_first:
+            return self._rest, len(head)
+        return itertools.chain(head, self._rest), 0
 
     def close(self) -> None:
-        self._rest.close()
+        self._opened.close()
 
 
 @dataclass(frozen=True)
@@ -220,34 +260,93 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
 
 def _data_blocks(source: RowSource, resolved: ResolvedSchema):
     """Yield the data rows (header and empty lines skipped) as float blocks of
-    at most ``_READ_ROWS`` rows: the response cell, if the schema has one, then
-    the features.  A block with a bad cell or a short row raises the
+    ``_READ_ROWS`` rows, the last one partial: the response cell, if the
+    schema has one, then the features.  A bad cell or a short row raises the
     ``DataError`` that a row-by-row parse would raise first, naming its line
-    (and column), before any of its rows is yielded."""
+    (and column), before any row of its chunk is yielded."""
     columns = resolved.feature_indices
     if resolved.response_index is not None:
         columns = (resolved.response_index,) + columns
+    lines, before = source.lines(skip_first=resolved.has_header)
+    held = np.empty((0, len(columns)))
+    for chunk in _chunks(source.path, lines):
+        block = _loadtxt_block(chunk, columns)
+        read = len(chunk)
+        if block is None:
+            block, read = _csv_block(source.path, chunk, lines, before, columns, resolved)
+        before += read
+        if len(held):
+            block = np.concatenate([held, block])
+        full = len(block) - len(block) % _READ_ROWS
+        for lo in range(0, full, _READ_ROWS):
+            yield block[lo : lo + _READ_ROWS]
+        held = block[full:]
+    if len(held):
+        yield held
+
+
+def _chunks(path: str, lines):
+    """Lists of up to ``_CHUNK_LINES`` lines.  An input that stops decoding
+    raises ``DataError`` only after the lines before the fault have been
+    yielded, so a bad cell above it is named first."""
+    while True:
+        chunk = []
+        try:
+            chunk.extend(itertools.islice(lines, _CHUNK_LINES))
+        except UnicodeDecodeError as exc:
+            if chunk:
+                yield chunk
+            raise _unreadable(path, exc) from exc
+        if not chunk:
+            return
+        yield chunk
+
+
+def _loadtxt_block(chunk, columns) -> np.ndarray | None:
+    """The selected cells of a chunk of lines as floats, by one C-level
+    ``np.loadtxt`` call; ``None`` where the result might differ from
+    ``csv.reader`` and ``float``: a quote or separator in the chunk, a cell
+    that does not parse or is not finite, or fewer or more rows than the
+    chunk's non-empty lines.  ``np.loadtxt`` skips blank lines as
+    ``csv.reader`` does and rejects whitespace-only lines and bare ``\r``
+    line breaks, so the count is a guard: a line read as anything but one
+    record sends the chunk to ``csv.reader``."""
+    text = "".join(chunk)
+    if any(map(text.__contains__, _CSV_ONLY)):
+        return None
+    rows = len(chunk) - sum(map(chunk.count, _BLANK_LINES))
+    if not rows:
+        return np.empty((0, len(columns)))
+    try:
+        block = np.loadtxt(chunk, delimiter=",", usecols=columns, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if len(block) != rows or not np.isfinite(block).all():
+        return None
+    return block
+
+
+def _csv_block(path, chunk, lines, before, columns, resolved: ResolvedSchema):
+    """The selected cells of a chunk's records, parsed through ``csv.reader``
+    and ``_parse_block``, and the number of lines read: a record that starts
+    in the chunk and spans lines is read to its end from ``lines``.  Line
+    numbers count from ``before``, the lines read before the chunk."""
     width = max(columns) + 1
     pick = operator.itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
-    rows, reader = source.rows()
-    if resolved.has_header:
-        next(rows, None)
-    lines, cells = [], []
-    for row in rows:
-        if not row:
-            continue
-        if len(row) < width:
-            _parse_block(lines, cells, columns, resolved)  # a bad cell above is named first
-            raise DataError(
-                f"line {reader.line_num}: expected at least {width} columns, got {len(row)}"
-            )
-        lines.append(reader.line_num)
-        cells.append(pick(row))
-        if len(cells) == _READ_ROWS:
-            yield _parse_block(lines, cells, columns, resolved)
-            lines, cells = [], []
-    if cells:
-        yield _parse_block(lines, cells, columns, resolved)
+    numbers, cells = [], []
+    for line_num, row in _records(path, itertools.chain(chunk, lines)):
+        if row:
+            if len(row) < width:
+                _parse_block(numbers, cells, columns, resolved)  # a bad cell above is named first
+                raise DataError(
+                    f"line {before + line_num}: expected at least {width} columns, "
+                    f"got {len(row)}"
+                )
+            numbers.append(before + line_num)
+            cells.append(pick(row))
+        if line_num >= len(chunk):
+            break
+    return _parse_block(numbers, cells, columns, resolved), line_num
 
 
 def _parse_block(lines, cells, columns, resolved: ResolvedSchema) -> np.ndarray:

@@ -31,7 +31,10 @@ class LossModel:
     over a block with ``_walk`` and sums its Hessians with ``_hessian_sum``.
     Both have generic per-row defaults; the linear and logistic families
     override both and the mean model the sum, so that no per-row gradient or
-    ``(n, ..., p, p)`` Hessian array is built.
+    ``(n, ..., p, p)`` Hessian array is built.  The step of the linear and
+    mean families is affine in ``theta``, so on a single stream (a ``(p,)``
+    iterate) of more than one row their ``_walk`` composes the block's steps
+    with a prefix scan (``_affine_walk``) instead of looping over its rows.
     """
 
     param_dim: int
@@ -90,6 +93,10 @@ class LossModel:
         update onto the feasible set: no re-projection from ``c`` is needed.
         Here each row evaluates ``_gradient``, multiplies it by ``P`` and by
         the step size and subtracts it.  ``theta`` itself is not written.
+
+        Every override walks a one-row block as its sequential loop does, so
+        an error replayed row by row (``EstimatorState._advance_block``)
+        names the step that the sequential walk would name.
         """
         gradient = self._gradient
         for z, step, row in zip(block, steps, path):
@@ -114,6 +121,31 @@ def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """``sum_i outer(a[i], b[i])`` over the first axis, as one batched matmul;
     ``b`` defaults to ``a``."""
     return np.moveaxis(a, 0, -1) @ np.moveaxis(a if b is None else b, 0, -2)
+
+
+def _affine_walk(theta, K, b, path) -> None:
+    """``path[i]`` receives the image of the ``(p,)`` iterate ``theta`` under
+    the affine steps ``v -> v (I - K[j]) + b[j]`` for ``j = 0..i``, with ``K``
+    of shape ``(n, p, p)`` and ``b`` of shape ``(n, p)``.
+
+    Each step is the augmented matrix ``M_j = [[I - K[j], 0], [b[j], 1]]``
+    acting on the row ``[v, 1]``.  A Hillis-Steele scan replaces each map by
+    the product with the one ``k`` rows before it, for ``k = 1, 2, 4, ...``,
+    so the ``n`` prefix products take ``ceil(log2 n)`` batched matmuls
+    (Martin & Cundy 2018), and one more product applies them to ``theta``.
+    The products associate the steps differently from a sequential loop, so
+    the path agrees with it up to rounding, not bit for bit.
+    """
+    n, p = b.shape
+    maps = np.zeros((n, p + 1, p + 1))
+    np.subtract(np.eye(p), K, out=maps[:, :p, :p])
+    maps[:, p, :p] = b
+    maps[:, p, p] = 1.0
+    k = 1
+    while k < n:
+        maps[k:] = maps[:-k] @ maps[k:]
+        k *= 2
+    np.matmul(np.append(theta, 1.0), maps[:, :, :p], out=path)
 
 
 def _curvature(y, x, theta):
@@ -145,6 +177,16 @@ class MeanModel(LossModel):
 
     def _hessian_sum(self, theta, z):
         return np.broadcast_to(len(theta) * self._eye, theta.shape[1:] + (self.param_dim,))
+
+    def _walk(self, theta, block, P, steps, path) -> None:
+        """``LossModel._walk``, or on a single stream of several rows
+        ``_affine_walk``: the step ``steps[i] * (theta - z_i) P`` is
+        ``theta -> theta (I - steps[i] P) + steps[i] z_i P``."""
+        if theta.ndim > 1 or len(block) < 2:
+            return LossModel._walk(self, theta, block, P, steps, path)
+        scale = self._eye if P is None else P
+        shift = block if P is None else block @ P
+        _affine_walk(theta, steps[:, None, None] * scale, steps[:, None] * shift, path)
 
 
 class _GlmModel(LossModel):
@@ -200,6 +242,17 @@ class LinearModel(_GlmModel):
     def _hessian_sum(self, theta, z):
         x = z[..., 1:]
         return _gram(x)
+
+    def _walk(self, theta, block, P, steps, path) -> None:
+        """``_GlmModel._walk``, or on a single stream of several rows
+        ``_affine_walk``: with the direction ``d_i = steps[i] * x_i P`` the
+        step ``(x_i @ theta - y_i) d_i`` is
+        ``theta -> theta (I - x_i (x) d_i) + y_i d_i``."""
+        if theta.ndim > 1 or len(block) < 2:
+            return super()._walk(theta, block, P, steps, path)
+        y, x = block[:, 0], block[:, 1:]
+        d = (x if P is None else x @ P) * steps[:, None]
+        _affine_walk(theta, x[:, :, None] * d[:, None, :], y[:, None] * d, path)
 
 
 class LogisticModel(_GlmModel):

@@ -279,19 +279,135 @@ class TestFeasibilityAlongPath:
 
 
 class TestUnconstrainedReduction:
-    def test_bitwise_equal_to_plain_sgd(self):
-        """With P = I, c = 0 the iterate sequence is exactly plain SGD, with the
-        step ``gamma_t (x' theta - y) x`` associated as ``w (gamma_t x)``."""
-        obs = dgp1_stream(3000, seed=6)
+    @staticmethod
+    def plain_sgd(obs):
+        """The iterates of plain SGD from 0, with the step
+        ``gamma_t (x' theta - y) x`` associated as ``w (gamma_t x)``."""
         schedule = LearningRate()
-        state = EstimatorState(LinearModel(4), Constraint.unconstrained(4))
-        theta = np.zeros(4)
+        theta, path = np.zeros(4), []
         for t, (y, *x) in enumerate(obs, start=1):
             x = np.array(x)
             theta = theta - (np.vecdot(x, theta) - y) * (schedule.at(t) * x)
-            if t % 1000 == 0:
-                state.run_stream([obs[t - 1000 : t]])
-                assert np.array_equal(state.theta, theta)
+            path.append(theta)
+        return path
+
+    def test_bitwise_equal_to_plain_sgd(self):
+        """With P = I, c = 0 the iterate sequence of a batched state, which
+        walks row by row, is exactly plain SGD."""
+        obs = dgp1_stream(3000, seed=6)
+        path = self.plain_sgd(obs)
+        state = EstimatorState(LinearModel(4), Constraint.unconstrained(4), theta0=np.zeros((1, 4)))
+        for t in range(1000, 3001, 1000):
+            state.run_stream([obs[t - 1000 : t, None]])
+            assert np.array_equal(state.theta[0], path[t - 1])
+
+    def test_single_stream_scan_equals_plain_sgd(self):
+        """A single ``(p,)`` stream composes each block's steps with a prefix
+        scan, so it equals plain SGD up to rounding."""
+        obs = dgp1_stream(3000, seed=6)
+        path = self.plain_sgd(obs)
+        state = EstimatorState(LinearModel(4), Constraint.unconstrained(4))
+        for t in range(1000, 3001, 1000):
+            state.run_stream([obs[t - 1000 : t]])
+            np.testing.assert_allclose(state.theta, path[t - 1], rtol=1e-12, atol=0.0)
+
+
+class TestScanWalk:
+    """A single ``(p,)`` stream of the linear or mean family walks each block
+    of more than one row by a prefix scan of its affine steps; a ``(1, p)``
+    state walks the same rows one at a time.  Both end in the same state up
+    to rounding, and name the same step when a row goes bad."""
+
+    @staticmethod
+    def case(kind, constrained, n, seed=0):
+        con = PRESETS["linear"].constraint() if constrained else Constraint.unconstrained(4)
+        obs = dgp1_stream(n, seed=seed)
+        if kind == "mean":
+            return MeanModel(4), con, obs[:, 1:]
+        return LinearModel(4), con, obs
+
+    @staticmethod
+    def both(model, con, schedule, chunks):
+        """The ``(p,)`` and the ``(1, p)`` state advanced over ``chunks``."""
+        scan = EstimatorState(model, con, schedule)
+        walk = EstimatorState(model, con, schedule, theta0=con.c[None])
+        return scan.run_stream(chunks), walk.run_stream([chunk[:, None] for chunk in chunks])
+
+    @pytest.mark.parametrize("size", [1, 17, 256])
+    @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
+    @pytest.mark.parametrize("kind", ["linear", "mean"])
+    def test_scan_matches_the_sequential_walk(self, kind, constrained, gamma, size):
+        """600 rows from step 1, in blocks of ``size`` rows, so every block
+        size meets the first steps' overshoot.
+
+        Each walk rounds relative to the largest value it carries: a running
+        sum its own final size, the iterate the peak of its path.  Every
+        array agrees at rtol 1e-12, with an absolute allowance of 64
+        roundings at that scale.  At gamma <= 1 the path peaks below 20, so
+        the allowance is below 3e-13.  At gamma = 4 the linear path peaks
+        near 1e7, where the sequential walk itself strays from a
+        constrained fit's feasible set by about 1e-8.  One-row blocks are
+        walked row by row on both states, so they agree bit for bit."""
+        model, con, obs = self.case(kind, constrained, 600)
+        schedule = LearningRate(gamma)
+        scan, walk = self.both(model, con, schedule, blocks(obs, size))
+        assert scan.t == walk.t == 600
+        if size == 1:
+            for name in STREAM_ARRAYS:
+                assert getattr(scan, name).tobytes() == getattr(walk, name)[0].tobytes()
+            return
+        steps = np.array([schedule.at(t) for t in range(1, 601)])
+        path = np.empty((600, 1, 4))
+        model._walk(con.c[None], obs[:, None], None if con.d == 4 else con.P, steps, path)
+        eps = np.finfo(float).eps
+        for name in STREAM_ARRAYS:
+            want = getattr(walk, name)[0]
+            scale = np.abs(path if name == "theta" else want).max()
+            np.testing.assert_allclose(
+                getattr(scan, name), want, rtol=1e-12, atol=64 * eps * scale, err_msg=name
+            )
+
+    @pytest.mark.parametrize("size", [17, 256])
+    @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
+    @pytest.mark.parametrize("kind", ["linear", "mean"])
+    def test_a_non_finite_row_names_the_same_step(self, kind, constrained, size):
+        """Row 300 of 400 holds a NaN: both states name step 300 and are left
+        after step 299."""
+        model, con, obs = self.case(kind, constrained, 400, seed=3)
+        obs[299, -1] = np.nan
+        scan = EstimatorState(model, con)
+        walk = EstimatorState(model, con, theta0=con.c[None])
+        for state, chunks in ((scan, blocks(obs, size)), (walk, blocks(obs[:, None], size))):
+            with pytest.raises(
+                NumericalError, match=r"^observation 299: non-finite gradient at step 300 "
+            ):
+                state.run_stream(chunks)
+            assert state.t == 299
+        for name in STREAM_ARRAYS:
+            np.testing.assert_allclose(
+                getattr(scan, name), getattr(walk, name)[0], rtol=1e-12, atol=1e-14
+            )
+
+    def test_a_block_whose_prefix_products_overflow_is_walked_row_by_row(self):
+        """Three rows with ``x = (1e100, 0, 0, 0)`` and ``y = 0`` leave the
+        iterate at 0, but the product of their steps' maps passes the
+        largest float, so the scanned block is not finite.  The block is
+        advanced again row by row and ends where the sequential walk ends."""
+        obs = dgp1_stream(256, seed=4)
+        obs[:3] = [0.0, 1e100, 0.0, 0.0, 0.0]
+        model, free, schedule = LinearModel(4), Constraint.unconstrained(4), LearningRate()
+        steps = np.array([schedule.at(t) for t in range(1, 257)])
+        path = np.empty((256, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            model._walk(np.zeros(4), obs, None, steps, path)
+        assert not np.isfinite(path).all()
+        scan, walk = self.both(model, free, schedule, [obs])
+        assert scan.t == walk.t == 256
+        for name in STREAM_ARRAYS:
+            np.testing.assert_allclose(
+                getattr(scan, name), getattr(walk, name)[0], rtol=1e-12, atol=1e-14
+            )
 
 
 class TestRecursiveBatchEquivalence:
@@ -395,13 +511,34 @@ class TestSnapshots:
                 lambda record: {**record, "paired": True},
                 r"paired records \(both streams of a specification test\) no longer load",
             ),
+            (
+                lambda record: {**record, "schedule": {"gamma": 1.0, "eta": 0.5}},
+                r"record entry 'schedule' is malformed: .*unexpected keyword argument 'eta'",
+            ),
+            (
+                lambda record: {**record, "constraint": [[0.0, 1.0, 1.0, 1.0]]},
+                "record entry 'constraint' is malformed: "
+                "list indices must be integers or slices, not str",
+            ),
+            (
+                lambda record: {**record, "t": "12"},
+                "record entry 't' is malformed: "
+                "'str' object cannot be interpreted as an integer",
+            ),
+            (
+                lambda record: {**record, "theta": "zero"},
+                "record entry 'theta' is malformed: could not convert string to float: 'zero'",
+            ),
         ],
-        ids=["only_t", "no_b", "no_s_hat", "paired"],
+        ids=[
+            "only_t", "no_b", "no_s_hat", "paired", "unknown_schedule_key",
+            "list_constraint", "string_t", "string_theta",
+        ],
     )
     def test_a_bad_record_is_a_data_error(self, edit, message):
-        """A record with an entry missing, or one of the two-stream state that
-        older versions wrote for the specification test, raises one
-        ``DataError`` that names the problem."""
+        """A record with an entry missing or of the wrong type, or one of the
+        two-stream state that older versions wrote for the specification
+        test, raises one ``DataError`` that names the problem."""
         model = LinearModel(4)
         record = edit(EstimatorState(model, PRESETS["linear"].constraint()).to_record())
         with pytest.raises(DataError, match=f"^{message}$"):
@@ -451,7 +588,9 @@ class TestBatchedState:
     )
     def test_json_roundtrip_and_indexing_are_exact(self, model):
         """Without a projection the batched arithmetic is row-wise, so each
-        stream of the batch matches its own single-stream run bit for bit."""
+        stream of the batch matches its own run as a batch of one bit for
+        bit.  (A ``(p,)`` linear stream takes the prefix scan instead; see
+        ``TestScanWalk``.)"""
         obs = batched_stream(150, 3, seed=11, preset=model.family)
         free = Constraint.unconstrained(4)
         batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream([obs])
@@ -460,7 +599,8 @@ class TestBatchedState:
         for name in STREAM_ARRAYS:
             np.testing.assert_array_equal(getattr(restored, name), getattr(batch, name))
         for k in range(3):
-            single = EstimatorState(model, free).run_stream([obs[:, k]])
+            single = EstimatorState(model, free, theta0=np.zeros((1, 4)))
+            single = single.run_stream([obs[:, k : k + 1]])[0]
             assert batch[k].t == single.t
             for name in STREAM_ARRAYS:
                 np.testing.assert_array_equal(getattr(batch[k], name), getattr(single, name))

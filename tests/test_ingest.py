@@ -169,8 +169,9 @@ def csv_body(rows, header="y,a,b\n"):
 
 
 class TestBlockReader:
-    """The reader parses 256 rows per ``np.array`` call; its blocks, errors and
-    options behave as a row-by-row parse."""
+    """The reader parses up to ``_CHUNK_LINES`` lines per ``np.loadtxt`` call,
+    and a chunk that call rejects through ``csv.reader`` and ``float``; its
+    256-row blocks, errors and options behave as a row-by-row parse."""
 
     @pytest.mark.parametrize("row", [100, 550], ids=["full_block", "last_partial_block"])
     @pytest.mark.parametrize(
@@ -233,6 +234,29 @@ class TestBlockReader:
         with pytest.raises(DataError) as caught:
             list(load_observations(source, resolved, True))
         assert str(caught.value) == f"line 5: {message}"
+
+    @pytest.mark.parametrize(
+        "bad_cell, message",
+        [
+            (True, "^line 12: could not convert string to float: 'oops'$"),
+            (False, "^.*bad.csv: not a UTF-8 CSV file: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["bad_cell_above", "bytes_alone"],
+    )
+    def test_undecodable_bytes_are_named_after_the_lines_above_them(
+        self, tmp_path, bad_cell, message
+    ):
+        """Line 3002 holds a byte that is not UTF-8.  It is read in the same
+        chunk as line 12, but a bad cell on line 12 comes first in the file
+        and is named first."""
+        rows = numbered_rows(3000)
+        if bad_cell:
+            rows[10] = ["1.0", "oops", "2.0"]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(csv_body(rows).encode("utf-8") + b"1.0,\xff,2.0\n")
+        source = RowSource(str(path))
+        with pytest.raises(DataError, match=message):
+            list(load_observations(source, resolve_schema(source, CsvSchema()), True))
 
     def test_blocks_hold_256_rows_and_match_the_file(self, tmp_path):
         rows = numbered_rows(600)

@@ -1,4 +1,5 @@
-"""Property tests: the ingest parsers fail only with typed errors.
+"""Property tests: the ingest parsers fail only with typed errors, and the
+CSV reader reads what ``csv.reader`` and ``float`` read.
 
 Malformed schema strings, constraint files and CSV rows must raise
 ``DataError`` (or another ``ApsgdError`` when the syntax is valid but a value
@@ -7,14 +8,17 @@ is not, such as ``V1 = nan``), never a bare ``ValueError``, ``IndexError`` or
 examples are near misses of valid input rather than noise.
 """
 
+import csv
+import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apsgd import ApsgdError, Constraint, DataError
+from apsgd import ApsgdError, Constraint, DataError, ingest
 from apsgd.ingest import (
     CsvSchema,
     RowSource,
@@ -110,3 +114,99 @@ def test_undecodable_bytes_raise_data_error(data):
             list(load_observations(source, resolve_schema(source, CsvSchema()), True))
         except DataError:
             pass
+
+
+#: Cells that the C-level parse and ``float`` read differently, or that only
+#: ``csv.reader`` reads: underscores, ``#``, quoted cells with and without a
+#: line break or commas, and the ASCII separators ``float`` rejects.
+ODD_CELL = st.sampled_from(
+    ["1_0", "#", "2#", '"1.5"', '"2,5"', '"7,8,"', '" 3"', '"4\n5"', '"\n"', '"', "1\x1c",
+     "\x1f2"]
+)
+
+#: A line's text: a row of numbers with one cell replaced, a record of any
+#: cells, or a blank or whitespace-only line.
+ODD_LINE = st.one_of(
+    st.tuples(st.integers(0, 2), ODD_CELL).map(
+        lambda odd: ",".join(odd[1] if j == odd[0] else "0.5" for j in range(3))
+    ),
+    st.lists(st.one_of(CELL, ODD_CELL), max_size=5).map(",".join),
+    st.sampled_from(["", " ", "\t", "  \x0c"]),
+)
+
+LINE_END = st.sampled_from(["\n", "\r\n"])
+
+
+def csv_reference(path, resolved):
+    """The selected cells of every non-empty record after the header, read
+    by ``csv.reader`` and ``float`` one record at a time: an array, or the
+    ``DataError`` text of the first bad record."""
+    columns = (resolved.response_index, *resolved.feature_indices)
+    width = max(columns) + 1
+    rows = []
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for record in reader:
+            if not record:
+                continue
+            where = f"line {reader.line_num}"
+            if len(record) < width:
+                return None, f"{where}: expected at least {width} columns, got {len(record)}"
+            cells = [record[i] for i in columns]
+            try:
+                values = [float(cell) for cell in cells]
+            except ValueError as exc:
+                return None, f"{where}: {exc}"
+            for i, cell, value in zip(columns, cells, values):
+                if not math.isfinite(value):
+                    name = resolved.column_names[i]
+                    return None, f"{where}: column {name!r} is not a finite number: {cell!r}"
+            rows.append(values)
+    return np.array(rows).reshape(-1, len(columns)), None
+
+
+SCHEMAS = (
+    CsvSchema(), CsvSchema(features=("b", "a")), CsvSchema(response="b", features=("y",))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(300, [(9, '0.5,"7,8,",0.5', "\n")], "\n", 64, SCHEMAS[2])
+@example(300, [(270, "0.5,1\x1c,0.5", "\r\n")], "\r\n", 3, SCHEMAS[0])
+@given(
+    st.integers(257, 330),
+    st.lists(st.tuples(st.integers(0, 330), ODD_LINE, LINE_END), max_size=6),
+    LINE_END,
+    st.sampled_from([3, 64, ingest._CHUNK_LINES]),
+    st.sampled_from(SCHEMAS),
+)
+def test_reader_matches_csv_reader_and_float(n, odd, end, chunk_lines, schema):
+    """More than 256 data rows of numbers, with odd lines inserted, read in
+    chunks of ``chunk_lines`` lines: the blocks hold the reference's floats
+    bit for bit, or the reader raises the reference's ``DataError``.  The
+    examples are a quoted comma that shifts an unselected column, and a
+    separator that ``float`` rejects in an otherwise valid row."""
+    lines = [(f"{i},{i / 7!r},{-2.5 * i!r}", end) for i in range(n)]
+    for position, text, line_end in sorted(odd, key=lambda item: item[0]):
+        lines.insert(position, (text, line_end))
+    body = "y,a,b" + end + "".join(text + line_end for text, line_end in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(body)
+        source = RowSource(path)
+        resolved = resolve_schema(source, schema)
+        want, message = csv_reference(path, resolved)
+        try:
+            with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
+                blocks = list(load_observations(source, resolved, True))
+        except DataError as exc:
+            assert str(exc) == message
+            return
+        finally:
+            source.close()
+    assert message is None
+    assert all(len(block) == 256 for block in blocks[:-1])
+    got = np.concatenate(blocks) if blocks else np.empty((0, want.shape[1]))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
