@@ -296,7 +296,8 @@ class TestUnconstrainedReduction:
         walks row by row, is exactly plain SGD."""
         obs = dgp1_stream(3000, seed=6)
         path = self.plain_sgd(obs)
-        state = EstimatorState(LinearModel(4), Constraint.unconstrained(4), theta0=np.zeros((1, 4)))
+        free = Constraint.unconstrained(4)
+        state = EstimatorState(LinearModel(4), free, theta0=np.zeros((1, 4)))
         for t in range(1000, 3001, 1000):
             state.run_stream([obs[t - 1000 : t, None]])
             assert np.array_equal(state.theta[0], path[t - 1])
