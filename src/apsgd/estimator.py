@@ -8,11 +8,11 @@ rows: a CSV stream through ``run_stream``, and the Monte Carlo lockstep
 (``simulate``), which hands each drawn block to every state of a cell,
 through ``_advance_block``.  Within a block only the iterate is sequential:
 the model's ``_walk`` moves the iterates over the block along the projected
-gradient (row by row, or for a single stream of the linear or mean family
-by a prefix scan of the block's affine steps), one cumulative sum turns them
-into running averages, and the block's curvature and gradient-outer-product
-sums, evaluated along those averages, are folded into the averages that
-inference consumes later.  A block that fails is advanced again row by row.
+gradient (row by row, or for a single linear stream by a prefix scan of
+the block's affine steps), one cumulative sum turns them into running
+averages, and the block's curvature and gradient-outer-product sums,
+evaluated along those averages, are folded into the averages that inference
+consumes later.  A block that fails is advanced again row by row.
 States may be handed between threads between blocks.
 """
 
@@ -99,10 +99,10 @@ class EstimatorState:
     along the projected gradient with the model's ``LossModel._walk`` (for
     the regression families, a weight times a direction ``gamma_t x_t P``
     computed once per block), so its iterates stay feasible up to rounding.
-    A single ``(p,)`` stream of the linear or mean family composes each
-    block's steps with a prefix scan instead, which rounds differently from
-    the row-by-row walk that a batched state takes, by a few ulps of the
-    largest iterate.  How a stream is cut into blocks changes its numbers by
+    A single ``(p,)`` stream of the linear family composes each block's
+    steps with a prefix scan instead, which rounds differently from the
+    row-by-row walk that a batched state takes, by a few ulps of the largest
+    iterate.  How a stream is cut into blocks changes its numbers by
     a few ulps only.
 
     One rule locates every error: a block that fails is advanced again one

@@ -263,23 +263,26 @@ def _data_blocks(source: RowSource, resolved: ResolvedSchema):
     ``_READ_ROWS`` rows, the last one partial: the response cell, if the
     schema has one, then the features.  A bad cell or a short row raises the
     ``DataError`` that a row-by-row parse would raise first, naming its line
-    (and column), before any row of its chunk is yielded."""
+    (and column), once the blocks above the one that holds it are yielded;
+    so a caller's error on an earlier row is raised first, as when each
+    block is parsed alone."""
     columns = resolved.feature_indices
     if resolved.response_index is not None:
         columns = (resolved.response_index,) + columns
     lines, before = source.lines(skip_first=resolved.has_header)
     held = np.empty((0, len(columns)))
     for chunk in _chunks(source.path, lines):
-        block = _loadtxt_block(chunk, columns)
-        read = len(chunk)
+        block, read, error = _loadtxt_block(chunk, columns), len(chunk), None
         if block is None:
-            block, read = _csv_block(source.path, chunk, lines, before, columns, resolved)
+            block, read, error = _csv_block(source.path, chunk, lines, before, columns, resolved)
         before += read
         if len(held):
             block = np.concatenate([held, block])
         full = len(block) - len(block) % _READ_ROWS
         for lo in range(0, full, _READ_ROWS):
             yield block[lo : lo + _READ_ROWS]
+        if error is not None:
+            raise error
         held = block[full:]
     if len(held):
         yield held
@@ -328,51 +331,63 @@ def _loadtxt_block(chunk, columns) -> np.ndarray | None:
 
 def _csv_block(path, chunk, lines, before, columns, resolved: ResolvedSchema):
     """The selected cells of a chunk's records, parsed through ``csv.reader``
-    and ``_parse_block``, and the number of lines read: a record that starts
-    in the chunk and spans lines is read to its end from ``lines``.  Line
-    numbers count from ``before``, the lines read before the chunk."""
+    and ``_parse_block``, the number of lines read, and the ``DataError``
+    naming the first bad cell or short row, or ``None``; the cells are then
+    those of the rows above it.  A record that starts in the chunk and spans
+    lines is read to its end from ``lines``.  Line numbers count from
+    ``before``, the lines read before the chunk."""
     width = max(columns) + 1
     pick = operator.itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
-    numbers, cells = [], []
+    numbers, cells, short = [], [], None
     for line_num, row in _records(path, itertools.chain(chunk, lines)):
         if row:
             if len(row) < width:
-                _parse_block(numbers, cells, columns, resolved)  # a bad cell above is named first
-                raise DataError(
+                short = DataError(
                     f"line {before + line_num}: expected at least {width} columns, "
                     f"got {len(row)}"
                 )
+                break
             numbers.append(before + line_num)
             cells.append(pick(row))
         if line_num >= len(chunk):
             break
-    return _parse_block(numbers, cells, columns, resolved), line_num
+    block, error = _parse_block(numbers, cells, columns, resolved)
+    return block, line_num, error or short  # a bad cell above a short row is named first
 
 
-def _parse_block(lines, cells, columns, resolved: ResolvedSchema) -> np.ndarray:
-    """The selected cells of a block's rows as one float array; a block that
-    fails is parsed again row by row to name its first bad cell."""
+def _parse_block(lines, cells, columns, resolved: ResolvedSchema):
+    """The selected cells of a block's rows as one float array, and ``None``.
+    A block that fails is parsed again row by row to name its first bad
+    cell: then the rows above that cell and the ``DataError`` naming it."""
     try:
-        block = np.array(cells, dtype=float)
+        block = np.array(cells, dtype=float).reshape(len(cells), len(columns))
         if np.isfinite(block).all():
-            return block
+            return block, None
     except ValueError:
         pass
-    values = []
-    for lineno, row in zip(lines, cells):
-        try:
-            parsed = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: {exc}") from exc
-        # float() also accepts nan, inf and overflowing literals such as 1e999
-        for i, cell, value in zip(columns, row, parsed):
-            if not math.isfinite(value):
-                raise DataError(
-                    f"line {lineno}: column {resolved.column_names[i]!r} is not a "
-                    f"finite number: {cell!r}"
-                )
-        values.append(parsed)
-    return np.array(values)
+    values, error = [], None
+    try:
+        for lineno, row in zip(lines, cells):
+            values.append(_parse_row(lineno, row, columns, resolved))
+    except DataError as exc:
+        error = exc
+    return np.array(values).reshape(len(values), len(columns)), error
+
+
+def _parse_row(lineno, row, columns, resolved: ResolvedSchema) -> list[float]:
+    """One row's selected cells as floats; ``DataError`` names its first bad cell."""
+    try:
+        parsed = [float(cell) for cell in row]
+    except ValueError as exc:
+        raise DataError(f"line {lineno}: {exc}") from exc
+    # float() also accepts nan, inf and overflowing literals such as 1e999
+    for i, cell, value in zip(columns, row, parsed):
+        if not math.isfinite(value):
+            raise DataError(
+                f"line {lineno}: column {resolved.column_names[i]!r} is not a "
+                f"finite number: {cell!r}"
+            )
+    return parsed
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,10 @@ class LossModel:
     over a block with ``_walk`` and sums its Hessians with ``_hessian_sum``.
     Both have generic per-row defaults; the linear and logistic families
     override both and the mean model the sum, so that no per-row gradient or
-    ``(n, ..., p, p)`` Hessian array is built.  The step of the linear and
-    mean families is affine in ``theta``, so on a single stream (a ``(p,)``
-    iterate) of more than one row their ``_walk`` composes the block's steps
-    with a prefix scan (``_affine_walk``) instead of looping over its rows.
+    ``(n, ..., p, p)`` Hessian array is built.  The linear step is affine in
+    ``theta``, so on a single stream (a ``(p,)`` iterate) of more than one
+    row the linear ``_walk`` composes the block's steps with a prefix scan
+    (``_affine_walk``) instead of looping over its rows.
     """
 
     param_dim: int
@@ -177,16 +177,6 @@ class MeanModel(LossModel):
 
     def _hessian_sum(self, theta, z):
         return np.broadcast_to(len(theta) * self._eye, theta.shape[1:] + (self.param_dim,))
-
-    def _walk(self, theta, block, P, steps, path) -> None:
-        """``LossModel._walk``, or on a single stream of several rows
-        ``_affine_walk``: the step ``steps[i] * (theta - z_i) P`` is
-        ``theta -> theta (I - steps[i] P) + steps[i] z_i P``."""
-        if theta.ndim > 1 or len(block) < 2:
-            return LossModel._walk(self, theta, block, P, steps, path)
-        scale = self._eye if P is None else P
-        shift = block if P is None else block @ P
-        _affine_walk(theta, steps[:, None, None] * scale, steps[:, None] * shift, path)
 
 
 class _GlmModel(LossModel):

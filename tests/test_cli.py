@@ -68,6 +68,20 @@ def test_stream_errors_name_the_observation(tmp_path, capsys, command):
     assert re.fullmatch(r"apsgd: error: observation 1: non-finite .* at step 2.*\n", err)
 
 
+def test_a_fault_at_an_earlier_step_is_named_before_a_later_bad_cell(tmp_path, capsys):
+    """Row 300 overflows the iterate and line 4000 holds a bad cell.  Both
+    are read in one chunk of lines, but the estimator fails on row 300 before
+    the reader names line 4000, as when each block is parsed alone."""
+    rows = [f"{i % 7}.0,{i % 5}.0" for i in range(5000)]
+    rows[299] = "2.0,1e200"
+    rows[3998] = "1.0,oops"
+    path = tmp_path / "late.csv"
+    path.write_text("y,x1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, err = run(["estimate", str(path), "--model", "linear"], capsys)
+    assert code == EXIT_DATA
+    assert re.fullmatch(r"apsgd: error: observation 299: non-finite .* at step 300.*\n", err)
+
+
 @pytest.mark.parametrize("command", ["estimate", "spec-test"])
 def test_learning_rate_defaults_are_the_schedule_defaults(command):
     args = build_parser().parse_args([command, "data.csv", "--model", "linear"])

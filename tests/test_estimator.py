@@ -314,18 +314,15 @@ class TestUnconstrainedReduction:
 
 
 class TestScanWalk:
-    """A single ``(p,)`` stream of the linear or mean family walks each block
-    of more than one row by a prefix scan of its affine steps; a ``(1, p)``
-    state walks the same rows one at a time.  Both end in the same state up
+    """A single ``(p,)`` linear stream walks each block of more than one row
+    by a prefix scan of its affine steps; a ``(1, p)`` state walks the same
+    rows one at a time.  Both end in the same state up
     to rounding, and name the same step when a row goes bad."""
 
     @staticmethod
-    def case(kind, constrained, n, seed=0):
+    def case(constrained, n, seed=0):
         con = PRESETS["linear"].constraint() if constrained else Constraint.unconstrained(4)
-        obs = dgp1_stream(n, seed=seed)
-        if kind == "mean":
-            return MeanModel(4), con, obs[:, 1:]
-        return LinearModel(4), con, obs
+        return LinearModel(4), con, dgp1_stream(n, seed=seed)
 
     @staticmethod
     def both(model, con, schedule, chunks):
@@ -337,8 +334,7 @@ class TestScanWalk:
     @pytest.mark.parametrize("size", [1, 17, 256])
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
-    @pytest.mark.parametrize("kind", ["linear", "mean"])
-    def test_scan_matches_the_sequential_walk(self, kind, constrained, gamma, size):
+    def test_scan_matches_the_sequential_walk(self, constrained, gamma, size):
         """600 rows from step 1, in blocks of ``size`` rows, so every block
         size meets the first steps' overshoot.
 
@@ -346,11 +342,11 @@ class TestScanWalk:
         sum its own final size, the iterate the peak of its path.  Every
         array agrees at rtol 1e-12, with an absolute allowance of 64
         roundings at that scale.  At gamma <= 1 the path peaks below 20, so
-        the allowance is below 3e-13.  At gamma = 4 the linear path peaks
-        near 1e7, where the sequential walk itself strays from a
-        constrained fit's feasible set by about 1e-8.  One-row blocks are
-        walked row by row on both states, so they agree bit for bit."""
-        model, con, obs = self.case(kind, constrained, 600)
+        the allowance is below 3e-13.  At gamma = 4 the path peaks near 1e7,
+        where the sequential walk itself strays from a constrained fit's
+        feasible set by about 1e-8.  One-row blocks are walked row by row on
+        both states, so they agree bit for bit."""
+        model, con, obs = self.case(constrained, 600)
         schedule = LearningRate(gamma)
         scan, walk = self.both(model, con, schedule, blocks(obs, size))
         assert scan.t == walk.t == 600
@@ -371,11 +367,10 @@ class TestScanWalk:
 
     @pytest.mark.parametrize("size", [17, 256])
     @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
-    @pytest.mark.parametrize("kind", ["linear", "mean"])
-    def test_a_non_finite_row_names_the_same_step(self, kind, constrained, size):
+    def test_a_non_finite_row_names_the_same_step(self, constrained, size):
         """Row 300 of 400 holds a NaN: both states name step 300 and are left
         after step 299."""
-        model, con, obs = self.case(kind, constrained, 400, seed=3)
+        model, con, obs = self.case(constrained, 400, seed=3)
         obs[299, -1] = np.nan
         scan = EstimatorState(model, con)
         walk = EstimatorState(model, con, theta0=con.c[None])
@@ -585,13 +580,15 @@ class TestBatchedState:
                 )
 
     @pytest.mark.parametrize(
-        "model", [LinearModel(4), LogisticModel(4)], ids=["linear", "logistic"]
+        "model, single",
+        [(LinearModel(4), (1, 4)), (LogisticModel(4), (4,))],
+        ids=["linear", "logistic"],
     )
-    def test_json_roundtrip_and_indexing_are_exact(self, model):
+    def test_json_roundtrip_and_indexing_are_exact(self, model, single):
         """Without a projection the batched arithmetic is row-wise, so each
-        stream of the batch matches its own run as a batch of one bit for
-        bit.  (A ``(p,)`` linear stream takes the prefix scan instead; see
-        ``TestScanWalk``.)"""
+        stream of the batch matches its own single-stream run bit for bit.
+        A ``(p,)`` linear stream takes the prefix scan instead (see
+        ``TestScanWalk``), so the linear reference is a batch of one."""
         obs = batched_stream(150, 3, seed=11, preset=model.family)
         free = Constraint.unconstrained(4)
         batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream([obs])
@@ -600,11 +597,14 @@ class TestBatchedState:
         for name in STREAM_ARRAYS:
             np.testing.assert_array_equal(getattr(restored, name), getattr(batch, name))
         for k in range(3):
-            single = EstimatorState(model, free, theta0=np.zeros((1, 4)))
-            single = single.run_stream([obs[:, k : k + 1]])[0]
-            assert batch[k].t == single.t
+            state = EstimatorState(model, free, theta0=np.zeros(single))
+            if len(single) == 1:
+                run = state.run_stream([obs[:, k]])
+            else:
+                run = state.run_stream([obs[:, k : k + 1]])[0]
+            assert batch[k].t == run.t
             for name in STREAM_ARRAYS:
-                np.testing.assert_array_equal(getattr(batch[k], name), getattr(single, name))
+                np.testing.assert_array_equal(getattr(batch[k], name), getattr(run, name))
 
     def test_from_record_copies_the_stream_arrays(self):
         model = LinearModel(4)

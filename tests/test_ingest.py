@@ -217,6 +217,37 @@ class TestBlockReader:
             list(load_observations(source, resolve_schema(source, CsvSchema()), True))
         assert str(caught.value) == f"line 5: {message}"
 
+    @pytest.mark.parametrize("row", [3999, 4200], ids=["first_chunk", "second_chunk"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (["1.0", "oops", "2.0"], "could not convert string to float: 'oops'"),
+            (["1.0", "2.0", "inf"], "column 'b' is not a finite number: 'inf'"),
+            (["1.0", "2.0"], "expected at least 3 columns, got 2"),
+        ],
+        ids=["unparsable", "non_finite", "short_row"],
+    )
+    def test_blocks_above_a_bad_row_are_yielded_before_its_error(
+        self, tmp_path, row, bad, message
+    ):
+        """Of 5000 rows, row ``row`` is bad, and a blank line after row 10
+        leaves the first chunk of lines 255 rows past its last full block.
+        Every block above the one that holds the bad row is yielded first,
+        so that a caller can fail on those rows before the bad row is named,
+        as when each block is parsed alone."""
+        rows = numbered_rows(5000)
+        rows[row] = bad
+        body = csv_body(rows).splitlines(keepends=True)
+        body.insert(12, "\n")
+        source = RowSource(write_csv(tmp_path / "bad.csv", "".join(body)))
+        read = []
+        with pytest.raises(DataError) as caught:
+            for block in load_observations(source, resolve_schema(source, CsvSchema()), True):
+                read.append(block)
+        assert str(caught.value) == f"line {row + 3}: {message}"
+        assert [len(block) for block in read] == [256] * (row // 256)
+        assert np.concatenate(read).tobytes() == np.array(rows[: len(read) * 256]).tobytes()
+
     @pytest.mark.parametrize(
         "bad, message",
         [
