@@ -8,12 +8,13 @@ rows: a CSV stream through ``run_stream``, and the Monte Carlo lockstep
 (``simulate``), which hands each drawn block to every state of a cell,
 through ``_advance_block``.  Within a block only the iterate is sequential:
 the model's ``_walk`` moves the iterates over the block along the projected
-gradient (row by row, or for a single linear stream by a prefix scan of
-the block's affine steps), one cumulative sum turns them into running
-averages, and the block's curvature and gradient-outer-product sums,
-evaluated along those averages, are folded into the averages that inference
-consumes later.  A block that fails is advanced again row by row.
-States may be handed between threads between blocks.
+gradient, row by row (by numpy calls per row, or for a single small linear
+or logistic stream by one generated Python function over the block's rows
+as floats), one cumulative sum turns them into running averages, and the
+block's curvature and gradient-outer-product sums, evaluated along those
+averages, are folded into the averages that inference consumes later.
+A block that fails is advanced again row by row.  States may be handed
+between threads between blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import copy
 import json
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -61,6 +63,12 @@ class LearningRate:
         """Step size used for the t-th update (t starts at 1)."""
         return self.gamma * float(t) ** -self.rho
 
+    def steps(self, t0: int, n: int) -> np.ndarray:
+        """The step sizes of updates ``t0 + 1`` to ``t0 + n``, equal to ``at``
+        bit for bit: each power is Python's, and numpy only multiplies."""
+        powers = map(pow, range(t0 + 1, t0 + n + 1), repeat(-self.rho))
+        return self.gamma * np.fromiter(powers, float, n)
+
 
 class EstimatorState:
     """Iterate, running average, and moment recursions for a batch of streams.
@@ -99,11 +107,10 @@ class EstimatorState:
     along the projected gradient with the model's ``LossModel._walk`` (for
     the regression families, a weight times a direction ``gamma_t x_t P``
     computed once per block), so its iterates stay feasible up to rounding.
-    A single ``(p,)`` stream of the linear family composes each block's
-    steps with a prefix scan instead, which rounds differently from the
-    row-by-row walk that a batched state takes, by a few ulps of the largest
-    iterate.  How a stream is cut into blocks changes its numbers by
-    a few ulps only.
+    A single ``(p,)`` stream of those families, for small ``p``, sums each
+    margin in row order where a batched state takes ``np.vecdot``, so the
+    two round differently, by a few ulps of the largest iterate.  How a
+    stream is cut into blocks changes its numbers by a few ulps only.
 
     One rule locates every error: a block that fails is advanced again one
     row at a time.  An error at step ``s`` (a bad observation, or a gradient,
@@ -195,9 +202,9 @@ class EstimatorState:
         """
         model, con, t0 = self.model, self.constraint, self.t
         block = model._check_obs(rows, (len(rows), *self.theta.shape[:-1]))
-        n, at = len(block), self.schedule.at
+        n = len(block)
         path = path[:n]
-        steps = np.array([at(t) for t in range(t0 + 1, t0 + n + 1)])
+        steps = self.schedule.steps(t0, n)
         P = None if con.d == con.p else con.P
         with np.errstate(over="ignore", invalid="ignore"):
             model._walk(self.theta, block, P, steps, path)

@@ -138,16 +138,47 @@ def _unreadable(path: str, exc: Exception) -> DataError:
     return DataError(f"{path}: not a UTF-8 CSV file: {exc}")
 
 
-def _records(path: str, lines):
+def _records(path: str, lines, before: int = 0):
     """``(line_num, record)`` for each CSV record of ``lines``, where
     ``line_num`` counts the lines read up to the record's end (records may
-    span lines).  Lines are read only as far as the record returned."""
-    reader = csv.reader(lines)
+    span lines).  Lines are read only as far as the record returned.
+
+    A quoted field still open at the end of the input, which ``csv.reader``
+    would return as the rest of the input, and a ``csv.Error`` raise
+    ``DataError`` naming the line where the record starts, counted from
+    ``before``, the lines read before ``lines``."""
+    held, ended = [], []
+
+    def read():
+        for line in lines:
+            held.append(line)
+            yield line
+        ended.append(True)
+
+    reader = csv.reader(read())
+    start = 1
     try:
         for record in reader:
+            if ended and _quote_left_open(held):
+                raise DataError(
+                    f"line {before + start}: quoted field is not closed at the end of the input"
+                )
             yield reader.line_num, record
-    except (UnicodeDecodeError, csv.Error) as exc:
+            start = reader.line_num + 1
+            held.clear()
+    except UnicodeDecodeError as exc:
         raise _unreadable(path, exc) from exc
+    except csv.Error as exc:
+        raise DataError(f"line {before + start}: {exc}") from exc
+
+
+def _quote_left_open(lines) -> bool:
+    """Whether the record of ``lines``, which runs to the end of the input,
+    ends inside a quoted field.  A closing quote and a line end would then
+    leave the record as ``csv.reader`` returns it; in any other state they
+    change it, adding a character to an unquoted field, a field after a
+    trailing delimiter, or an escaped quote to a closed quoted field."""
+    return list(csv.reader(lines)) == list(csv.reader([*lines, '"\n']))
 
 
 def _kept(lines, kept: list):
@@ -338,21 +369,23 @@ def _csv_block(path, chunk, lines, before, columns, resolved: ResolvedSchema):
     ``before``, the lines read before the chunk."""
     width = max(columns) + 1
     pick = operator.itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
-    numbers, cells, short = [], [], None
-    for line_num, row in _records(path, itertools.chain(chunk, lines)):
-        if row:
-            if len(row) < width:
-                short = DataError(
-                    f"line {before + line_num}: expected at least {width} columns, "
-                    f"got {len(row)}"
-                )
+    numbers, cells, line_num, unread = [], [], 0, None
+    try:
+        for line_num, row in _records(path, itertools.chain(chunk, lines), before):
+            if row:
+                if len(row) < width:
+                    raise DataError(
+                        f"line {before + line_num}: expected at least {width} columns, "
+                        f"got {len(row)}"
+                    )
+                numbers.append(before + line_num)
+                cells.append(pick(row))
+            if line_num >= len(chunk):
                 break
-            numbers.append(before + line_num)
-            cells.append(pick(row))
-        if line_num >= len(chunk):
-            break
+    except DataError as exc:  # a short row or a record that does not read
+        unread = exc
     block, error = _parse_block(numbers, cells, columns, resolved)
-    return block, line_num, error or short  # a bad cell above a short row is named first
+    return block, line_num, error or unread  # a bad cell above it is named first
 
 
 def _parse_block(lines, cells, columns, resolved: ResolvedSchema):

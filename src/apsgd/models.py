@@ -11,6 +11,8 @@ instances are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -31,10 +33,10 @@ class LossModel:
     over a block with ``_walk`` and sums its Hessians with ``_hessian_sum``.
     Both have generic per-row defaults; the linear and logistic families
     override both and the mean model the sum, so that no per-row gradient or
-    ``(n, ..., p, p)`` Hessian array is built.  The linear step is affine in
-    ``theta``, so on a single stream (a ``(p,)`` iterate) of more than one
-    row the linear ``_walk`` composes the block's steps with a prefix scan
-    (``_affine_walk``) instead of looping over its rows.
+    ``(n, ..., p, p)`` Hessian array is built.  On a single stream (a
+    ``(p,)`` iterate) of at most ``_KERNEL_DIM`` parameters, the linear and
+    logistic ``_walk`` runs a straight-line Python function over the
+    block's rows as floats (``_row_kernel``) instead of numpy calls per row.
     """
 
     param_dim: int
@@ -94,9 +96,9 @@ class LossModel:
         Here each row evaluates ``_gradient``, multiplies it by ``P`` and by
         the step size and subtracts it.  ``theta`` itself is not written.
 
-        Every override walks a one-row block as its sequential loop does, so
-        an error replayed row by row (``EstimatorState._advance_block``)
-        names the step that the sequential walk would name.
+        Every override walks its rows in order, one step per row, so an
+        error replayed row by row (``EstimatorState._advance_block``) names
+        the step that the block's walk reached first.
         """
         gradient = self._gradient
         for z, step, row in zip(block, steps, path):
@@ -123,29 +125,48 @@ def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.moveaxis(a, 0, -1) @ np.moveaxis(a if b is None else b, 0, -2)
 
 
-def _affine_walk(theta, K, b, path) -> None:
-    """``path[i]`` receives the image of the ``(p,)`` iterate ``theta`` under
-    the affine steps ``v -> v (I - K[j]) + b[j]`` for ``j = 0..i``, with ``K``
-    of shape ``(n, p, p)`` and ``b`` of shape ``(n, p)``.
+#: The largest parameter dimension whose ``(p,)`` streams walk by
+#: ``_row_kernel``.  The kernel's cost per row grows like ``p`` and the numpy
+#: row loop's barely does.  In paired runs of 2560-row free streams on one
+#: core the kernel was faster in 12 of 12 at p = 16 and 20 in both families,
+#: tied at p = 24 (12 of 12 linear, 3 of 12 logistic) and was slower at
+#: p = 28 (1 and 0 of 12).
+_KERNEL_DIM = 24
 
-    Each step is the augmented matrix ``M_j = [[I - K[j], 0], [b[j], 1]]``
-    acting on the row ``[v, 1]``.  A Hillis-Steele scan replaces each map by
-    the product with the one ``k`` rows before it, for ``k = 1, 2, 4, ...``,
-    so the ``n`` prefix products take ``ceil(log2 n)`` batched matmuls
-    (Martin & Cundy 2018), and one more product applies them to ``theta``.
-    The products associate the steps differently from a sequential loop, so
-    the path agrees with it up to rounding, not bit for bit.
+
+@functools.cache
+def _row_kernel(weight: str, p: int):
+    """A function ``walk(rows, t_0, ..., t_{p-1})`` that takes each row
+    ``(y, x_0, ..., x_{p-1}, d_0, ..., d_{p-1})`` of ``rows`` in turn,
+    computes the margin ``m = x_0 t_0 + ... + x_{p-1} t_{p-1}`` left to
+    right, the scalar ``w`` of the expression ``weight`` in ``y``, ``m`` and
+    ``exp`` (``math.exp``), and ``t_k -= w * d_k``; it returns the iterates
+    after each row, ``t_0, ..., t_{p-1}``, in one flat list.
+
+    The source is generated once per ``(weight, p)``, as ``dataclasses``
+    generates ``__init__``, so that a row costs a few float operations per
+    coordinate and no call.  NaN and inf propagate as floats; ``math.exp``
+    raises ``OverflowError`` where numpy would return inf.
     """
-    n, p = b.shape
-    maps = np.zeros((n, p + 1, p + 1))
-    np.subtract(np.eye(p), K, out=maps[:, :p, :p])
-    maps[:, p, :p] = b
-    maps[:, p, p] = 1.0
-    k = 1
-    while k < n:
-        maps[k:] = maps[:-k] @ maps[k:]
-        k *= 2
-    np.matmul(np.append(theta, 1.0), maps[:, :, :p], out=path)
+    t = [f"t{k}" for k in range(p)]
+    x = [f"x{k}" for k in range(p)]
+    d = [f"d{k}" for k in range(p)]
+    source = "\n".join(
+        [
+            f"def walk(rows, {', '.join(t)}):",
+            "    path = []",
+            "    extend = path.extend",
+            f"    for y, {', '.join(x + d)} in rows:",
+            f"        m = {' + '.join(f'{a} * {b}' for a, b in zip(x, t))}",
+            f"        w = {weight}",
+            *(f"        {a} -= w * {b}" for a, b in zip(t, d)),
+            f"        extend(({', '.join(t)},))",
+            "    return path",
+        ]
+    )
+    namespace = {"exp": math.exp}
+    exec(source, namespace)
+    return namespace["walk"]
 
 
 def _curvature(y, x, theta):
@@ -187,6 +208,10 @@ class _GlmModel(LossModel):
         self.param_dim = _positive_dim(p)
         self.obs_dim = self.param_dim + 1
 
+    #: ``_weight`` for one row, as a Python expression in the floats ``y`` and
+    #: ``m`` (the margin) and ``exp``, for ``_row_kernel``.
+    _scalar_weight: str
+
     @staticmethod
     def _weight(y, margin):
         raise NotImplementedError
@@ -197,10 +222,35 @@ class _GlmModel(LossModel):
 
     def _walk(self, theta, block, P, steps, path) -> None:
         """``LossModel._walk`` for a gradient ``w x``: the step ``steps[i] * g P``
-        is ``w`` times the direction ``steps[i] * x_i P``, which does not
-        depend on ``theta``.  The block's directions are written into
-        ``path`` first; row ``i`` then reads its direction from ``path[i]``
-        and overwrites it with the iterate, so no other buffer is needed."""
+        is ``w`` times the direction ``d_i = steps[i] * x_i P``, which does
+        not depend on ``theta``, so one matrix product per block computes
+        every direction.
+
+        A ``(p,)`` stream with ``p <= _KERNEL_DIM`` hands the block and its
+        directions to ``_row_kernel`` as one list, with ``_scalar_weight``
+        as the weight, and takes its iterates back in one array.  Its
+        margins are sums in row order, so they round differently from the
+        ``np.vecdot`` of the row loop, in the last digits.  A block on
+        which ``math.exp`` overflows, and every other state, takes the
+        numpy row loop ``_row_walk``, where the weight saturates."""
+        if theta.ndim == 1 and len(theta) <= _KERNEL_DIM:
+            x = block[:, 1:]
+            directions = (x if P is None else x @ P) * steps[:, None]
+            rows = np.concatenate((block, directions), axis=1).tolist()
+            try:
+                flat = _row_kernel(self._scalar_weight, len(theta))(rows, *theta.tolist())
+            except OverflowError:
+                pass
+            else:
+                path[...] = np.fromiter(flat, float, path.size).reshape(path.shape)
+                return
+        self._row_walk(theta, block, P, steps, path)
+
+    def _row_walk(self, theta, block, P, steps, path) -> None:
+        """``_walk`` by numpy calls per row, for any batch shape.  The
+        block's directions are written into ``path`` first; row ``i`` then
+        reads its direction from ``path[i]`` and overwrites it with the
+        iterate, so no other buffer is needed."""
         weight = self._weight
         y, x = block[..., 0], block[..., 1:]
         directions = x if P is None else np.matmul(x, P, out=path)
@@ -217,6 +267,7 @@ class LinearModel(_GlmModel):
     """
 
     family = "linear"
+    _scalar_weight = "m - y"
 
     def _loss(self, theta, z):
         resid = z[..., 0] - np.vecdot(z[..., 1:], theta)
@@ -233,17 +284,6 @@ class LinearModel(_GlmModel):
         x = z[..., 1:]
         return _gram(x)
 
-    def _walk(self, theta, block, P, steps, path) -> None:
-        """``_GlmModel._walk``, or on a single stream of several rows
-        ``_affine_walk``: with the direction ``d_i = steps[i] * x_i P`` the
-        step ``(x_i @ theta - y_i) d_i`` is
-        ``theta -> theta (I - x_i (x) d_i) + y_i d_i``."""
-        if theta.ndim > 1 or len(block) < 2:
-            return super()._walk(theta, block, P, steps, path)
-        y, x = block[:, 0], block[:, 1:]
-        d = (x if P is None else x @ P) * steps[:, None]
-        _affine_walk(theta, x[:, :, None] * d[:, None, :], y[:, None] * d, path)
-
 
 class LogisticModel(_GlmModel):
     """Logistic loss ``log(1 + exp(-y * x @ theta))`` with labels in {-1, +1}.
@@ -255,6 +295,7 @@ class LogisticModel(_GlmModel):
     """
 
     family = "logistic"
+    _scalar_weight = "-y / (1.0 + exp(y * m))"
 
     def _check_obs(self, z, batch_shape=()) -> np.ndarray:
         z = LossModel._check_obs(self, z, batch_shape)
@@ -271,8 +312,8 @@ class LogisticModel(_GlmModel):
     def _weight(y, margin):
         return -y * expit(-(y * margin))
 
-    def _walk(self, theta, block, P, steps, path) -> None:
-        """``_GlmModel._walk`` with the label folded into the features: the
+    def _row_walk(self, theta, block, P, steps, path) -> None:
+        """``_GlmModel._row_walk`` with the label folded into the features: the
         gradient is ``-s y x`` with ``s = expit(-(y x) @ theta)``.
 
         ``y = +-1``, so ``u = -y x`` is exact, ``s = expit(u @ theta)`` and the

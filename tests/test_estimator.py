@@ -18,6 +18,7 @@ from apsgd import (
     MeanModel,
     NumericalError,
 )
+from apsgd.models import _row_kernel
 from apsgd.simulate import PRESETS, draw_block, replication_rng
 
 
@@ -47,6 +48,14 @@ class TestLearningRate:
         lr = LearningRate()
         assert lr.at(1) == 1.0
         assert lr.at(4) == pytest.approx(4.0 ** -0.505)
+
+    @pytest.mark.parametrize("rho", [0.505, 0.6, 0.99])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.25, 1.0, 3.7])
+    def test_block_steps_equal_at_bit_for_bit(self, gamma, rho):
+        schedule = LearningRate(gamma, rho)
+        for t0 in (0, 255, 10**6, 2**40):
+            want = np.array([schedule.at(t) for t in range(t0 + 1, t0 + 257)])
+            assert schedule.steps(t0, 256).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "gamma,rho", [(0.0, 0.6), (-1.0, 0.6), (inf, 0.6), (1.0, 0.5), (1.0, 1.0), (1.0, 1.3)]
@@ -269,6 +278,29 @@ class TestFeasibilityAlongPath:
         assert worst_iterate <= 1e-8
         assert worst_average <= 1e-8
 
+    @pytest.mark.parametrize("streams", [None, 3], ids=["single", "batched"])
+    @pytest.mark.parametrize("gamma", [0.25, 4.0])
+    def test_feasibility_scales_with_the_peak_iterate(self, gamma, streams):
+        """Away from gamma = 1 a walk rounds relative to the largest iterate
+        it carries, which at gamma = 4 overshoots to about 3e6 in its first
+        steps: every iterate and average stays within 64 roundings of that
+        peak of the feasible set, for a ``(p,)`` and an ``(R, p)`` state."""
+        con = PRESETS["linear"].constraint()
+        if streams is None:
+            obs, theta0 = dgp1_stream(3000, seed=4), None
+        else:
+            obs, theta0 = batched_stream(3000, streams, seed=4), np.tile(con.c, (streams, 1))
+        state = EstimatorState(LinearModel(4), con, LearningRate(gamma), theta0=theta0)
+        peak = worst_iterate = worst_average = 0.0
+        for block in blocks(obs, 1):
+            state.run_stream([block])
+            peak = max(peak, np.abs(state.theta).max())
+            worst_iterate = max(worst_iterate, np.max(con.violation(state.theta)))
+            worst_average = max(worst_average, np.max(con.violation(state.theta_bar)))
+        bound = 64 * np.finfo(float).eps * peak
+        assert worst_iterate <= bound
+        assert worst_average <= bound
+
     def test_projection_idempotent_along_path(self):
         con = PRESETS["linear"].constraint()
         state = EstimatorState(LinearModel(4), con)
@@ -302,9 +334,9 @@ class TestUnconstrainedReduction:
             state.run_stream([obs[t - 1000 : t, None]])
             assert np.array_equal(state.theta[0], path[t - 1])
 
-    def test_single_stream_scan_equals_plain_sgd(self):
-        """A single ``(p,)`` stream composes each block's steps with a prefix
-        scan, so it equals plain SGD up to rounding."""
+    def test_single_stream_equals_plain_sgd(self):
+        """A single ``(p,)`` stream sums each margin in row order, where plain
+        SGD here takes ``np.vecdot``, so the two agree up to rounding."""
         obs = dgp1_stream(3000, seed=6)
         path = self.plain_sgd(obs)
         state = EstimatorState(LinearModel(4), Constraint.unconstrained(4))
@@ -313,68 +345,105 @@ class TestUnconstrainedReduction:
             np.testing.assert_allclose(state.theta, path[t - 1], rtol=1e-12, atol=0.0)
 
 
-class TestScanWalk:
-    """A single ``(p,)`` linear stream walks each block of more than one row
-    by a prefix scan of its affine steps; a ``(1, p)`` state walks the same
-    rows one at a time.  Both end in the same state up
-    to rounding, and name the same step when a row goes bad."""
+class TestKernelWalk:
+    """A single ``(p,)`` linear or logistic stream walks each block by the
+    straight-line Python kernel ``_row_kernel``; a ``(1, p)`` state walks
+    the same rows by the numpy row loop of the Monte Carlo lockstep.  Both
+    end in the same state up to rounding, and name the same step when a row
+    goes bad."""
 
     @staticmethod
-    def case(constrained, n, seed=0):
-        con = PRESETS["linear"].constraint() if constrained else Constraint.unconstrained(4)
-        return LinearModel(4), con, dgp1_stream(n, seed=seed)
+    def case(family, constrained, n, seed=0):
+        preset = PRESETS[family]
+        con = preset.constraint() if constrained else Constraint.unconstrained(4)
+        obs = draw_block(preset.spec(0.0), replication_rng(seed, 0, 0), n)
+        return preset.spec(0.0).model(), con, obs
 
     @staticmethod
     def both(model, con, schedule, chunks):
         """The ``(p,)`` and the ``(1, p)`` state advanced over ``chunks``."""
-        scan = EstimatorState(model, con, schedule)
-        walk = EstimatorState(model, con, schedule, theta0=con.c[None])
-        return scan.run_stream(chunks), walk.run_stream([chunk[:, None] for chunk in chunks])
+        kernel = EstimatorState(model, con, schedule)
+        loop = EstimatorState(model, con, schedule, theta0=con.c[None])
+        return kernel.run_stream(chunks), loop.run_stream([chunk[:, None] for chunk in chunks])
 
     @pytest.mark.parametrize("size", [1, 17, 256])
     @pytest.mark.parametrize("gamma", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
-    def test_scan_matches_the_sequential_walk(self, constrained, gamma, size):
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_kernel_matches_the_numpy_row_loop(self, family, constrained, gamma, size):
         """600 rows from step 1, in blocks of ``size`` rows, so every block
         size meets the first steps' overshoot.
 
-        Each walk rounds relative to the largest value it carries: a running
-        sum its own final size, the iterate the peak of its path.  Every
-        array agrees at rtol 1e-12, with an absolute allowance of 64
+        The kernel sums each margin in row order and ``np.vecdot`` does not,
+        so each walk rounds relative to the largest value it carries: a
+        running sum its own final size, the iterate the peak of its path.
+        Every array agrees at rtol 1e-12, with an absolute allowance of 64
         roundings at that scale.  At gamma <= 1 the path peaks below 20, so
-        the allowance is below 3e-13.  At gamma = 4 the path peaks near 1e7,
-        where the sequential walk itself strays from a constrained fit's
-        feasible set by about 1e-8.  One-row blocks are walked row by row on
-        both states, so they agree bit for bit."""
-        model, con, obs = self.case(constrained, 600)
+        the allowance is below 3e-13.  At gamma = 4 the linear path peaks
+        near 1e7, where the row loop itself strays from a constrained fit's
+        feasible set by about 1e-8."""
+        model, con, obs = self.case(family, constrained, 600)
         schedule = LearningRate(gamma)
-        scan, walk = self.both(model, con, schedule, blocks(obs, size))
-        assert scan.t == walk.t == 600
-        if size == 1:
-            for name in STREAM_ARRAYS:
-                assert getattr(scan, name).tobytes() == getattr(walk, name)[0].tobytes()
-            return
-        steps = np.array([schedule.at(t) for t in range(1, 601)])
+        kernel, loop = self.both(model, con, schedule, blocks(obs, size))
+        assert kernel.t == loop.t == 600
         path = np.empty((600, 1, 4))
-        model._walk(con.c[None], obs[:, None], None if con.d == 4 else con.P, steps, path)
+        P = None if con.d == 4 else con.P
+        model._row_walk(con.c[None], obs[:, None], P, schedule.steps(0, 600), path)
         eps = np.finfo(float).eps
         for name in STREAM_ARRAYS:
-            want = getattr(walk, name)[0]
+            want = getattr(loop, name)[0]
             scale = np.abs(path if name == "theta" else want).max()
             np.testing.assert_allclose(
-                getattr(scan, name), want, rtol=1e-12, atol=64 * eps * scale, err_msg=name
+                getattr(kernel, name), want, rtol=1e-12, atol=64 * eps * scale, err_msg=name
             )
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_one_block_walks_as_its_rows_one_at_a_time(self, family):
+        """The kernel is sequential, so over one 256-row block it ends where
+        256 one-row blocks end, bit for bit.  Without a constraint the
+        directions are elementwise products; under one, the matrix product
+        that computes them rounds by the block's shape."""
+        model, free, obs = self.case(family, False, 256, seed=5)
+        steps = LearningRate(4.0).steps(0, 256)
+        whole = np.empty((256, 4))
+        model._walk(np.zeros(4), obs, None, steps, whole)
+        rows = np.empty((256, 4))
+        theta = np.zeros(4)
+        for i in range(256):
+            model._walk(theta, obs[i : i + 1], None, steps[i : i + 1], rows[i : i + 1])
+            theta = rows[i]
+        assert whole.tobytes() == rows.tobytes()
+
+    def test_an_overflowing_margin_takes_the_numpy_row_loop(self):
+        """Row 100's margin ``y x @ theta`` is 800, past the 709.78 where
+        ``math.exp`` overflows: the kernel raises ``OverflowError``, and the
+        block is walked by the numpy row loop, where the weight saturates to
+        0, with the same bits."""
+        model, free, obs = self.case("logistic", False, 256, seed=6)
+        theta = np.array([1.0, 0.0, 0.0, 0.0])
+        obs[100] = [1.0, 800.0, 0.0, 0.0, 0.0]
+        obs[101:] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        steps = LearningRate().steps(0, 256)
+        rows = np.concatenate((obs, obs[:, 1:] * steps[:, None]), axis=1).tolist()
+        with pytest.raises(OverflowError):
+            _row_kernel(model._scalar_weight, 4)(rows[:101], *theta.tolist())
+        path, want = np.empty((256, 4)), np.empty((256, 4))
+        model._walk(theta, obs, None, steps, path)
+        model._row_walk(theta, obs, None, steps, want)
+        assert path.tobytes() == want.tobytes()
+        assert np.isfinite(path).all()
 
     @pytest.mark.parametrize("size", [17, 256])
     @pytest.mark.parametrize("constrained", [False, True], ids=["free", "constrained"])
-    def test_a_non_finite_row_names_the_same_step(self, constrained, size):
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_a_non_finite_row_names_the_same_step(self, family, constrained, size):
         """Row 300 of 400 holds a NaN: both states name step 300 and are left
         after step 299."""
-        model, con, obs = self.case(constrained, 400, seed=3)
+        model, con, obs = self.case(family, constrained, 400, seed=3)
         obs[299, -1] = np.nan
-        scan = EstimatorState(model, con)
-        walk = EstimatorState(model, con, theta0=con.c[None])
-        for state, chunks in ((scan, blocks(obs, size)), (walk, blocks(obs[:, None], size))):
+        kernel = EstimatorState(model, con)
+        loop = EstimatorState(model, con, theta0=con.c[None])
+        for state, chunks in ((kernel, blocks(obs, size)), (loop, blocks(obs[:, None], size))):
             with pytest.raises(
                 NumericalError, match=r"^observation 299: non-finite gradient at step 300 "
             ):
@@ -382,27 +451,7 @@ class TestScanWalk:
             assert state.t == 299
         for name in STREAM_ARRAYS:
             np.testing.assert_allclose(
-                getattr(scan, name), getattr(walk, name)[0], rtol=1e-12, atol=1e-14
-            )
-
-    def test_a_block_whose_prefix_products_overflow_is_walked_row_by_row(self):
-        """Three rows with ``x = (1e100, 0, 0, 0)`` and ``y = 0`` leave the
-        iterate at 0, but the product of their steps' maps passes the
-        largest float, so the scanned block is not finite.  The block is
-        advanced again row by row and ends where the sequential walk ends."""
-        obs = dgp1_stream(256, seed=4)
-        obs[:3] = [0.0, 1e100, 0.0, 0.0, 0.0]
-        model, free, schedule = LinearModel(4), Constraint.unconstrained(4), LearningRate()
-        steps = np.array([schedule.at(t) for t in range(1, 257)])
-        path = np.empty((256, 4))
-        with np.errstate(over="ignore", invalid="ignore"):
-            model._walk(np.zeros(4), obs, None, steps, path)
-        assert not np.isfinite(path).all()
-        scan, walk = self.both(model, free, schedule, [obs])
-        assert scan.t == walk.t == 256
-        for name in STREAM_ARRAYS:
-            np.testing.assert_allclose(
-                getattr(scan, name), getattr(walk, name)[0], rtol=1e-12, atol=1e-14
+                getattr(kernel, name), getattr(loop, name)[0], rtol=1e-12, atol=1e-14
             )
 
 
@@ -579,16 +628,12 @@ class TestBatchedState:
                     getattr(batch[k], name), getattr(single, name), rtol=1e-12, atol=1e-14
                 )
 
-    @pytest.mark.parametrize(
-        "model, single",
-        [(LinearModel(4), (1, 4)), (LogisticModel(4), (4,))],
-        ids=["linear", "logistic"],
-    )
-    def test_json_roundtrip_and_indexing_are_exact(self, model, single):
+    @pytest.mark.parametrize("model", [LinearModel(4), LogisticModel(4)], ids=["linear", "logistic"])
+    def test_json_roundtrip_and_indexing_are_exact(self, model):
         """Without a projection the batched arithmetic is row-wise, so each
-        stream of the batch matches its own single-stream run bit for bit.
-        A ``(p,)`` linear stream takes the prefix scan instead (see
-        ``TestScanWalk``), so the linear reference is a batch of one."""
+        stream of the batch matches its own run as a batch of one bit for
+        bit.  A ``(p,)`` stream walks by the Python kernel instead (see
+        ``TestKernelWalk``), so the reference is a ``(1, p)`` state."""
         obs = batched_stream(150, 3, seed=11, preset=model.family)
         free = Constraint.unconstrained(4)
         batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream([obs])
@@ -597,11 +642,8 @@ class TestBatchedState:
         for name in STREAM_ARRAYS:
             np.testing.assert_array_equal(getattr(restored, name), getattr(batch, name))
         for k in range(3):
-            state = EstimatorState(model, free, theta0=np.zeros(single))
-            if len(single) == 1:
-                run = state.run_stream([obs[:, k]])
-            else:
-                run = state.run_stream([obs[:, k : k + 1]])[0]
+            state = EstimatorState(model, free, theta0=np.zeros((1, 4)))
+            run = state.run_stream([obs[:, k : k + 1]])[0]
             assert batch[k].t == run.t
             for name in STREAM_ARRAYS:
                 np.testing.assert_array_equal(getattr(batch[k], name), getattr(run, name))

@@ -267,6 +267,27 @@ class TestBlockReader:
         assert str(caught.value) == f"line 5: {message}"
 
     @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('y,a,note\n1,2,"oops\n3,4,x\n5,6,y\n7,8,z\n', "line 2: quoted field is not"),
+            ('y,a,note\n1,2,x\n3,4,"oops', "line 3: quoted field is not"),
+            ('"y,a,note\n1,2,x\n3,4,y\n', "line 1: quoted field is not"),
+            ('y,a,note\n1,2,x\n3,4,"' + "x" * 200_000 + '"\n', "line 3: field larger than"),
+        ],
+        ids=["unselected_cell", "last_line", "header", "field_limit"],
+    )
+    def test_a_quote_left_open_is_named_by_the_line_its_record_starts(
+        self, tmp_path, body, message
+    ):
+        """``csv.reader`` reads a quoted field left open as the rest of the
+        file, so the first case once yielded one row and no error; a
+        ``csv.Error`` was reported as an input that is not UTF-8."""
+        source = RowSource(write_csv(tmp_path / "open.csv", body))
+        with pytest.raises(DataError, match=f"^{message}"):
+            resolved = resolve_schema(source, CsvSchema(features=("a",)))
+            list(load_observations(source, resolved, True))
+
+    @pytest.mark.parametrize(
         "bad_cell, message",
         [
             (True, "^line 12: could not convert string to float: 'oops'$"),

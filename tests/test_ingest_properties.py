@@ -137,32 +137,59 @@ ODD_LINE = st.one_of(
 LINE_END = st.sampled_from(["\n", "\r\n"])
 
 
+def ends_inside_quotes(text):
+    """Whether ``text`` ends inside a quoted field of the default dialect,
+    where ``csv.reader`` returns the rest of the input as that field."""
+    state = "start"
+    for c in text:
+        if state == "quoted":
+            state = "closing" if c == '"' else "quoted"
+        elif c in ",\r\n":
+            state = "start"
+        elif c == '"' and state in ("start", "closing"):
+            state = "quoted"
+        else:
+            state = "unquoted"
+    return state == "quoted"
+
+
 def csv_reference(path, resolved):
     """The selected cells of every non-empty record after the header, read
     by ``csv.reader`` and ``float`` one record at a time: an array, or the
-    ``DataError`` text of the first bad record."""
+    ``DataError`` text of the first bad record.  A last record that ends
+    inside a quoted field is bad, and named by the line where it starts."""
     columns = (resolved.response_index, *resolved.feature_indices)
     width = max(columns) + 1
     rows = []
     with open(path, encoding="utf-8", newline="") as handle:
+        left_open = ends_inside_quotes(handle.read())
+        handle.seek(0)
         reader = csv.reader(handle)
         next(reader)
+        start, records = reader.line_num + 1, []
         for record in reader:
-            if not record:
-                continue
-            where = f"line {reader.line_num}"
-            if len(record) < width:
-                return None, f"{where}: expected at least {width} columns, got {len(record)}"
-            cells = [record[i] for i in columns]
-            try:
-                values = [float(cell) for cell in cells]
-            except ValueError as exc:
-                return None, f"{where}: {exc}"
-            for i, cell, value in zip(columns, cells, values):
-                if not math.isfinite(value):
-                    name = resolved.column_names[i]
-                    return None, f"{where}: column {name!r} is not a finite number: {cell!r}"
-            rows.append(values)
+            records.append((start, reader.line_num, record))
+            start = reader.line_num + 1
+    if left_open:
+        start, _, _ = records.pop()
+    for _, line_num, record in records:
+        if not record:
+            continue
+        where = f"line {line_num}"
+        if len(record) < width:
+            return None, f"{where}: expected at least {width} columns, got {len(record)}"
+        cells = [record[i] for i in columns]
+        try:
+            values = [float(cell) for cell in cells]
+        except ValueError as exc:
+            return None, f"{where}: {exc}"
+        for i, cell, value in zip(columns, cells, values):
+            if not math.isfinite(value):
+                name = resolved.column_names[i]
+                return None, f"{where}: column {name!r} is not a finite number: {cell!r}"
+        rows.append(values)
+    if left_open:
+        return None, f"line {start}: quoted field is not closed at the end of the input"
     return np.array(rows).reshape(-1, len(columns)), None
 
 

@@ -1,5 +1,7 @@
 """Loss models against hand derivations and finite-difference oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,29 @@ class TestGradientOracleSweep:
         np.testing.assert_allclose(
             total, model._hessian(theta, z).sum(0), rtol=1e-12, atol=1e-14
         )
+
+
+class TestScalarWeight:
+    """A ``(p,)`` stream's walk evaluates the family's weight from the Python
+    expression ``_scalar_weight``; the ``(R, p)`` lockstep, the moments and
+    the gradient use the vectorised ``_weight``.  Both forms agree bit for
+    bit, at the edges of the float range too."""
+
+    MARGINS = [0.0, 1e-300, 30.0, 700.0, 709.78, 800.0, math.inf]
+
+    @pytest.mark.parametrize("model", [LinearModel(4), LogisticModel(4)], ids=["linear", "logistic"])
+    def test_the_scalar_weight_equals_the_vectorised_weight(self, model):
+        """``math.exp`` raises ``OverflowError`` past 709.78, where the
+        vectorised logistic weight saturates to a zero; the walk then takes
+        the numpy row loop, so the error stands for that zero."""
+        scalar = eval(f"lambda y, m: {model._scalar_weight}", {"exp": math.exp})
+        margins = [sign * m for m in self.MARGINS for sign in (1.0, -1.0)] + [math.nan]
+        for y in (1.0, -1.0):
+            for m in margins:
+                want = model._weight(np.float64(y), np.float64(m))
+                try:
+                    got = scalar(y, m)
+                except OverflowError:
+                    assert want == 0.0, (y, m)
+                    continue
+                assert np.float64(got).tobytes() == want.tobytes(), (y, m, got, want)
