@@ -150,9 +150,7 @@ def _records(path: str, lines, before: int = 0):
     held, ended = [], []
 
     def read():
-        for line in lines:
-            held.append(line)
-            yield line
+        yield from _kept(lines, held)
         ended.append(True)
 
     reader = csv.reader(read())
@@ -363,8 +361,8 @@ def _loadtxt_block(chunk, columns) -> np.ndarray | None:
 def _csv_block(path, chunk, lines, before, columns, resolved: ResolvedSchema):
     """The selected cells of a chunk's records, parsed through ``csv.reader``
     and ``_parse_block``, the number of lines read, and the ``DataError``
-    naming the first bad cell or short row, or ``None``; the cells are then
-    those of the rows above it.  A record that starts in the chunk and spans
+    naming the first bad cell, short row or record that ``_records`` cannot
+    read, or ``None``; the cells are then those of the rows above it.  A record that starts in the chunk and spans
     lines is read to its end from ``lines``.  Line numbers count from
     ``before``, the lines read before the chunk."""
     width = max(columns) + 1

@@ -98,7 +98,7 @@ class LossModel:
 
         Every override walks its rows in order, one step per row, so an
         error replayed row by row (``EstimatorState._advance_block``) names
-        the step that the block's walk reached first.
+        the step at which the block's walk went bad.
         """
         gradient = self._gradient
         for z, step, row in zip(block, steps, path):

@@ -399,14 +399,17 @@ class TestKernelWalk:
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_one_block_walks_as_its_rows_one_at_a_time(self, family):
-        """The kernel is sequential, so over one 256-row block it ends where
-        256 one-row blocks end, bit for bit.  Without a constraint the
-        directions are elementwise products; under one, the matrix product
-        that computes them rounds by the block's shape."""
+        """A ``(p,)`` stream's walk is the kernel's, which is sequential, so
+        over one 256-row block it ends where 256 one-row blocks end, bit for
+        bit.  Without a constraint the directions are elementwise products;
+        under one, the matrix product that computes them rounds by the
+        block's shape."""
         model, free, obs = self.case(family, False, 256, seed=5)
         steps = LearningRate(4.0).steps(0, 256)
         whole = np.empty((256, 4))
         model._walk(np.zeros(4), obs, None, steps, whole)
+        listed = np.concatenate((obs, obs[:, 1:] * steps[:, None]), axis=1).tolist()
+        assert whole.ravel().tolist() == _row_kernel(model._scalar_weight, 4)(listed, *[0.0] * 4)
         rows = np.empty((256, 4))
         theta = np.zeros(4)
         for i in range(256):
