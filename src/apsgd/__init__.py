@@ -33,12 +33,7 @@ from .inference import (
     spec_test_from_state,
     specification_test,
 )
-from .linalg import (
-    Constraint,
-    EigenDecomposition,
-    pinv_truncated,
-    symmetric_eigen,
-)
+from .linalg import Constraint, EigenDecomposition, symmetric_eigen
 from .models import (
     MODEL_FAMILIES,
     CustomModel,
@@ -102,7 +97,6 @@ __all__ = [
     "noncentral_chi2_cdf",
     "normal_quantile",
     "parse_config_text",
-    "pinv_truncated",
     "replicate_streams",
     "replication_rng",
     "resolve_config",

@@ -29,16 +29,10 @@ import numpy as np
 
 from .exceptions import ApsgdError, DataError, DimensionError, DomainError, NumericalError
 from .linalg import Constraint
-from .models import LossModel, _gram
+from .models import _BLOCK, LossModel, _gram
 
 #: The per-stream arrays of a state; their leading axes are the batch shape.
 _STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
-
-#: Rows per block that the engine moves and folds at once, for CSV streams
-#: and the Monte Carlo lockstep alike.  Larger blocks were no faster and hold
-#: more memory: a block, its path of averages and its gradients are
-#: ``(_BLOCK, ..., p)``-sized arrays.
-_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,9 @@ class EstimatorState:
     A single ``(p,)`` stream of those families, for small ``p``, sums each
     margin in row order where a batched state takes ``np.vecdot``, so the
     two round differently, by a few ulps of the largest iterate.  How a
-    stream is cut into blocks changes its numbers by a few ulps only.
+    stream is cut into blocks changes its averages and moments by a few ulps
+    only, and a single stream's iterates not at all, as long as every block
+    walks by the same route.
 
     One rule locates every error: a block that fails is advanced again one
     row at a time.  An error at step ``s`` (a bad observation, or a gradient,
@@ -250,10 +246,10 @@ class EstimatorState:
         record holds ``t`` (int), ``theta`` and ``theta_bar`` (``(*S, p)``),
         ``g_hat`` and ``s_hat`` (``(*S, p, p)``), ``constraint``
         ``{B: (m, p), b: (m,)}`` and ``schedule`` ``{gamma, rho}``, as nested
-        lists.  The constraint's geometry (``P``, ``c``, ``d``) is not stored;
-        ``from_record`` derives it again from ``B`` and ``b``.  The model
-        holds callables and cannot be serialized; supply it again to
-        ``from_record``.  Floats survive the JSON round trip exactly.
+        lists.  The constraint's geometry (``P``, ``c``, ``d``, ``U``,
+        ``V``) is not stored; ``from_record`` derives it again from ``B`` and
+        ``b``.  The model holds callables and cannot be serialized; supply it
+        again to ``from_record``.  Floats survive the JSON round trip exactly.
         """
         con = self.constraint
         return {

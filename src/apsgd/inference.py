@@ -1,12 +1,12 @@
 """Covariance assembly, confidence intervals, and the constraint test.
 
-The estimate's limiting covariance is the sandwich
-``pinv(P G P) S pinv(P G P)`` with the pseudoinverse truncated at the
-structural rank ``d`` of the projection; the plug-in version substitutes the
-streaming averages accumulated by the estimator.  The specification test
-compares the constrained and unconstrained averages; every constrained
-iterate is feasible, so the test reads the constrained side only through the
-constraint and needs one pass of the unconstrained stream.
+The estimate's limiting covariance lives on the kernel of ``B`` and the
+specification test on its row space, so each is computed in the constraint's
+orthonormal basis of its subspace (``Constraint.U``, ``V``), where every
+inverse is of a full-rank matrix (``_invert_pd``).  The plug-in versions
+substitute the streaming averages accumulated by the estimator.  Every
+constrained iterate is feasible, so the test reads the constrained side only
+through the constraint and needs one pass of the unconstrained stream.
 ``asymptotic_covariance``, ``coordinate_report`` and ``spec_test_from_state``
 take a CSV fit's ``(p,)`` state or a Monte Carlo cell's ``(R, p)`` state,
 whose results equal each ``state[k]``'s bit for bit.
@@ -29,18 +29,10 @@ from .exceptions import (
     NumericalError,
     RankDeficiencyError,
 )
-from .linalg import (
-    EIGEN_FLOOR,
-    RANK_THRESHOLD,
-    Constraint,
-    _raise_first,
-    pinv_truncated,
-    symmetric_eigen,
-)
+from .linalg import RANK_THRESHOLD, Constraint, _raise_first, symmetric_eigen
 
-#: Relative eigenvalue guard under which the unconstrained stream's curvature
-#: average is declared numerically singular (it is inverted as a full-rank
-#: matrix, not pseudo-inverted).
+#: Relative eigenvalue guard under which a matrix that inference inverts is
+#: declared numerically singular.
 _PD_GUARD = 1e-8
 
 #: Quadratic forms in [-1e-12, 0] are clamped to zero; anything more negative
@@ -75,8 +67,8 @@ class TestResult:
     ``(...)``, the average ``(..., p)`` and ``weight_matrix`` ``(..., p, p)``.
     ``reject`` is exactly ``kappa > chi2_quantile(alpha, df)`` and ``p_value``
     is the upper chi-square tail at ``kappa``.  ``weight_matrix`` is the
-    estimated weight matrix the statistic was normalised by, kept for
-    diagnostics.
+    estimated weight ``(I - P) W (I - P)`` the statistic was normalised by,
+    kept for diagnostics.
     """
 
     kappa: np.ndarray
@@ -89,26 +81,39 @@ class TestResult:
 
 
 def _invert_pd(a: np.ndarray, what: str) -> np.ndarray:
-    """Full-rank inverse via eigendecomposition, guarded against singularity."""
+    """Full-rank inverse via eigendecomposition, guarded against singularity.
+    A ``0 x 0`` matrix (the kernel of a fully pinned constraint) is its own
+    inverse."""
     eig = symmetric_eigen(a)
     lam = eig.eigenvalues
-    _raise_first(
-        (lam[..., 0] <= 0.0) | (lam[..., -1] <= _PD_GUARD * lam[..., 0]), IdentificationError,
-        lambda k: f"{what} is numerically singular "
-        f"(smallest eigenvalue {lam[k][-1]:.6e}, largest {lam[k][0]:.6e})",
-    )
+    if lam.shape[-1]:
+        _raise_first(
+            (lam[..., 0] <= 0.0) | (lam[..., -1] <= _PD_GUARD * lam[..., 0]), IdentificationError,
+            lambda k: f"{what} is numerically singular "
+            f"(smallest eigenvalue {lam[k][-1]:.6e}, largest {lam[k][0]:.6e})",
+        )
     vecs = eig.eigenvectors
     out = (vecs / lam[..., None, :]) @ vecs.mT
     return 0.5 * (out + out.mT)
 
 
+def _kernel_sandwich(U, G, S, what: str) -> np.ndarray:
+    """``U (U'GU)^-1 U'SU (U'GU)^-1 U'``, the limiting covariance of an
+    average that moves in the span of the orthonormal columns ``U``; ``G``
+    and ``S`` may be ``(..., p, p)`` stacks."""
+    inv = _invert_pd(U.T @ G @ U, what)
+    cov = U @ (inv @ (U.T @ S @ U) @ inv) @ U.T
+    return 0.5 * (cov + cov.mT)
+
+
 def asymptotic_covariance(state: EstimatorState) -> np.ndarray:
     """Plug-in covariance of the averaged estimate.
 
-    Computes ``pinv(P Ghat P) Shat pinv(P Ghat P)`` with the pseudoinverse
-    truncated at the constraint's structural rank ``d``.  Requires at least
-    ``p`` observations; raises ``IdentificationError`` when the projected
-    curvature is rank-deficient beyond that.
+    Computes ``U (U'Ghat U)^-1 U'Shat U (U'Ghat U)^-1 U'`` with ``U`` the
+    constraint's orthonormal basis of the kernel of ``B``; a fully pinned
+    constraint (``d = 0``) gives a zero covariance.  Requires at least ``p``
+    observations; raises ``IdentificationError`` when the curvature average
+    on the kernel is numerically singular beyond that.
     """
     p = state.model.param_dim
     if state.t < p:
@@ -116,16 +121,9 @@ def asymptotic_covariance(state: EstimatorState) -> np.ndarray:
             f"need at least {p} observations to identify the covariance, "
             f"got {state.t}"
         )
-    P = state.constraint.P
-    mid = P @ state.g_hat @ P
-    try:
-        inv = pinv_truncated(mid, state.constraint.d)
-    except RankDeficiencyError as exc:
-        raise IdentificationError(
-            f"projected curvature average is rank-deficient: {exc}"
-        ) from exc
-    cov = inv @ state.s_hat @ inv
-    return 0.5 * (cov + cov.mT)
+    return _kernel_sandwich(
+        state.constraint.U, state.g_hat, state.s_hat, "curvature average on the kernel of B"
+    )
 
 
 def _check_alpha(alpha: float) -> None:
@@ -184,19 +182,25 @@ def spec_test_from_state(
 ) -> TestResult:
     """Specification test of ``constraint`` from an advanced unconstrained stream.
 
-    The paper's statistic is ``kappa = T (theta_c - theta_u)' pinv(W)
-    (theta_c - theta_u)``, the difference of the constrained (projected SGD)
-    and unconstrained (SGD) averages over the same observations.  ``W`` is
-    ``(I - P) G^-1 S G^-1 (I - P)``, built from the unconstrained stream's
-    moment averages, its curvature inverted as a full-rank matrix, and
-    pseudo-inverted truncated at the structural rank ``p - d``; ``pinv(W)``
-    lives in the range of ``I - P``.  Every projected iterate is feasible,
-    so ``(I - P) theta_c = (I - P) c`` with ``c`` the constraint's feasible
-    point, and the difference is taken as ``(c - theta_u)(I - P)``: the
-    constrained stream need not be run.
+    The paper's statistic is ``kappa = T (theta_c - theta_u)'
+    pinv((I - P) W (I - P)) (theta_c - theta_u)``, on the difference of the
+    constrained (projected SGD) and unconstrained (SGD) averages over the
+    same observations, with ``W = G^-1 S G^-1`` built from the unconstrained
+    stream's moment averages.  The difference lies in the row space of
+    ``B``, and ``(I - P) W (I - P) = V (V'WV) V'`` with ``V`` the
+    constraint's basis of it, so ``kappa = T a' (V'WV)^-1 a`` with
+    ``a = V'(theta_c - theta_u)``.  Every projected iterate is feasible, so
+    ``V' theta_c = V' c`` with ``c`` the constraint's feasible point, and
+    ``a`` is taken as ``V'(c - theta_u)``: the constrained stream need not
+    be run.
     """
     _check_alpha(alpha)
     p = constraint.p
+    if unconstrained.constraint.p != p:
+        raise DimensionError(
+            f"constraint is on R^{p} but the unconstrained stream is on "
+            f"R^{unconstrained.constraint.p}"
+        )
     df = p - constraint.d
     if df == 0:
         raise DegenerateTestError(
@@ -212,20 +216,17 @@ def spec_test_from_state(
     if T == 0:
         raise IdentificationError("the unconstrained stream has consumed no observations")
     g_inv = _invert_pd(unconstrained.g_hat, "unconstrained curvature average")
-    mid = g_inv @ unconstrained.s_hat @ g_inv
-    anti = np.eye(p) - constraint.P
-    weight = anti @ mid @ anti
-    weight = 0.5 * (weight + weight.mT)
-    try:
-        w_inv = pinv_truncated(weight, df)
-    except RankDeficiencyError as exc:
-        raise IdentificationError(
-            f"weight matrix is rank-deficient below the test's degrees of "
-            f"freedom: {exc}"
-        ) from exc
-    diff = (constraint.c - unconstrained.theta_bar) @ anti
-    # associated as ((T diff) W^-1) diff: the seeded kappa values depend on the order
-    kappa = np.maximum(((T * diff)[..., None, :] @ w_inv @ diff[..., None])[..., 0, 0], 0.0)
+    V = constraint.V
+    row_weight = V.T @ (g_inv @ unconstrained.s_hat @ g_inv) @ V
+    w_inv = _invert_pd(row_weight, "weight matrix on the row space of B")
+    # a = V'(c - theta_u) taken through I - P: near kappa = 0 both orders round
+    # equally far from the exact a, and this one keeps the seeded kappa values.
+    # As a (..., 1, p - d) stack, a batch gives each stream's bits.
+    diff = (constraint.c - unconstrained.theta_bar) @ (np.eye(p) - constraint.P)
+    a = diff[..., None, :] @ V
+    # associated as ((T a) W^-1) a: the seeded kappa values depend on the order
+    kappa = np.maximum(((T * a) @ w_inv @ a.mT)[..., 0, 0], 0.0)
+    weight = V @ row_weight @ V.T
     return TestResult(
         kappa=kappa,
         df=df,
@@ -233,7 +234,7 @@ def spec_test_from_state(
         alpha=alpha,
         reject=kappa > chi2_quantile(alpha, df),
         theta_bar_unconstrained=unconstrained.theta_bar.copy(),
-        weight_matrix=weight,
+        weight_matrix=0.5 * (weight + weight.mT),
     )
 
 
@@ -263,21 +264,23 @@ def specification_test(
     return spec_test_from_state(state, constraint, alpha=alpha)
 
 
-def efficiency_gap(G, S, P, d: int) -> np.ndarray:
+def efficiency_gap(G, S, constraint: Constraint) -> np.ndarray:
     """Difference between unconstrained and constrained limiting covariances.
 
-    Returns ``G^{-1} S G^{-1} - pinv(P G P) S pinv(P G P)``.  When ``S`` is a
-    positive multiple of ``G`` the result is positive semidefinite with rank
+    Returns ``G^-1 S G^-1 - U (U'GU)^-1 U'SU (U'GU)^-1 U'`` with ``U`` the
+    constraint's basis of the kernel of ``B``.  When ``S`` is a positive
+    multiple of ``G`` the result is positive semidefinite with rank
     ``p - d``; in general neither ordering need hold.
     """
     G = np.asarray(G, dtype=float)
     S = np.asarray(S, dtype=float)
-    P = np.asarray(P, dtype=float)
+    p = constraint.p
+    if G.shape != (p, p) or S.shape != (p, p):
+        raise DimensionError(
+            f"constraint is on R^{p} but G has shape {G.shape} and S {S.shape}"
+        )
     g_inv = _invert_pd(G, "G")
-    v_i = g_inv @ S @ g_inv
-    mid = pinv_truncated(P @ G @ P, d)
-    v_p = mid @ S @ mid
-    gap = v_i - v_p
+    gap = g_inv @ S @ g_inv - _kernel_sandwich(constraint.U, G, S, "G on the kernel of B")
     return 0.5 * (gap + gap.T)
 
 
@@ -287,16 +290,19 @@ def local_power(mu, W, df: int, alpha: float = 0.05) -> float:
     ``mu`` is any vector mapping to the violation (the noncentrality
     ``mu' pinv(W) mu`` does not depend on the choice); ``W`` must be
     symmetric positive semidefinite with numerical rank exactly ``df``.
+    The noncentrality is summed over ``W``'s ``df`` leading eigenpairs.
     """
     mu = np.asarray(mu, dtype=float)
     eig = symmetric_eigen(W)
-    lam_max = max(eig.eigenvalues[0], 0.0)
-    num_rank = int(np.sum(eig.eigenvalues > EIGEN_FLOOR * lam_max)) if lam_max else 0
+    lam, vecs = eig.eigenvalues, eig.eigenvectors
+    if mu.shape != lam.shape:
+        raise DimensionError(f"mu has shape {mu.shape} but W is {len(lam)} x {len(lam)}")
+    num_rank = int(np.sum(lam > RANK_THRESHOLD * lam.max(initial=0.0)))
     if num_rank != df:
         raise RankDeficiencyError(
             f"weight matrix has numerical rank {num_rank}, expected {df}"
         )
-    w_inv = pinv_truncated(np.asarray(W, dtype=float), df)
-    delta = float(mu @ w_inv @ mu)
+    z = mu @ vecs[:, :df]
+    delta = float(z @ (z / lam[:df]))
     quantile = chi2_quantile(alpha, df)
     return 1.0 - noncentral_chi2_cdf(quantile, df, delta)

@@ -1,10 +1,10 @@
-"""Dense small-matrix helpers: projections, eigendecompositions, pseudoinverses.
+"""Dense small-matrix helpers: the constraint's geometry and eigendecompositions.
 
 Everything here operates on plain numpy arrays of modest dimension (parameter
 spaces in the single digits) and is a pure function of its inputs.  Matrix
-norms in tolerance checks are spectral norms.  ``symmetric_eigen`` and
-``pinv_truncated`` also take ``(..., n, n)`` stacks, matrix by matrix; a
-failure names the first bad matrix (``matrix (k,): ...``).
+norms in tolerance checks are spectral norms.  ``symmetric_eigen`` also takes
+``(..., n, n)`` stacks, matrix by matrix; a failure names the first bad
+matrix (``matrix (k,): ...``).
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from .exceptions import (
     DomainError,
     InfeasibleConstraintError,
     NumericalError,
-    RankDeficiencyError,
 )
 
-#: Relative eigenvalue floor below which a truncated pseudoinverse refuses to invert.
-EIGEN_FLOOR = 1e-10
-
-#: Relative singular-value threshold defining the numerical rank of a constraint matrix.
+#: Relative threshold below which a singular value of a constraint matrix, or
+#: an eigenvalue of a test's weight matrix, counts as numerically zero.
 RANK_THRESHOLD = 1e-10
 
 #: Relative tolerance on the symmetry defect accepted by ``symmetric_eigen``.
@@ -97,45 +94,17 @@ def symmetric_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
-def pinv_truncated(a, rank: int) -> np.ndarray:
-    """Moore-Penrose pseudoinverse truncated at a caller-supplied rank.
-
-    Returns ``sum_{i<rank} eigenvalue_i^{-1} u_i u_i^T`` from the descending
-    eigendecomposition of ``a``.  The ``rank`` largest eigenvalues must be
-    strictly positive, checked against the floor ``EIGEN_FLOOR * lambda_max``.
-
-    Raises
-    ------
-    RankDeficiencyError
-        If the requested rank exceeds the numerical rank of ``a``.
-    """
-    eig = symmetric_eigen(a)
-    lam, vecs = eig.eigenvalues, eig.eigenvectors
-    p = lam.shape[-1]
-    if not 0 <= rank <= p:
-        raise DimensionError(f"rank must be in [0, {p}], got {rank}")
-    if rank == 0:
-        return np.zeros(vecs.shape)
-    lam_max = np.maximum(lam[..., 0], 0.0)
-    floor = EIGEN_FLOOR * lam_max
-    _raise_first(
-        (lam_max <= 0.0) | (lam[..., rank - 1] <= floor), RankDeficiencyError,
-        lambda k: f"requested rank {rank} but eigenvalue {rank - 1} is "
-        f"{lam[k][rank - 1]:.6e} against floor {floor[k]:.6e} "
-        f"(largest eigenvalue {lam_max[k]:.6e})",
-    )
-    u = vecs[..., :rank]
-    out = (u / lam[..., None, :rank]) @ u.mT
-    return 0.5 * (out + out.mT)
-
-
 @dataclass(frozen=True)
 class Constraint:
     """The affine feasible set ``{theta : B theta = b}`` and its geometry.
 
     Carries the raw equality system together with the derived projection
-    matrix ``P``, a feasible point ``c`` (minimum norm) and the kernel
-    dimension ``d = rank(P)``.
+    matrix ``P``, a feasible point ``c`` (minimum norm), the kernel
+    dimension ``d = rank(P)`` and two orthonormal bases: ``U`` (shape
+    ``(p, d)``) of the kernel of ``B``, where the estimate moves, and ``V``
+    (shape ``(p, p - d)``) of the row space of ``B``, which the
+    specification test reads.  ``P = U U'`` and ``I - P = V V'``, up to
+    rounding.
     """
 
     B: np.ndarray
@@ -143,6 +112,8 @@ class Constraint:
     P: np.ndarray
     c: np.ndarray
     d: int
+    U: np.ndarray
+    V: np.ndarray
 
     @classmethod
     def from_equalities(cls, B, b) -> "Constraint":
@@ -152,9 +123,11 @@ class Constraint:
         ``P`` (shape ``(p, p)``) is the orthogonal projection onto the kernel
         of ``B``, ``c`` (shape ``(p,)``) the minimum-norm solution of
         ``B c = b``, and ``d`` the rank of ``P``, i.e. ``p`` minus the
-        numerical rank of ``B``.  A matrix with no rows, or with zero rows
-        only, yields ``P = I``, ``c = 0`` and ``d = p``.  An inconsistent
-        system raises ``InfeasibleConstraintError``.
+        numerical rank of ``B``.  ``V`` holds the leading right singular
+        vectors of ``B``, from which ``P`` and ``c`` are built, and ``U`` the
+        trailing ones of its full SVD.  A matrix with no rows, or with zero
+        rows only, yields ``P = I``, ``c = 0``, ``d = p`` and ``U = I``.  An
+        inconsistent system raises ``InfeasibleConstraintError``.
         """
         B = _as_matrix(B, "B")
         b = _as_vector(b, "b")
@@ -172,7 +145,10 @@ class Constraint:
             raise InfeasibleConstraintError(
                 f"system B theta = b is inconsistent (residual {residual:.6e})"
             )
-        return cls(B=B, b=b, P=P, c=c, d=p - rank)
+        # the economy SVD's vt has only min(m, p) rows, too few for the kernel,
+        # and P and c keep its bits, which the full SVD's differ from on some systems
+        U = np.linalg.svd(B, full_matrices=True).Vh[rank:].T
+        return cls(B=B, b=b, P=P, c=c, d=p - rank, U=U, V=vr)
 
     @classmethod
     def unconstrained(cls, p: int) -> "Constraint":

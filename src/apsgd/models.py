@@ -119,6 +119,27 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return x[..., :, None] @ x[..., None, :]
 
 
+#: Rows per block that the engine moves and folds at once, for CSV streams
+#: and the Monte Carlo lockstep alike.  Larger blocks were no faster and hold
+#: more memory: a block, its path of averages and its gradients are
+#: ``(_BLOCK, ..., p)``-sized arrays.
+_BLOCK = 256
+
+
+def _row_product(x: np.ndarray, P: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x @ P`` into ``out``.  A single stream's ``(n, p)`` block of fewer
+    than ``_BLOCK`` rows is multiplied as the top of a zero-padded
+    ``(_BLOCK, p)`` block: BLAS rounds a row of a short product differently
+    from the same row of a full one, and padded, a row's bits do not depend
+    on where the stream is cut into blocks or on a replay row by row."""
+    if x.ndim == 2 and len(x) < _BLOCK:
+        padded = np.zeros((_BLOCK, x.shape[1]))
+        padded[: len(x)] = x
+        out[...] = (padded @ P)[: len(x)]
+        return out
+    return np.matmul(x, P, out=out)
+
+
 def _gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """``sum_i outer(a[i], b[i])`` over the first axis, as one batched matmul;
     ``b`` defaults to ``a``."""
@@ -224,7 +245,7 @@ class _GlmModel(LossModel):
         """``LossModel._walk`` for a gradient ``w x``: the step ``steps[i] * g P``
         is ``w`` times the direction ``d_i = steps[i] * x_i P``, which does
         not depend on ``theta``, so one matrix product per block computes
-        every direction.
+        every direction (``_row_product``).
 
         A ``(p,)`` stream with ``p <= _KERNEL_DIM`` hands the block and its
         directions to ``_row_kernel`` as one list, with ``_scalar_weight``
@@ -235,7 +256,7 @@ class _GlmModel(LossModel):
         numpy row loop ``_row_walk``, where the weight saturates."""
         if theta.ndim == 1 and len(theta) <= _KERNEL_DIM:
             x = block[:, 1:]
-            directions = (x if P is None else x @ P) * steps[:, None]
+            directions = (x if P is None else _row_product(x, P, path)) * steps[:, None]
             rows = np.concatenate((block, directions), axis=1).tolist()
             try:
                 flat = _row_kernel(self._scalar_weight, len(theta))(rows, *theta.tolist())
@@ -253,7 +274,7 @@ class _GlmModel(LossModel):
         iterate, so no other buffer is needed."""
         weight = self._weight
         y, x = block[..., 0], block[..., 1:]
-        directions = x if P is None else np.matmul(x, P, out=path)
+        directions = x if P is None else _row_product(x, P, path)
         np.multiply(directions, steps.reshape((-1,) + (1,) * (path.ndim - 1)), out=path)
         for y_i, x_i, row in zip(y, x, path):
             np.multiply(weight(y_i, np.vecdot(x_i, theta))[..., None], row, out=row)
@@ -322,7 +343,7 @@ class LogisticModel(_GlmModel):
         and builds no temporary.
         """
         u = block[..., 1:] * -block[..., :1]
-        directions = u if P is None else np.matmul(u, P, out=path)
+        directions = u if P is None else _row_product(u, P, path)
         np.multiply(directions, -steps.reshape((-1,) + (1,) * (path.ndim - 1)), out=path)
         s = np.empty(np.broadcast_shapes(u.shape[1:-1], theta.shape[:-1]))
         s_col = s[..., None]

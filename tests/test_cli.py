@@ -355,6 +355,24 @@ def test_coordinate_pinned_by_a_combination_has_no_p_value(tmp_path, capsys):
     assert [row.split(",")[5] for row in rows] == ["nan", "nan"]
 
 
+def test_fully_pinned_constraint_fits_and_tests(tmp_path, capsys):
+    """Three rows pinning all three coefficients leave no free direction
+    (d = 0): ``estimate`` reports standard errors 0 and no p-values, and
+    ``spec-test`` has df = p = 3."""
+    path = tmp_path / "data.csv"
+    path.write_text(linear_csv(), encoding="utf-8")
+    constraint = tmp_path / "constraint.txt"
+    constraint.write_text("x1 = 1\nx2 - x3 = 0\nx2 + x3 = -1\n", encoding="utf-8")
+    argv = [str(path), "--model", "linear", "--constraint", str(constraint)]
+    assert main(["estimate", *argv]) == EXIT_OK
+    table = capsys.readouterr().out.splitlines()
+    for name, value in (("x1", "1.0000"), ("x2", "-0.5000"), ("x3", "-0.5000")):
+        line = next(line for line in table if line.startswith(name))
+        assert line.split()[1:] == [value, "0.0000", "--"]
+    assert main(["spec-test", *argv]) in (EXIT_OK, EXIT_REJECT)
+    assert "df = 3\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv, code, line",
     [

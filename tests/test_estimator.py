@@ -402,8 +402,7 @@ class TestKernelWalk:
         """A ``(p,)`` stream's walk is the kernel's, which is sequential, so
         over one 256-row block it ends where 256 one-row blocks end, bit for
         bit.  Without a constraint the directions are elementwise products;
-        under one, the matrix product that computes them rounds by the
-        block's shape."""
+        under one, see ``TestCutInvariance``."""
         model, free, obs = self.case(family, False, 256, seed=5)
         steps = LearningRate(4.0).steps(0, 256)
         whole = np.empty((256, 4))
@@ -456,6 +455,54 @@ class TestKernelWalk:
             np.testing.assert_allclose(
                 getattr(kernel, name), getattr(loop, name)[0], rtol=1e-12, atol=1e-14
             )
+
+
+class TestCutInvariance:
+    """A constrained single stream's directions ``x P`` are rows of one
+    ``(_BLOCK, p)`` product however its rows are cut, so its iterate keeps
+    its bits across block cuts and row-by-row replays.  BLAS promises no
+    such thing: a one-row product rounds differently from the same row of a
+    256-row one (in most rows at p = 4, in every row at p = 16), and this
+    test fails loudly on a BLAS that breaks the padding's invariance.  The
+    kernel covers p = 4 and 16, the numpy row loop p = 30."""
+
+    @staticmethod
+    def case(family, p, n=600):
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((n, p))
+        theta = rng.standard_normal(p) / np.sqrt(p)
+        if family == "linear":
+            y = x @ theta + rng.standard_normal(n)
+        else:
+            y = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-x @ theta)), 1.0, -1.0)
+        B = rng.standard_normal((2, p))
+        con = Constraint.from_equalities(B, B @ theta)
+        model = (LinearModel if family == "linear" else LogisticModel)(p)
+        return model, con, LearningRate(gamma=1.0 / p), np.column_stack([y, x])
+
+    @pytest.mark.parametrize("p", [4, 16, 30])
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_block_cuts_give_the_same_bits(self, family, p):
+        model, con, schedule, obs = self.case(family, p)
+        ends = [
+            EstimatorState(model, con, schedule).run_stream(blocks(obs, size)).theta
+            for size in (1, 17, 256)
+        ]
+        assert ends[0].tobytes() == ends[1].tobytes() == ends[2].tobytes()
+
+    @pytest.mark.parametrize("p", [4, 16, 30])
+    def test_a_replayed_block_equals_the_unfailed_walk(self, p):
+        """Row 100 of a 256-row block overflows the iterate: the block is
+        replayed row by row and stops after row 99, with the bits of a walk
+        over rows 0 to 99 alone."""
+        model, con, schedule, obs = self.case("linear", p, n=256)
+        obs[100, 1:] = 1e200
+        failed = EstimatorState(model, con, schedule)
+        with pytest.raises(NumericalError, match="at step 101"):
+            failed.run_stream([obs])
+        unfailed = EstimatorState(model, con, schedule).run_stream([obs[:100]])
+        assert failed.t == unfailed.t == 100
+        assert failed.theta.tobytes() == unfailed.theta.tobytes()
 
 
 class TestRecursiveBatchEquivalence:

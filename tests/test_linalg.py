@@ -1,23 +1,21 @@
-"""Projection construction, truncated pseudoinverses, and their invariants."""
+"""The constraint's geometry (projection, feasible point, bases) and its invariants."""
+
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apsgd import (
     Constraint,
     DimensionError,
     DomainError,
     InfeasibleConstraintError,
-    RankDeficiencyError,
-    pinv_truncated,
     symmetric_eigen,
 )
-
-
-def random_projection(rng, p, d):
-    """Rank-d orthogonal projection from a random orthonormal basis."""
-    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    return q[:, :d] @ q[:, :d].T
+from apsgd.inference import _invert_pd
+from apsgd.simulate import PRESETS
 
 
 def random_pd(rng, p):
@@ -65,48 +63,6 @@ class TestSymmetricEigen:
             symmetric_eigen([[np.nan, 0.0], [0.0, 1.0]])
 
 
-class TestPinvTruncated:
-    def test_diagonal_rank_one(self):
-        out = pinv_truncated(np.diag([2.0, 0.0]), 1)
-        np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_projection_is_its_own_pseudoinverse(self):
-        # with G = I the projected matrix PGP equals P, and pinv(P) = P
-        p_mat = np.full((2, 2), 0.5)
-        out = pinv_truncated(p_mat @ np.eye(2) @ p_mat, 1)
-        np.testing.assert_allclose(out, p_mat, atol=1e-12)
-
-    def test_identity_full_rank(self):
-        np.testing.assert_allclose(pinv_truncated(np.eye(4), 4), np.eye(4), atol=1e-14)
-
-    def test_rank_zero_gives_zero(self):
-        np.testing.assert_allclose(pinv_truncated(np.eye(3), 0), np.zeros((3, 3)))
-
-    def test_rank_beyond_numerical_rank(self):
-        with pytest.raises(RankDeficiencyError):
-            pinv_truncated(np.diag([2.0, 0.0]), 2)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(DimensionError):
-            pinv_truncated(np.eye(2), 3)
-
-    def test_moore_penrose_identities(self):
-        """A M A = A, M A M = M, (AM)' = AM, (MA)' = MA on exact-rank matrices."""
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            p = int(rng.integers(2, 7))
-            rank = int(rng.integers(1, p + 1))
-            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-            lam = np.sort(rng.uniform(0.5, 4.0, size=rank))[::-1]
-            a = (q[:, :rank] * lam) @ q[:, :rank].T
-            m = pinv_truncated(a, rank)
-            tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
-            assert np.linalg.norm(a @ m @ a - a, 2) <= tol
-            assert np.linalg.norm(m @ a @ m - m, 2) <= tol * max(1.0, np.linalg.norm(m, 2))
-            assert np.linalg.norm(a @ m - (a @ m).T, 2) <= tol
-            assert np.linalg.norm(m @ a - (m @ a).T, 2) <= tol
-
-
 def geometry(B, b):
     """``(P, c, d)`` of ``Constraint.from_equalities(B, b)``."""
     con = Constraint.from_equalities(B, b)
@@ -133,6 +89,8 @@ class TestFromEqualities:
         np.testing.assert_allclose(P, np.zeros((3, 3)), atol=1e-12)
         np.testing.assert_allclose(c, b0, atol=1e-12)
         assert d == 0
+        con = Constraint.from_equalities(np.eye(3), b0)
+        assert con.U.shape == (3, 0) and con.V.shape == (3, 3)
 
     def test_inconsistent_system(self):
         with pytest.raises(InfeasibleConstraintError):
@@ -151,14 +109,15 @@ class TestFromEqualities:
     def test_unconstrained_geometry_is_exact(self, p):
         con = Constraint.unconstrained(p)
         assert con.B.shape == (0, p) and con.b.shape == (0,) and con.d == p
-        for got, want in ((con.P, np.eye(p)), (con.c, np.zeros(p))):
+        for got, want in ((con.P, np.eye(p)), (con.c, np.zeros(p)), (con.U, np.eye(p))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert con.V.shape == (p, 0)
 
     def test_zero_rows_are_no_constraint(self):
-        """An all-zero row has rank 0: P = I, c = 0 and d = p, bit for bit."""
-        P, c, d = geometry([[0.0, 0.0, 0.0]], [0.0])
-        assert P.tobytes() == np.eye(3).tobytes() and c.tobytes() == np.zeros(3).tobytes()
-        assert d == 3
+        """An all-zero row has rank 0: P = I, c = 0, d = p and U = I, bit for bit."""
+        con = Constraint.from_equalities([[0.0, 0.0, 0.0]], [0.0])
+        assert con.P.tobytes() == np.eye(3).tobytes() == con.U.tobytes()
+        assert con.c.tobytes() == np.zeros(3).tobytes() and con.d == 3
 
     def test_zero_row_with_a_nonzero_constant_is_infeasible(self):
         with pytest.raises(InfeasibleConstraintError, match="inconsistent"):
@@ -221,18 +180,83 @@ class TestConstraint:
         np.testing.assert_array_equal(con.violation(np.ones((4, 4))), np.full(4, 3.0))
 
 
+def seeded_system(k):
+    """Consistent system ``k``: up to p + 1 Gaussian rows, some with a row
+    twice another (redundant) or a row of zeros."""
+    rng = np.random.default_rng(k)
+    p = int(rng.integers(1, 9))
+    m = int(rng.integers(0, p + 2))
+    B = rng.standard_normal((m, p))
+    if m > 1 and k % 3 == 0:
+        B[-1] = 2.0 * B[0]
+    if m and k % 4 == 1:
+        B[0] = 0.0
+    return B, B @ rng.standard_normal(p)
+
+
+@st.composite
+def systems(draw):
+    """A matrix ``B`` of up to ``p + 1`` rows, with zero and redundant rows."""
+    p = draw(st.integers(1, 7))
+    m = draw(st.integers(0, p + 1))
+    B = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, p))
+    for i in range(m):
+        kind = draw(st.sampled_from(["gaussian", "zero", "redundant"]))
+        if kind == "zero":
+            B[i] = 0.0
+        elif kind == "redundant" and i:
+            B[i] = draw(st.floats(-3.0, 3.0)) * B[draw(st.integers(0, i - 1))]
+    return B
+
+
+class TestBases:
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_bases_are_orthonormal_and_complementary(self, B):
+        """``U`` spans the kernel of ``B`` and ``V`` its row space: both are
+        orthonormal and ``U U' + V V' = I``."""
+        m, p = B.shape
+        con = Constraint.from_equalities(B, np.zeros(m))
+        U, V = con.U, con.V
+        assert U.shape == (p, con.d) and V.shape == (p, p - con.d)
+        for basis in (U, V):
+            gram = basis.T @ basis
+            np.testing.assert_allclose(gram, np.eye(len(gram)), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(U @ U.T + V @ V.T, np.eye(p), rtol=0.0, atol=1e-12)
+        assert np.linalg.norm(B @ U, 2) <= 1e-12 * max(1.0, np.linalg.norm(B, 2))
+        np.testing.assert_allclose(U @ U.T, con.P, rtol=0.0, atol=1e-12)
+
+    def test_geometry_keeps_its_bytes(self):
+        """``P``, ``c`` and ``d`` of the presets, the two-row ``df2`` system and
+        200 seeded systems hash to the digest recorded before the bases were
+        added."""
+        cons = [PRESETS[name].constraint() for name in ("linear", "logistic", "logistic_shift")]
+        cons.append(
+            Constraint.from_equalities([[0.0, 1.0, 1.0, 1.0], [2.0, 1.0, 0.0, 0.0]], [0.0, 0.0])
+        )
+        cons += [Constraint.from_equalities(*seeded_system(k)) for k in range(200)]
+        digest = hashlib.sha256()
+        for con in cons:
+            digest.update(con.P.tobytes() + con.c.tobytes() + str(con.d).encode())
+        assert digest.hexdigest() == (
+            "4842fd0dfbc0d99ce3ea928a969abe4e94b4a118cd6b7e413bae48df347e19e3"
+        )
+
+
 class TestKernelRestrictedInverseIdentities:
-    """pinv(PAP) absorbs P on either side and inverts PAP on the range of P."""
+    """``M = U (U'AU)^-1 U'`` absorbs ``P`` on either side, inverts ``PAP`` on
+    the range of ``P``, and is numpy's pseudoinverse of ``PAP``."""
 
     def test_identities_on_random_pairs(self):
         rng = np.random.default_rng(101)
         for _ in range(100):
             p = int(rng.integers(2, 8))
-            d = int(rng.integers(1, p + 1))
-            P = random_projection(rng, p, d)
+            d = int(rng.integers(0, p + 1))
+            con = Constraint.from_equalities(rng.standard_normal((p - d, p)), np.zeros(p - d))
+            U, P = con.U, con.P
             A = random_pd(rng, p)
             pap = P @ A @ P
-            inv = pinv_truncated(pap, d)
+            inv = U @ _invert_pd(U.T @ A @ U, "A") @ U.T
             scale = max(1.0, np.linalg.norm(inv, 2))
             assert np.linalg.norm(inv @ P - inv, 2) <= 1e-8 * scale
             assert np.linalg.norm(P @ inv - inv, 2) <= 1e-8 * scale
@@ -240,3 +264,6 @@ class TestKernelRestrictedInverseIdentities:
             np.testing.assert_allclose(
                 inv @ (pap @ x), x, atol=1e-8 * max(1.0, np.linalg.norm(x))
             )
+            # with d = 0, PAP is rounding noise that a relative cutoff keeps
+            reference = np.linalg.pinv(pap, hermitian=True, rtol=1e-10) if d else 0.0
+            np.testing.assert_allclose(inv, reference, rtol=0.0, atol=1e-8 * scale)

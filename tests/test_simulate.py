@@ -411,7 +411,7 @@ class TestEstimationError:
         con = PRESETS["linear"].constraint()
         G, S = np.eye(4), 9.0 * np.eye(4)
         uncon_cov = np.linalg.inv(G) @ S @ np.linalg.inv(G)
-        con_cov = uncon_cov - efficiency_gap(G, S, con.P, con.d)
+        con_cov = uncon_cov - efficiency_gap(G, S, con)
         np.testing.assert_allclose(np.diag(con_cov), [9.0, 6.0, 6.0, 6.0], rtol=1e-12)
         scale = np.sqrt(2.0 / np.pi)
         for j in range(1, 5):
@@ -568,7 +568,7 @@ class TestGoldenOutputs:
             "9f4bf1e3786ec0d2b39bc626310094948add7a8cfd47523157052c3d3ea92ec5"
         )
         assert sha256(kappa.tobytes()) == (
-            "dc9d9564cf8d2b96f7a9dae01b2319ce69699a33514c2f19f858d391bac96bc5"
+            "0362042d2c544a9c9002d1a321b6f9ecd7858c5b84ba57da3d333bb33d239c7d"
         )
 
     def test_linear_estimation_error_cells(self):
@@ -583,7 +583,7 @@ class TestGoldenOutputs:
             "b357a39d24c14974bd7a7588263d17e590ad50d4308afb493b6f5e711b8e3674"
         )
         assert sha256(result.kappa_samples[(600, 0.0)].tobytes()) == (
-            "90e86e94f6e202c972a369d1836ec4fb44c6b88e08a15d258ea62317cbf1f219"
+            "5443cc63ee8cf7d3bb3745588b28c0b2e3dbec940b9b81237f09571a6b7fa57c"
         )
 
     def test_logistic_shift_size_power_cells(self):
