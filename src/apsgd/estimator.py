@@ -266,10 +266,10 @@ class EstimatorState:
         The constraint is built from its ``B`` and ``b`` by
         ``Constraint.from_equalities`` (the ``P``, ``c`` and ``d`` of older
         records are ignored), and each stream array must have the shape that
-        the model and the batch give it.  A missing entry, or one of the
-        wrong type, raises ``DataError`` naming it, as does a record of the
-        two-stream state that older versions wrote for the specification
-        test.
+        the model and the batch give it.  A missing entry, one of the wrong
+        type, or a negative ``t`` raises ``DataError`` naming it, as does a
+        record of the two-stream state that older versions wrote for the
+        specification test.
         """
         if record.get("paired"):
             raise DataError(
@@ -282,6 +282,12 @@ class EstimatorState:
             except (TypeError, ValueError) as exc:
                 raise DataError(f"record entry {name!r} is malformed: {exc}") from exc
 
+        def count(entry):
+            t = operator.index(entry)
+            if t < 0:
+                raise ValueError(f"{t} is negative")
+            return t
+
         def equalities(entry):
             B = np.asarray(entry["B"], dtype=float).reshape(-1, model.param_dim)
             return Constraint.from_equalities(B, entry["b"])
@@ -289,7 +295,7 @@ class EstimatorState:
         try:
             constraint = read("constraint", equalities, record["constraint"])
             schedule = read("schedule", lambda entry: LearningRate(**entry), record["schedule"])
-            t = read("t", operator.index, record["t"])
+            t = read("t", count, record["t"])
             arrays = {
                 name: read(name, lambda entry: np.array(entry, dtype=float), record[name])
                 for name in _STREAM_ARRAYS

@@ -6,11 +6,13 @@ are read the same way, once: ``resolve_schema`` peeks at the first record,
 and the pass that follows reads on from there (reading that record's lines
 again).  The lines are read ``_CHUNK_LINES`` at a time, and the selected
 cells of a chunk are parsed by one C-level ``np.loadtxt`` call into floats,
-the response (if the schema has one) and then the features.  A chunk that
-call might read differently from the ``csv`` module and ``float`` (a quote,
-a bad or non-finite cell, a short row, a whitespace-only line) is parsed
-again through ``csv.reader``, which names the first bad cell by its line.
-Either way the rows are handed on in blocks of ``_READ_ROWS``.
+the response (if the schema has one) and then the features; a chunk that
+holds a quote is unquoted by the same call.  A chunk that call might read
+differently from the ``csv`` module and ``float`` (a record that spans
+lines, a bad or non-finite cell, a short row, a whitespace-only line, an
+ASCII separator) is parsed again through ``csv.reader``, one record at a
+time, which names the first bad cell by its line.  Either way the rows are
+handed on in blocks of ``_BLOCK``, the estimator's block size.
 Standardization is a two-pass affair by design, but the input is read once:
 the first pass computes the feature means and sample standard deviations and
 spills every parsed block to an unlinked temporary file, and the second,
@@ -24,7 +26,6 @@ import contextlib
 import csv
 import itertools
 import math
-import operator
 import re
 import sys
 import tempfile
@@ -35,21 +36,19 @@ import numpy as np
 
 from .exceptions import DataError
 from .linalg import Constraint
+from .models import _BLOCK
 
 #: Features whose sample standard deviation falls below this (relative to
 #: their mean's magnitude) are rejected as constant.
 _CONSTANT_TOL = 1e-12
 
-#: Data rows per block handed to the caller (the estimator's block size).
-_READ_ROWS = 256
-
 #: Lines parsed by one ``np.loadtxt`` call.  Larger chunks were no faster.
-_CHUNK_LINES = 16 * _READ_ROWS
+_CHUNK_LINES = 16 * _BLOCK
 
 #: A chunk holding one of these is parsed by ``csv.reader`` and ``float``:
-#: ``np.loadtxt`` does not unquote, and it strips the ASCII separators
-#: ``\x1c``-``\x1f`` from a cell as whitespace where ``float`` rejects them.
-_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+#: ``np.loadtxt`` strips the ASCII separators ``\x1c``-``\x1f`` from a cell
+#: as whitespace where ``float`` rejects them.
+_CSV_ONLY = "\x1c\x1d\x1e\x1f"
 
 #: The lines ``csv.reader`` reads as empty records, which ``np.loadtxt`` skips.
 _BLANK_LINES = ("\n", "\r\n", "\r")
@@ -289,7 +288,7 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
 
 def _data_blocks(source: RowSource, resolved: ResolvedSchema):
     """Yield the data rows (header and empty lines skipped) as float blocks of
-    ``_READ_ROWS`` rows, the last one partial: the response cell, if the
+    ``_BLOCK`` rows, the last one partial: the response cell, if the
     schema has one, then the features.  A bad cell or a short row raises the
     ``DataError`` that a row-by-row parse would raise first, naming its line
     (and column), once the blocks above the one that holds it are yielded;
@@ -307,9 +306,9 @@ def _data_blocks(source: RowSource, resolved: ResolvedSchema):
         before += read
         if len(held):
             block = np.concatenate([held, block])
-        full = len(block) - len(block) % _READ_ROWS
-        for lo in range(0, full, _READ_ROWS):
-            yield block[lo : lo + _READ_ROWS]
+        full = len(block) - len(block) % _BLOCK
+        for lo in range(0, full, _BLOCK):
+            yield block[lo : lo + _BLOCK]
         if error is not None:
             raise error
         held = block[full:]
@@ -336,21 +335,34 @@ def _chunks(path: str, lines):
 
 def _loadtxt_block(chunk, columns) -> np.ndarray | None:
     """The selected cells of a chunk of lines as floats, by one C-level
-    ``np.loadtxt`` call; ``None`` where the result might differ from
-    ``csv.reader`` and ``float``: a quote or separator in the chunk, a cell
-    that does not parse or is not finite, or fewer or more rows than the
-    chunk's non-empty lines.  ``np.loadtxt`` skips blank lines as
-    ``csv.reader`` does and rejects whitespace-only lines and bare ``\r``
-    line breaks, so the count is a guard: a line read as anything but one
-    record sends the chunk to ``csv.reader``."""
+    ``np.loadtxt`` call, which unquotes cells if the chunk holds a quote;
+    ``None`` where the result might differ from ``csv.reader`` and
+    ``float``: a separator in the chunk, a cell that does not parse or is
+    not finite, or fewer or more rows than the chunk's non-empty lines.
+    ``np.loadtxt`` skips blank lines as ``csv.reader`` does and rejects
+    whitespace-only lines and bare ``\r`` line breaks, so the count is a
+    guard: a line read as anything but one record, such as a line of a
+    record that spans lines, sends the chunk to ``csv.reader``.  The count
+    misses a quote left open on the last non-empty line, which
+    ``np.loadtxt`` closes silently at the end of its input; so a quoted
+    chunk goes to ``csv.reader`` if that line ends inside a quote, or if a
+    line is longer than the fields ``csv.reader`` accepts."""
     text = "".join(chunk)
     if any(map(text.__contains__, _CSV_ONLY)):
         return None
+    quoted = '"' in text
+    if quoted:
+        last = next(line for line in reversed(chunk) if line not in _BLANK_LINES)
+        if max(map(len, chunk)) > csv.field_size_limit() or _quote_left_open([last]):
+            return None
     rows = len(chunk) - sum(map(chunk.count, _BLANK_LINES))
     if not rows:
         return np.empty((0, len(columns)))
     try:
-        block = np.loadtxt(chunk, delimiter=",", usecols=columns, ndmin=2, comments=None)
+        block = np.loadtxt(
+            chunk, delimiter=",", usecols=columns, ndmin=2, comments=None,
+            quotechar='"' if quoted else None,
+        )
     except ValueError:
         return None
     if len(block) != rows or not np.isfinite(block).all():
@@ -359,60 +371,39 @@ def _loadtxt_block(chunk, columns) -> np.ndarray | None:
 
 
 def _csv_block(path, chunk, lines, before, columns, resolved: ResolvedSchema):
-    """The selected cells of a chunk's records, parsed through ``csv.reader``
-    and ``_parse_block``, the number of lines read, and the ``DataError``
-    naming the first bad cell, short row or record that ``_records`` cannot
-    read, or ``None``; the cells are then those of the rows above it.  A record that starts in the chunk and spans
-    lines is read to its end from ``lines``.  Line numbers count from
-    ``before``, the lines read before the chunk."""
-    width = max(columns) + 1
-    pick = operator.itemgetter(*columns) if len(columns) > 1 else lambda row: (row[columns[0]],)
-    numbers, cells, line_num, unread = [], [], 0, None
+    """The selected cells of a chunk's records, parsed one record at a time
+    by ``csv.reader`` and ``_parse_row``, the number of lines read, and the
+    ``DataError`` naming the first bad cell, short row or record that
+    ``_records`` cannot read, or ``None``; the cells are then those of the
+    rows above it.  A record that starts in the chunk and spans lines is
+    read to its end from ``lines``.  Line numbers count from ``before``,
+    the lines read before the chunk."""
+    values, line_num, error = [], 0, None
     try:
         for line_num, row in _records(path, itertools.chain(chunk, lines), before):
             if row:
-                if len(row) < width:
-                    raise DataError(
-                        f"line {before + line_num}: expected at least {width} columns, "
-                        f"got {len(row)}"
-                    )
-                numbers.append(before + line_num)
-                cells.append(pick(row))
+                values.append(_parse_row(before + line_num, row, columns, resolved))
             if line_num >= len(chunk):
                 break
-    except DataError as exc:  # a short row or a record that does not read
-        unread = exc
-    block, error = _parse_block(numbers, cells, columns, resolved)
-    return block, line_num, error or unread  # a bad cell above it is named first
-
-
-def _parse_block(lines, cells, columns, resolved: ResolvedSchema):
-    """The selected cells of a block's rows as one float array, and ``None``.
-    A block that fails is parsed again row by row to name its first bad
-    cell: then the rows above that cell and the ``DataError`` naming it."""
-    try:
-        block = np.array(cells, dtype=float).reshape(len(cells), len(columns))
-        if np.isfinite(block).all():
-            return block, None
-    except ValueError:
-        pass
-    values, error = [], None
-    try:
-        for lineno, row in zip(lines, cells):
-            values.append(_parse_row(lineno, row, columns, resolved))
     except DataError as exc:
         error = exc
-    return np.array(values).reshape(len(values), len(columns)), error
+    return np.array(values).reshape(len(values), len(columns)), line_num, error
 
 
 def _parse_row(lineno, row, columns, resolved: ResolvedSchema) -> list[float]:
-    """One row's selected cells as floats; ``DataError`` names its first bad cell."""
+    """A record's selected cells as floats; ``DataError`` names a short
+    record or its first bad cell."""
+    if len(row) <= max(columns):
+        raise DataError(
+            f"line {lineno}: expected at least {max(columns) + 1} columns, got {len(row)}"
+        )
+    cells = [row[i] for i in columns]
     try:
-        parsed = [float(cell) for cell in row]
+        parsed = [float(cell) for cell in cells]
     except ValueError as exc:
         raise DataError(f"line {lineno}: {exc}") from exc
     # float() also accepts nan, inf and overflowing literals such as 1e999
-    for i, cell, value in zip(columns, row, parsed):
+    for i, cell, value in zip(columns, cells, parsed):
         if not math.isfinite(value):
             raise DataError(
                 f"line {lineno}: column {resolved.column_names[i]!r} is not a "
@@ -448,7 +439,7 @@ class FeatureMoments:
     def _replay(self, width: int):
         """The spilled blocks in order, each read back as a new ``(n, width)`` array."""
         self.spill.seek(0)
-        while (block := np.fromfile(self.spill, count=_READ_ROWS * width)).size:
+        while (block := np.fromfile(self.spill, count=_BLOCK * width)).size:
             yield block.reshape(-1, width)
 
 
@@ -500,7 +491,7 @@ def load_observations(
     shuffle_seed: int | None = None,
 ):
     """Blocks of observations: rows ``(y, x...)``, or just ``x`` for location
-    fits, at most ``_READ_ROWS`` to a block unless shuffled.
+    fits, at most ``_BLOCK`` to a block unless shuffled.
 
     Without ``moments`` the blocks are parsed from the rows ``source`` has
     not read yet, its peeked first row included.  With the
@@ -508,10 +499,13 @@ def load_observations(
     replayed from its spill file, and their features are standardized in
     place; the response is passed through untouched.  ``shuffle_seed``
     materialises the rows and returns them, permuted with
-    ``PCG64(SeedSequence(shuffle_seed))``, as a single block.
+    ``PCG64(SeedSequence(shuffle_seed))``, as a single block; a negative
+    seed raises ``DataError``.
     """
     if needs_response and resolved.response_index is None:
         raise DataError("model needs a response column but the schema says response=none")
+    if shuffle_seed is not None and shuffle_seed < 0:
+        raise DataError(f"shuffle seed must be >= 0, got {shuffle_seed}")
     lead = int(resolved.response_index is not None)
 
     def blocks():

@@ -120,9 +120,10 @@ def _outer(x: np.ndarray) -> np.ndarray:
 
 
 #: Rows per block that the engine moves and folds at once, for CSV streams
-#: and the Monte Carlo lockstep alike.  Larger blocks were no faster and hold
-#: more memory: a block, its path of averages and its gradients are
-#: ``(_BLOCK, ..., p)``-sized arrays.
+#: (which ``ingest`` reads in blocks of this size) and the Monte Carlo
+#: lockstep alike.  Larger blocks were no faster and hold more memory: a
+#: block, its path of averages and its gradients are ``(_BLOCK, ..., p)``-sized
+#: arrays.
 _BLOCK = 256
 
 

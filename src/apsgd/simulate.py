@@ -249,6 +249,8 @@ class ExperimentConfig:
             )
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         sizes = self.sample_sizes
         if not sizes or any(t < 1 for t in sizes) or list(sizes) != sorted(set(sizes)):
             raise ConfigError(

@@ -409,12 +409,19 @@ def test_fully_pinned_constraint_fits_and_tests(tmp_path, capsys):
          "0xe9 in position 18: invalid continuation byte"),
         (["simulate", "{d}/rho.cfg", "--output", "{d}/out.csv"], EXIT_DATA,
          "apsgd: error: {d}/rho.cfg: rho must lie strictly in (1/2, 1), got 0.4"),
+        (["simulate", "table_s1_desk", "--output", "{d}/out.csv", "--seed", "-1"], EXIT_DATA,
+         "apsgd: error: base_seed must be >= 0, got -1"),
+        (["simulate", "{d}/seed.cfg", "--output", "{d}/out.csv"], EXIT_DATA,
+         "apsgd: error: {d}/seed.cfg: base_seed must be >= 0, got -1"),
+        (["estimate", "{d}/data.csv", "--model", "linear", "--shuffle-seed", "-2"], EXIT_DATA,
+         "apsgd: error: shuffle seed must be >= 0, got -2"),
     ],
     ids=[
         "usage", "spec_test_without_constraint", "empty_file", "one_row_standardized",
         "bad_header", "missing_data", "missing_constraint", "non_utf8_constraint",
         "infinite_gamma",
         "unwritable_report", "missing_config", "non_utf8_config", "config_rho",
+        "negative_seed", "config_negative_seed", "negative_shuffle_seed",
     ],
 )
 def test_each_error_exits_with_its_code_and_one_line(tmp_path, capsys, argv, code, line):
@@ -426,10 +433,9 @@ def test_each_error_exits_with_its_code_and_one_line(tmp_path, capsys, argv, cod
     (tmp_path / "one_row.csv").write_text("y,x1\n1.0,2.0\n", encoding="utf-8")
     (tmp_path / "latin1.cfg").write_bytes("mode = coverage # \xe9\n".encode("latin-1"))
     (tmp_path / "latin1.txt").write_bytes("x1 - x2\xe9 = 0\n".encode("latin-1"))
-    (tmp_path / "rho.cfg").write_text(
-        "mode = coverage\npreset = linear\nsample_sizes = 10\nreplications = 2\nrho = 0.4\n",
-        encoding="utf-8",
-    )
+    config = "mode = coverage\npreset = linear\nsample_sizes = 10\nreplications = 2\n"
+    (tmp_path / "rho.cfg").write_text(config + "rho = 0.4\n", encoding="utf-8")
+    (tmp_path / "seed.cfg").write_text(config + "base_seed = -1\n", encoding="utf-8")
     before = set(os.listdir(tmp_path))
     try:
         got, err = run([arg.format(d=tmp_path) for arg in argv], capsys)

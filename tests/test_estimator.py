@@ -621,19 +621,24 @@ class TestSnapshots:
                 "'str' object cannot be interpreted as an integer",
             ),
             (
+                lambda record: {**record, "t": -3},
+                "record entry 't' is malformed: -3 is negative",
+            ),
+            (
                 lambda record: {**record, "theta": "zero"},
                 "record entry 'theta' is malformed: could not convert string to float: 'zero'",
             ),
         ],
         ids=[
             "only_t", "no_b", "no_s_hat", "paired", "unknown_schedule_key",
-            "list_constraint", "string_t", "string_theta",
+            "list_constraint", "string_t", "negative_t", "string_theta",
         ],
     )
     def test_a_bad_record_is_a_data_error(self, edit, message):
-        """A record with an entry missing or of the wrong type, or one of the
-        two-stream state that older versions wrote for the specification
-        test, raises one ``DataError`` that names the problem."""
+        """A record with an entry missing or of the wrong type, a negative
+        ``t`` (whose step sizes would be complex), or one of the two-stream
+        state that older versions wrote for the specification test, raises
+        one ``DataError`` that names the problem."""
         model = LinearModel(4)
         record = edit(EstimatorState(model, PRESETS["linear"].constraint()).to_record())
         with pytest.raises(DataError, match=f"^{message}$"):

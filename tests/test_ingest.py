@@ -2,11 +2,12 @@
 
 import io
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from apsgd import DataError
+from apsgd import DataError, ingest
 from apsgd.ingest import (
     CsvSchema,
     RowSource,
@@ -316,6 +317,24 @@ class TestBlockReader:
         blocks = list(load_observations(source, resolve_schema(source, CsvSchema()), True))
         assert [len(block) for block in blocks] == [256, 256, 88]
         assert np.concatenate(blocks).tobytes() == np.array(rows).tobytes()
+
+    def test_a_fully_quoted_file_is_read_by_the_c_level_parse(self, tmp_path):
+        """A file whose header and every cell are quoted, as spreadsheets
+        write them, reads bit-equal to the unquoted file, and no chunk of
+        it is parsed again through ``csv.reader``."""
+        rows = numbered_rows(600)
+        quoted = "".join(
+            ",".join(f'"{cell}"' for cell in row) + "\n" for row in [["y", "a", "b"], *rows]
+        )
+        read = []
+        for name, body in [("plain.csv", csv_body(rows)), ("quoted.csv", quoted)]:
+            source = RowSource(write_csv(tmp_path / name, body))
+            with mock.patch.object(ingest, "_csv_block", wraps=ingest._csv_block) as spy:
+                read.append(np.concatenate(list(
+                    load_observations(source, resolve_schema(source, CsvSchema()), True)
+                )))
+            spy.assert_not_called()
+        assert read[1].tobytes() == read[0].tobytes() == np.array(rows).tobytes()
 
     def test_quoted_numeric_fields(self, tmp_path):
         body = 'y,a,note,b\n"1.5",2.0,"x, y",\" 3.0\"\n-1,"4e-3","",5\n'

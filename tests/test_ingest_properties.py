@@ -8,6 +8,7 @@ is not, such as ``V1 = nan``), never a bare ``ValueError``, ``IndexError`` or
 examples are near misses of valid input rather than noise.
 """
 
+import contextlib
 import csv
 import math
 import os
@@ -15,6 +16,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,12 +118,14 @@ def test_undecodable_bytes_raise_data_error(data):
             pass
 
 
-#: Cells that the C-level parse and ``float`` read differently, or that only
-#: ``csv.reader`` reads: underscores, ``#``, quoted cells with and without a
-#: line break or commas, and the ASCII separators ``float`` rejects.
+#: Cells that the C-level parse and ``float`` read differently, or that
+#: ``csv.reader`` reads in its own way: underscores, ``#``, quoted cells with
+#: and without a line break or commas, an escaped quote, a quote inside or
+#: after a cell, a quote left open, and the ASCII separators ``float``
+#: rejects.
 ODD_CELL = st.sampled_from(
     ["1_0", "#", "2#", '"1.5"', '"2,5"', '"7,8,"', '" 3"', '"4\n5"', '"\n"', '"', "1\x1c",
-     "\x1f2"]
+     "\x1f2", '"1""2"', 'a"b', '"1"2', '"1', '"1" ']
 )
 
 #: A line's text: a row of numbers with one cell replaced, a record of any
@@ -237,3 +241,64 @@ def test_reader_matches_csv_reader_and_float(n, odd, end, chunk_lines, schema):
     assert all(len(block) == 256 for block in blocks[:-1])
     got = np.concatenate(blocks) if blocks else np.empty((0, want.shape[1]))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+#: Lines that quote most of their cells, so that most chunks hold a quote:
+#: a row of numbers, some quoted, with one cell replaced or none, or any
+#: odd line.
+QUOTED_LINE = st.one_of(
+    st.tuples(
+        st.lists(st.sampled_from(["0.5", '"0.5"', '"-1e3"', '" 2"', '"3" ']), min_size=3,
+                 max_size=3),
+        st.integers(0, 3),
+        ODD_CELL,
+    ).map(lambda row: ",".join(row[2] if j == row[1] else cell for j, cell in enumerate(row[0]))),
+    ODD_LINE,
+)
+
+
+@pytest.mark.full
+@settings(max_examples=1500, deadline=None, database=None)
+@given(
+    st.integers(257, 330),
+    st.lists(st.tuples(st.integers(0, 330), QUOTED_LINE, LINE_END), min_size=1, max_size=12),
+    LINE_END,
+    st.sampled_from([3, 64, ingest._CHUNK_LINES]),
+    st.sampled_from(SCHEMAS),
+)
+def test_quote_heavy_reader_matches_csv_reader_and_float(n, odd, end, chunk_lines, schema):
+    """``test_reader_matches_csv_reader_and_float`` over more examples with
+    more quoted lines, most of which the C-level parse unquotes."""
+    test_reader_matches_csv_reader_and_float.hypothesis.inner_test(
+        n, odd, end, chunk_lines, schema
+    )
+
+
+@pytest.mark.parametrize(
+    "tail, reads",
+    [('"\n10,11,12,v\n', True), ('\nw"\n10,11,12,v\n', True), ("\n\n\n", False),
+     ("\n10,11,12,v\n", False)],
+    ids=["closed_on_the_line", "closed_in_the_next_chunk", "open_before_blank_lines",
+         "open_to_the_end"],
+)
+def test_a_quote_open_at_the_end_of_a_chunk_reads_as_csv_reader_does(tmp_path, tail, reads):
+    """With three lines to a chunk, the first chunk's last line opens a
+    quoted field in an unselected column, closed on that line, in the next
+    chunk or never.  ``np.loadtxt`` would close a field left open at the end
+    of the chunk, so that chunk is read by ``csv.reader``, which reads the
+    record on to its end, or names the line it starts on."""
+    path = str(tmp_path / "data.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write('y,a,b,note\n1,2,3,x\n4,5,6,y\n7,8,9,"z' + tail)
+    with contextlib.closing(RowSource(path)) as source:
+        resolved = resolve_schema(source, CsvSchema(features=("a", "b")))
+        want, message = csv_reference(path, resolved)
+        assert (message is None) == reads
+        with mock.patch.object(ingest, "_CHUNK_LINES", 3):
+            if reads:
+                got = np.concatenate(list(load_observations(source, resolved, True)))
+                assert got.tobytes() == want.tobytes()
+            else:
+                with pytest.raises(DataError) as caught:
+                    list(load_observations(source, resolved, True))
+                assert str(caught.value) == message
