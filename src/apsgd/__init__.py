@@ -33,7 +33,7 @@ from .inference import (
     spec_test_from_state,
     specification_test,
 )
-from .linalg import Constraint, EigenDecomposition, symmetric_eigen
+from .linalg import Constraint, symmetric_eigen
 from .models import (
     MODEL_FAMILIES,
     CustomModel,
@@ -70,7 +70,6 @@ __all__ = [
     "DgpSpec",
     "DimensionError",
     "DomainError",
-    "EigenDecomposition",
     "EstimatorState",
     "ExperimentConfig",
     "ExperimentResult",

@@ -124,9 +124,11 @@ def _prepare_stream(args):
     The data are read in one pass over the input.  With ``--standardize``
     the blocks are replayed from the standardization pass's spill file.
     The input and the spill are closed when the caller's ``with`` exits.
-    ``--alpha`` is checked before the input is opened.
+    ``--alpha``, ``--gamma`` and ``--rho`` are checked before the input is
+    opened.
     """
     _check_alpha(args.alpha)
+    schedule = LearningRate(gamma=args.gamma, rho=args.rho)
     schema = ingest.parse_schema(args.schema)
     with contextlib.ExitStack() as stack:
         source = stack.enter_context(contextlib.closing(ingest.RowSource(args.data)))
@@ -145,7 +147,6 @@ def _prepare_stream(args):
         blocks = ingest.load_observations(
             source, resolved, needs_response, moments, shuffle_seed=args.shuffle_seed
         )
-        schedule = LearningRate(gamma=args.gamma, rho=args.rho)
         yield model, constraint, schedule, resolved.feature_names, blocks
 
 

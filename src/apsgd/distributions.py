@@ -7,6 +7,7 @@ Quantiles are upper-tail throughout: ``normal_quantile(0.025)`` is about
 from __future__ import annotations
 
 import math
+import numbers
 
 from scipy import special
 
@@ -21,7 +22,8 @@ def _check_prob(alpha: float) -> float:
 
 
 def _check_df(df: int) -> int:
-    if int(df) != df or df < 1:
+    # false for NaN and, through inf % 1, for inf
+    if not (isinstance(df, numbers.Real) and df >= 1 and df % 1 == 0):
         raise DomainError(f"degrees of freedom must be a positive integer, got {df}")
     return int(df)
 
@@ -44,7 +46,7 @@ def noncentral_chi2_cdf(x: float, df: int, noncentrality: float) -> float:
     df = _check_df(df)
     x = float(x)
     nc = float(noncentrality)
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if nc < 0.0 or not math.isfinite(nc):
         raise DomainError(f"noncentrality must be finite and nonnegative, got {nc}")

@@ -20,7 +20,6 @@ between threads between blocks.
 from __future__ import annotations
 
 import copy
-import json
 import operator
 from dataclasses import dataclass
 from itertools import repeat
@@ -311,11 +310,3 @@ class EstimatorState:
                 raise DimensionError(f"{name} has shape {value.shape}, expected {expected}")
             setattr(state, name, value)
         return state
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
-    @classmethod
-    def from_json(cls, text: str, model: LossModel) -> "EstimatorState":
-        return cls.from_record(json.loads(text), model)
-

@@ -64,11 +64,8 @@ class TestResult:
     """Outcome of the constraint specification test.
 
     ``kappa``, ``p_value`` and ``reject`` have the state's batch shape
-    ``(...)``, the average ``(..., p)`` and ``weight_matrix`` ``(..., p, p)``.
-    ``reject`` is exactly ``kappa > chi2_quantile(alpha, df)`` and ``p_value``
-    is the upper chi-square tail at ``kappa``.  ``weight_matrix`` is the
-    estimated weight ``(I - P) W (I - P)`` the statistic was normalised by,
-    kept for diagnostics.
+    ``(...)``.  ``reject`` is exactly ``kappa > chi2_quantile(alpha, df)``
+    and ``p_value`` is the upper chi-square tail at ``kappa``.
     """
 
     kappa: np.ndarray
@@ -76,8 +73,6 @@ class TestResult:
     p_value: np.ndarray
     alpha: float
     reject: np.ndarray
-    theta_bar_unconstrained: np.ndarray
-    weight_matrix: np.ndarray
 
 
 def _invert_pd(a: np.ndarray, what: str) -> np.ndarray:
@@ -226,15 +221,12 @@ def spec_test_from_state(
     a = diff[..., None, :] @ V
     # associated as ((T a) W^-1) a: the seeded kappa values depend on the order
     kappa = np.maximum(((T * a) @ w_inv @ a.mT)[..., 0, 0], 0.0)
-    weight = V @ row_weight @ V.T
     return TestResult(
         kappa=kappa,
         df=df,
         p_value=special.chdtrc(df, kappa),
         alpha=alpha,
         reject=kappa > chi2_quantile(alpha, df),
-        theta_bar_unconstrained=unconstrained.theta_bar.copy(),
-        weight_matrix=0.5 * (weight + weight.mT),
     )
 
 

@@ -345,15 +345,16 @@ def _loadtxt_block(chunk, columns) -> np.ndarray | None:
     record that spans lines, sends the chunk to ``csv.reader``.  The count
     misses a quote left open on the last non-empty line, which
     ``np.loadtxt`` closes silently at the end of its input; so a quoted
-    chunk goes to ``csv.reader`` if that line ends inside a quote, or if a
-    line is longer than the fields ``csv.reader`` accepts."""
+    chunk goes to ``csv.reader`` if that line ends inside a quote.  Any
+    chunk with a line longer than the fields ``csv.reader`` accepts goes
+    there too, so that an over-long cell is refused, quoted or not."""
     text = "".join(chunk)
-    if any(map(text.__contains__, _CSV_ONLY)):
+    if any(map(text.__contains__, _CSV_ONLY)) or max(map(len, chunk)) > csv.field_size_limit():
         return None
     quoted = '"' in text
     if quoted:
         last = next(line for line in reversed(chunk) if line not in _BLANK_LINES)
-        if max(map(len, chunk)) > csv.field_size_limit() or _quote_left_open([last]):
+        if _quote_left_open([last]):
             return None
     rows = len(chunk) - sum(map(chunk.count, _BLANK_LINES))
     if not rows:

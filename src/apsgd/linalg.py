@@ -9,6 +9,7 @@ matrix (``matrix (k,): ...``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,25 +53,12 @@ def _as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral factorisation of a symmetric matrix.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray, shape (..., p)
-        Sorted in descending order.
-    eigenvectors : ndarray, shape (..., p, p)
-        Orthonormal columns; column ``i`` pairs with ``eigenvalues[..., i]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def symmetric_eigen(a) -> EigenDecomposition:
+def symmetric_eigen(a):
     """Eigendecomposition of a (numerically) symmetric matrix, or of each
-    matrix in a ``(..., n, n)`` stack.
+    matrix in a ``(..., n, n)`` stack, as numpy's ``eigh`` result in
+    descending order: ``eigenvalues`` (shape ``(..., n)``) sorted from the
+    largest, and ``eigenvectors`` (shape ``(..., n, n)``) whose orthonormal
+    column ``i`` pairs with ``eigenvalues[..., i]``.
 
     The input is symmetrised as ``(a + a.T) / 2`` before factorisation, but a
     symmetry defect larger than ``SYMMETRY_TOL`` relative to the matrix norm
@@ -88,10 +76,13 @@ def symmetric_eigen(a) -> EigenDecomposition:
         )
     sym = 0.5 * (a + a.mT)
     try:
-        vals, vecs = np.linalg.eigh(sym)
+        eig = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # LAPACK non-convergence
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
-    return EigenDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
+    return eig._replace(
+        eigenvalues=eig.eigenvalues[..., ::-1].copy(),
+        eigenvectors=eig.eigenvectors[..., ::-1].copy(),
+    )
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,9 @@ class Constraint:
     @classmethod
     def unconstrained(cls, p: int) -> "Constraint":
         """The trivial constraint on R^p (``P = I``, ``c = 0``, ``d = p``)."""
-        return cls.from_equalities(np.zeros((0, p)), np.zeros(0))
+        if not (isinstance(p, numbers.Real) and p >= 1 and p % 1 == 0):
+            raise DimensionError(f"parameter dimension must be a positive integer, got {p}")
+        return cls.from_equalities(np.zeros((0, int(p))), np.zeros(0))
 
     @property
     def p(self) -> int:

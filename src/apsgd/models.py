@@ -1,4 +1,4 @@
-"""Loss models: loss value, gradient, and Hessian, over leading batch axes.
+"""Loss models: gradient and Hessian, over leading batch axes.
 
 A model knows its parameter dimension ``param_dim`` and the layout of one
 observation (``obs_dim``).  Regression observations are the concatenation
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+import numbers
 
 import numpy as np
 from scipy.special import expit
@@ -22,14 +22,16 @@ from .exceptions import DataError, DimensionError
 
 
 class LossModel:
-    """Interface: a twice-differentiable loss of (parameters, observation).
+    """Interface: a twice-differentiable loss of (parameters, observation),
+    seen through its derivatives only, since the estimator and its inference
+    never evaluate the loss itself.
 
-    The public ``loss``, ``gradient`` and ``hessian`` validate their inputs
-    and return arrays of shape ``(...)``, ``(..., p)`` and ``(..., p, p)``;
-    the Hessian must be symmetric.  Subclasses implement the unchecked kernels
-    ``_loss``, ``_gradient`` and ``_hessian``, which the block engine
-    (``EstimatorState.run_stream``) calls directly on blocks of observations
-    it has validated once with ``_check_obs``.  The engine moves its iterates
+    The public ``gradient`` and ``hessian`` validate their inputs and return
+    arrays of shape ``(..., p)`` and ``(..., p, p)``; the Hessian must be
+    symmetric.  Subclasses implement the unchecked kernels ``_gradient`` and
+    ``_hessian``, which the block engine (``EstimatorState.run_stream``)
+    calls directly on blocks of observations it has validated once with
+    ``_check_obs``.  The engine moves its iterates
     over a block with ``_walk`` and sums its Hessians with ``_hessian_sum``.
     Both have generic per-row defaults; the linear and logistic families
     override both and the mean model the sum, so that no per-row gradient or
@@ -42,9 +44,6 @@ class LossModel:
     param_dim: int
     obs_dim: int
     family: str = "custom"
-
-    def loss(self, theta, z):
-        return self._loss(*self._check(theta, z))
 
     def gradient(self, theta, z) -> np.ndarray:
         return self._gradient(*self._check(theta, z))
@@ -69,9 +68,6 @@ class LossModel:
                 f"expected {(*batch_shape, self.obs_dim)}"
             )
         return z
-
-    def _loss(self, theta: np.ndarray, z: np.ndarray):
-        raise NotImplementedError
 
     def _gradient(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -110,7 +106,8 @@ class LossModel:
 
 
 def _positive_dim(p: int) -> int:
-    if int(p) != p or p < 1:
+    # false for NaN and, through inf % 1, for inf
+    if not (isinstance(p, numbers.Real) and p >= 1 and p % 1 == 0):
         raise DimensionError(f"parameter dimension must be a positive integer, got {p}")
     return int(p)
 
@@ -208,10 +205,6 @@ class MeanModel(LossModel):
         self._eye = np.eye(self.param_dim)
         self._eye.setflags(write=False)
 
-    def _loss(self, theta, z):
-        diff = z - theta
-        return 0.5 * np.vecdot(diff, diff)
-
     def _gradient(self, theta, z):
         return theta - z
 
@@ -291,10 +284,6 @@ class LinearModel(_GlmModel):
     family = "linear"
     _scalar_weight = "m - y"
 
-    def _loss(self, theta, z):
-        resid = z[..., 0] - np.vecdot(z[..., 1:], theta)
-        return 0.5 * (resid * resid)
-
     @staticmethod
     def _weight(y, margin):
         return margin - y
@@ -310,10 +299,9 @@ class LinearModel(_GlmModel):
 class LogisticModel(_GlmModel):
     """Logistic loss ``log(1 + exp(-y * x @ theta))`` with labels in {-1, +1}.
 
-    All three evaluations go through ``log1p``/``expit`` style formulations,
-    so they stay finite for margins as extreme as ``|x @ theta| = 700``: the
-    loss is computed as ``logaddexp(0, -u)`` and the gradient weight as
-    ``expit(-u)``, which saturate instead of overflowing.
+    The gradient weight and the Hessian's curvature go through ``expit``, so
+    they stay finite for margins as extreme as ``|x @ theta| = 700``: they
+    saturate instead of overflowing.
     """
 
     family = "logistic"
@@ -326,9 +314,6 @@ class LogisticModel(_GlmModel):
         if np.count_nonzero(bad):
             raise DataError(f"logistic label must be -1 or +1, got {y[bad][0]}")
         return z
-
-    def _loss(self, theta, z):
-        return np.logaddexp(0.0, -(z[..., 0] * np.vecdot(z[..., 1:], theta)))
 
     @staticmethod
     def _weight(y, margin):
@@ -365,7 +350,7 @@ class LogisticModel(_GlmModel):
 
 
 class CustomModel(LossModel):
-    """User-supplied loss/gradient/Hessian callables behind the same interface.
+    """User-supplied gradient and Hessian callables behind the same interface.
 
     The callables take one parameter vector and one observation; batched
     evaluations call them once per row.  The Hessian callable is required
@@ -376,17 +361,9 @@ class CustomModel(LossModel):
     inside the estimator.
     """
 
-    def __init__(
-        self,
-        p: int,
-        obs_dim: int,
-        loss_fn: Callable[[np.ndarray, np.ndarray], float],
-        gradient_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        hessian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ):
+    def __init__(self, p: int, obs_dim: int, gradient_fn, hessian_fn):
         self.param_dim = _positive_dim(p)
         self.obs_dim = _positive_dim(obs_dim)
-        self._loss_fn = loss_fn
         self._gradient_fn = gradient_fn
         self._hessian_fn = hessian_fn
 
@@ -399,10 +376,7 @@ class CustomModel(LossModel):
                     f"{what} callable returned shape {value.shape}, expected {shape}"
                 )
             out[row] = value
-        return out[()]
-
-    def _loss(self, theta, z):
-        return self._rows("loss", self._loss_fn, theta, z, ())
+        return out
 
     def _gradient(self, theta, z):
         return self._rows("gradient", self._gradient_fn, theta, z, (self.param_dim,))

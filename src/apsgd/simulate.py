@@ -80,10 +80,11 @@ def replication_rng(base_seed: int, cell: int, rep: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DgpSpec:
-    """One synthetic data-generating process.
+    """One synthetic regression data-generating process.
 
-    ``kind`` is ``linear`` (gaussian response), ``logistic`` (labels in
-    {-1, +1}) or ``mean`` (the observation is the parameter plus noise).
+    ``kind`` is ``linear`` (gaussian response) or ``logistic`` (labels in
+    {-1, +1}); an observation is ``(y, x_1, ..., x_p)`` with standard normal
+    covariates.
     """
 
     kind: str
@@ -91,7 +92,7 @@ class DgpSpec:
     noise_sd: float = 3.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "logistic", "mean"):
+        if self.kind not in ("linear", "logistic"):
             raise DomainError(f"unknown dgp kind {self.kind!r}")
         if not self.noise_sd > 0.0:
             raise DomainError(f"noise_sd must be positive, got {self.noise_sd}")
@@ -102,7 +103,7 @@ class DgpSpec:
 
     @property
     def obs_dim(self) -> int:
-        return self.covariate_dim if self.kind == "mean" else self.covariate_dim + 1
+        return self.covariate_dim + 1
 
     def theta(self) -> np.ndarray:
         return np.asarray(self.theta_star, dtype=float)
@@ -121,9 +122,9 @@ def _draw_replications(dgp: DgpSpec, rngs, words: np.ndarray, out: np.ndarray) -
     ``k = w >> 11``, which is bit for bit ``Generator.integers(0, 2**53)``
     (its bounded draw never rejects for a power-of-two range), so 0 and 1
     never occur and the inverse normal CDF is always finite.  Each
-    observation consumes its covariate uniforms first and, for the
-    regression kinds, one response uniform last, in row order, so splitting
-    a stream into blocks of any size yields identical observations.
+    observation consumes its covariate uniforms first and one response
+    uniform last, in row order, so splitting a stream into blocks of any
+    size yields identical observations.
     """
     n, k = len(out), dgp.covariate_dim
     for i, rng in enumerate(rngs):
@@ -132,13 +133,6 @@ def _draw_replications(dgp: DgpSpec, rngs, words: np.ndarray, out: np.ndarray) -
     words >>= 11
     words = words.transpose(1, 0, 2)
     theta = dgp.theta()
-    if dgp.kind == "mean":
-        np.add(words, 0.5, out=out)
-        out /= _TWO53
-        ndtri(out, out=out)
-        out *= dgp.noise_sd
-        out += theta
-        return out
     y, x = out[..., 0], out[..., 1:]
     np.add(words[..., :k], 0.5, out=x)
     np.add(words[..., k], 0.5, out=y)

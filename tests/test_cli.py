@@ -2,6 +2,7 @@
 
 import builtins
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -237,17 +238,27 @@ def test_alpha_outside_the_unit_interval_exits_with_a_data_error(tmp_path, capsy
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--alpha", "1.5"], "alpha must lie strictly in (0, 1), got 1.5"),
+        (["--gamma", "-1"], "gamma must be positive and finite, got -1.0"),
+        (["--rho", "1.5"], "rho must lie strictly in (1/2, 1), got 1.5"),
+    ],
+    ids=["alpha", "gamma", "rho"],
+)
 @pytest.mark.parametrize("command", ["estimate", "spec-test"])
-def test_alpha_is_checked_before_the_data_are_opened(tmp_path, capsys, command):
-    """A bad ``--alpha`` is named before a missing data file would be."""
+def test_alpha_is_checked_before_the_data_are_opened(tmp_path, capsys, command, option, message):
+    """A bad ``--alpha``, ``--gamma`` or ``--rho`` is named before a missing
+    data file would be."""
     constraint = tmp_path / "constraint.txt"
     constraint.write_text("x1 = 0\n", encoding="utf-8")
-    argv = [command, str(tmp_path / "missing.csv"), "--model", "linear", "--alpha", "1.5"]
+    argv = [command, str(tmp_path / "missing.csv"), "--model", "linear", *option]
     if command == "spec-test":
         argv += ["--constraint", str(constraint)]
     code, err = run(argv, capsys)
     assert code == EXIT_DATA
-    assert err == "apsgd: error: alpha must lie strictly in (0, 1), got 1.5\n"
+    assert err == f"apsgd: error: {message}\n"
 
 
 def test_spec_test_stdout_is_pinned(tmp_path, capsys):
@@ -267,6 +278,37 @@ def test_spec_test_stdout_is_pinned(tmp_path, capsys):
         "kappa = 2.778754\ndf = 1\np_value = 0.095522\n"
         "decision = fail to reject at alpha = 0.05\n"
     )
+
+
+@pytest.mark.parametrize(
+    "preset, constraint, digest",
+    [
+        (
+            "linear", "x2 + x3 + x4 = 0\n",
+            "606c34074a6e8f35a24bce639439c8dbcce7a1d661f4b5589b3b43161b87123a",
+        ),
+        ("logistic", None, "61bc2714b70f04e272e77e959fd584322cb2f7640c2baf199d8ba0ffa79c9e5d"),
+    ],
+    ids=["constrained_linear", "free_logistic"],
+)
+def test_estimate_output_is_pinned(tmp_path, capsys, preset, constraint, digest):
+    """``estimate --output`` on a seeded 2000-row CSV writes these bytes: a
+    constrained linear fit and a free logistic one, each a ``(p,)`` stream
+    walked block by block."""
+    rows = draw_block(PRESETS[preset].spec(0.0), replication_rng(7, 0, 0), 2000)
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "y,x1,x2,x3,x4\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()),
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.csv"
+    argv = ["estimate", str(path), "--model", preset, "--output", str(report)]
+    if constraint is not None:
+        (tmp_path / "constraint.txt").write_text(constraint, encoding="utf-8")
+        argv += ["--constraint", str(tmp_path / "constraint.txt")]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_reports_each_cell_on_stderr_only(tmp_path, capsys):

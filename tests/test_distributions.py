@@ -70,6 +70,9 @@ class TestChi2Quantile:
             chi2_quantile(1.0, 1)
         with pytest.raises(DomainError):
             chi2_quantile(0.05, 0)
+        for df in (math.nan, math.inf, 2.5):
+            with pytest.raises(DomainError, match="degrees of freedom"):
+                chi2_quantile(0.05, df)
 
 
 class TestNormalQuantile:
@@ -141,3 +144,8 @@ class TestNoncentralChi2:
             noncentral_chi2_cdf(-1.0, 2, 1.0)
         with pytest.raises(DomainError):
             noncentral_chi2_cdf(1.0, 2, -0.5)
+        with pytest.raises(DomainError, match="x must be nonnegative, got nan"):
+            noncentral_chi2_cdf(math.nan, 1, 1.0)
+        for df in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="degrees of freedom"):
+                noncentral_chi2_cdf(1.0, df, 1.0)

@@ -1,5 +1,6 @@
 """Estimator state machine: projections, averaging, recursions, snapshots."""
 
+import json
 from math import inf
 
 import numpy as np
@@ -41,6 +42,11 @@ def blocks(obs, size):
 
 
 STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
+
+
+def through_json(state, model):
+    """``state`` rebuilt from its record after a round trip through JSON text."""
+    return EstimatorState.from_record(json.loads(json.dumps(state.to_record())), model)
 
 
 class TestLearningRate:
@@ -158,7 +164,7 @@ class TestRunStream:
         def bad_gradient(theta, z):
             return np.full(2, np.inf) if z[0] > 0.5 else np.zeros(2)
 
-        model = CustomModel(2, 2, lambda t, z: 0.0, bad_gradient, lambda t, z: np.eye(2))
+        model = CustomModel(2, 2, bad_gradient, lambda t, z: np.eye(2))
         state = EstimatorState(model, Constraint.unconstrained(2))
         obs = np.array([np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2)])
         with pytest.raises(NumericalError, match="^observation 3: non-finite gradient at step 4 "):
@@ -173,7 +179,7 @@ class TestRunStream:
         def hessian(theta, z):
             return np.full((2, 2), np.inf) if z[0] > 0.5 else np.eye(2)
 
-        model = CustomModel(2, 2, lambda t, z: 0.0, lambda t, z: t - z, hessian)
+        model = CustomModel(2, 2, lambda t, z: t - z, hessian)
 
         def advanced(rows):
             return EstimatorState(model, Constraint.unconstrained(2)).run_stream(
@@ -239,7 +245,7 @@ class TestRunStream:
         def hessian(theta, z):
             return np.full((4, 4), np.inf) if z[1] == 7.0 else base.hessian(theta, z)
 
-        model = base if fault == "label" else CustomModel(4, 5, base.loss, gradient, hessian)
+        model = base if fault == "label" else CustomModel(4, 5, gradient, hessian)
         con = PRESETS["logistic"].constraint()
         lockstep = size == "lockstep"
         obs = batched_stream(300, 3, seed=2, preset="logistic")
@@ -537,7 +543,7 @@ class TestSnapshots:
         obs = dgp1_stream(150, seed=8)
         con = PRESETS["linear"].constraint()
         state = EstimatorState(LinearModel(4), con).run_stream([obs])
-        restored = EstimatorState.from_json(state.to_json(), LinearModel(4))
+        restored = through_json(state, LinearModel(4))
         assert restored.t == state.t
         np.testing.assert_array_equal(restored.theta, state.theta)
         np.testing.assert_array_equal(restored.theta_bar, state.theta_bar)
@@ -551,7 +557,7 @@ class TestSnapshots:
         con = PRESETS["linear"].constraint()
         straight = EstimatorState(LinearModel(4), con).run_stream([obs[:200], obs[200:]])
         first = EstimatorState(LinearModel(4), con).run_stream([obs[:200]])
-        resumed = EstimatorState.from_json(first.to_json(), LinearModel(4))
+        resumed = through_json(first, LinearModel(4))
         resumed.run_stream([obs[200:]])
         np.testing.assert_array_equal(resumed.theta_bar, straight.theta_bar)
         np.testing.assert_array_equal(resumed.g_hat, straight.g_hat)
@@ -671,7 +677,7 @@ class TestBatchedState:
 
     def test_custom_model_matches_single_streams(self):
         lin = LinearModel(4)
-        model = CustomModel(4, 5, lin.loss, lin.gradient, lin.hessian)
+        model = CustomModel(4, 5, lin.gradient, lin.hessian)
         con = PRESETS["linear"].constraint()
         obs = batched_stream(200, 3, seed=10)
         batch = EstimatorState(model, con, theta0=np.tile(con.c, (3, 1))).run_stream([obs])
@@ -692,7 +698,7 @@ class TestBatchedState:
         obs = batched_stream(150, 3, seed=11, preset=model.family)
         free = Constraint.unconstrained(4)
         batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream([obs])
-        restored = EstimatorState.from_json(batch.to_json(), model)
+        restored = through_json(batch, model)
         assert restored.t == batch.t == 150
         for name in STREAM_ARRAYS:
             np.testing.assert_array_equal(getattr(restored, name), getattr(batch, name))
@@ -719,7 +725,7 @@ class TestBatchedState:
         def gradient(theta, z):
             return np.full(2, np.nan) if z[0] > 0.5 else theta - z
 
-        model = CustomModel(2, 2, lambda t, z: 0.0, gradient, lambda t, z: np.eye(2))
+        model = CustomModel(2, 2, gradient, lambda t, z: np.eye(2))
         state = EstimatorState(model, Constraint.unconstrained(2), theta0=np.zeros((3, 2)))
         obs = np.zeros((4, 3, 2))
         obs[2, 1, 0] = 1.0

@@ -274,15 +274,22 @@ class TestBlockReader:
             ('y,a,note\n1,2,x\n3,4,"oops', "line 3: quoted field is not"),
             ('"y,a,note\n1,2,x\n3,4,y\n', "line 1: quoted field is not"),
             ('y,a,note\n1,2,x\n3,4,"' + "x" * 200_000 + '"\n', "line 3: field larger than"),
+            (
+                "y,a,note\n1,2,x\n3,4," + "x" * 200_000 + "\n5,6,y\n7,8,z\n",
+                "line 3: field larger than",
+            ),
         ],
-        ids=["unselected_cell", "last_line", "header", "field_limit"],
+        ids=["unselected_cell", "last_line", "header", "field_limit", "unquoted_field_limit"],
     )
     def test_a_quote_left_open_is_named_by_the_line_its_record_starts(
         self, tmp_path, body, message
     ):
         """``csv.reader`` reads a quoted field left open as the rest of the
         file, so the first case once yielded one row and no error; a
-        ``csv.Error`` was reported as an input that is not UTF-8."""
+        ``csv.Error`` was reported as an input that is not UTF-8.  A cell
+        longer than ``csv.field_size_limit()`` is refused as ``csv.reader``
+        refuses it, quoted or not, in a column that is not selected too; the
+        unquoted one once read as four rows."""
         source = RowSource(write_csv(tmp_path / "open.csv", body))
         with pytest.raises(DataError, match=f"^{message}"):
             resolved = resolve_schema(source, CsvSchema(features=("a",)))

@@ -105,6 +105,11 @@ class TestFromEqualities:
         with pytest.raises(DimensionError):
             geometry([[1.0, 0.0]], [0.0, 1.0])
 
+    @pytest.mark.parametrize("p", [0, -1, 2.5, float("nan"), float("inf")])
+    def test_unconstrained_needs_a_positive_integer_dimension(self, p):
+        with pytest.raises(DimensionError, match="positive integer"):
+            Constraint.unconstrained(p)
+
     @pytest.mark.parametrize("p", [1, 2, 4, 7])
     def test_unconstrained_geometry_is_exact(self, p):
         con = Constraint.unconstrained(p)

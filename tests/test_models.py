@@ -15,8 +15,25 @@ from apsgd import (
 )
 
 
-def fd_gradient(model, theta, z):
-    """Central finite differences of the loss, step 1e-6 * max(1, |theta_i|)."""
+def mean_loss(theta, z):
+    diff = z - theta
+    return 0.5 * (diff @ diff)
+
+
+def linear_loss(theta, z):
+    return 0.5 * (z[0] - z[1:] @ theta) ** 2
+
+
+def logistic_loss(theta, z):
+    return np.logaddexp(0.0, -z[0] * (z[1:] @ theta))
+
+
+#: Each family's loss in closed form, the oracle its gradient is checked against.
+LOSSES = {MeanModel: mean_loss, LinearModel: linear_loss, LogisticModel: logistic_loss}
+
+
+def fd_gradient(loss, theta, z):
+    """Central finite differences of ``loss``, step 1e-6 * max(1, |theta_i|)."""
     out = np.empty_like(theta)
     for i in range(theta.size):
         h = 1e-6 * max(1.0, abs(theta[i]))
@@ -24,7 +41,7 @@ def fd_gradient(model, theta, z):
         dn = theta.copy()
         up[i] += h
         dn[i] -= h
-        out[i] = (model.loss(up, z) - model.loss(dn, z)) / (2.0 * h)
+        out[i] = (loss(up, z) - loss(dn, z)) / (2.0 * h)
     return out
 
 
@@ -93,7 +110,7 @@ class TestLinearModel:
             z = random_observation(m, rng)
             g = m.gradient(theta, z)
             np.testing.assert_allclose(
-                fd_gradient(m, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
+                fd_gradient(linear_loss, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
             )
 
 
@@ -107,12 +124,11 @@ class TestLogisticModel:
         np.testing.assert_allclose(m.hessian(np.zeros(2), z), np.outer(x, x) / 4.0)
 
     def test_saturation_is_finite(self):
-        """Margins of +-700 stay finite: loss, gradient, and hessian."""
+        """Margins of +-700 stay finite: gradient and hessian."""
         m = LogisticModel(1)
         for margin in (700.0, -700.0):
             z = np.array([1.0, 1.0])
             theta = np.array([margin])
-            assert np.isfinite(m.loss(theta, z))
             g = m.gradient(theta, z)
             assert np.all(np.isfinite(g))
             assert np.linalg.norm(g) <= np.linalg.norm(z[1:]) + 1e-12
@@ -135,7 +151,7 @@ class TestLogisticModel:
             g = m.gradient(theta, z)
             h = m.hessian(theta, z)
             np.testing.assert_allclose(
-                fd_gradient(m, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
+                fd_gradient(logistic_loss, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
             )
             np.testing.assert_allclose(
                 fd_hessian(m, theta, z), h, atol=1e-4 * max(1.0, np.linalg.norm(h, 2))
@@ -145,11 +161,10 @@ class TestLogisticModel:
 class TestCustomModel:
     def test_wrapping_is_transparent(self):
         inner = MeanModel(2)
-        wrapped = CustomModel(2, 2, inner.loss, inner.gradient, inner.hessian)
+        wrapped = CustomModel(2, 2, inner.gradient, inner.hessian)
         rng = np.random.default_rng(1)
         for _ in range(5):
             theta, z = rng.standard_normal(2), rng.standard_normal(2)
-            assert wrapped.loss(theta, z) == inner.loss(theta, z)
             np.testing.assert_array_equal(wrapped.gradient(theta, z), inner.gradient(theta, z))
             np.testing.assert_array_equal(wrapped.hessian(theta, z), inner.hessian(theta, z))
 
@@ -158,16 +173,13 @@ class TestCustomModel:
         sigma2 = 4.0
         lin = LinearModel(2)
 
-        def loss(theta, z):
-            return lin.loss(theta, z) / sigma2
-
         def gradient(theta, z):
             return lin.gradient(theta, z) / sigma2
 
         def hessian(theta, z):
             return lin.hessian(theta, z) / sigma2
 
-        model = CustomModel(2, 3, loss, gradient, hessian)
+        model = CustomModel(2, 3, gradient, hessian)
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(2)
         z = random_observation(lin, rng)
@@ -190,7 +202,7 @@ class TestCustomModel:
             x = z[1:]
             return np.exp(x @ theta) * np.outer(x, x)
 
-        model = CustomModel(2, 3, loss, gradient, hessian)
+        model = CustomModel(2, 3, gradient, hessian)
         rng = np.random.default_rng(3)
         for _ in range(20):
             theta = 0.5 * rng.standard_normal(2)
@@ -199,15 +211,20 @@ class TestCustomModel:
             z = np.concatenate(([y], x))
             g = model.gradient(theta, z)
             np.testing.assert_allclose(
-                fd_gradient(model, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
+                fd_gradient(loss, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
             )
 
     def test_dimension_mismatch_surfaces_at_first_call(self):
-        bad = CustomModel(
-            2, 2, lambda t, z: 0.0, lambda t, z: np.zeros(3), lambda t, z: np.eye(2)
-        )
+        bad = CustomModel(2, 2, lambda t, z: np.zeros(3), lambda t, z: np.eye(2))
         with pytest.raises(DimensionError):
             bad.gradient(np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("p", [0, -1, 2.5, math.nan, math.inf, "4"])
+@pytest.mark.parametrize("family", [MeanModel, LinearModel, LogisticModel])
+def test_a_dimension_that_is_not_a_positive_integer_is_a_dimension_error(family, p):
+    with pytest.raises(DimensionError, match="positive integer"):
+        family(p)
 
 
 class TestGradientOracleSweep:
@@ -222,7 +239,7 @@ class TestGradientOracleSweep:
             z = random_observation(model, rng)
             g = model.gradient(theta, z)
             h = model.hessian(theta, z)
-            assert np.linalg.norm(fd_gradient(model, theta, z) - g) <= 1e-5 * max(
+            assert np.linalg.norm(fd_gradient(LOSSES[factory], theta, z) - g) <= 1e-5 * max(
                 1.0, np.linalg.norm(g)
             )
             assert np.linalg.norm(fd_hessian(model, theta, z) - h, 2) <= 1e-4 * max(
@@ -238,7 +255,7 @@ class TestGradientOracleSweep:
         z = np.array(
             [[random_observation(model, rng) for _ in range(3)] for _ in range(2)]
         )
-        for method in (model.loss, model.gradient, model.hessian):
+        for method in (model.gradient, model.hessian):
             batch = method(theta, z)
             for row in np.ndindex(2, 3):
                 np.testing.assert_array_equal(batch[row], method(theta[row], z[row]))
@@ -248,7 +265,7 @@ class TestGradientOracleSweep:
         """The block kernel sums the rows of (n, R) Hessians without building them."""
         if family == "custom":
             lin = LinearModel(4)
-            model = CustomModel(4, 5, lin.loss, lin.gradient, lin.hessian)
+            model = CustomModel(4, 5, lin.gradient, lin.hessian)
         else:
             model = {"mean": MeanModel, "linear": LinearModel, "logistic": LogisticModel}[family](4)
         rng = np.random.default_rng(44)

@@ -1,13 +1,20 @@
 """The package's public names and what importing it loads."""
 
+import functools
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import apsgd
 
 SRC = str(Path(apsgd.__file__).resolve().parent.parent)
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_every_exported_name_resolves_once():
@@ -34,3 +41,37 @@ def test_the_cli_does_not_import_scipy_linalg_or_stats():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def bench_module(name: str, monkeypatch):
+    """``bench/<name>.py``, loaded under a name of its own that is registered
+    (dataclasses look their module up) until the test ends."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_reads_resolves(monkeypatch):
+    """The benchmark draws its CSV inputs with ``PRESETS``, ``DgpPreset.spec``
+    and ``draw_block``, writes its Monte Carlo configs for
+    ``parse_config_text`` (``workers`` included), imports the layer modules
+    by name and hooks some of their functions by qualified name; a deletion
+    of any of these would break a benchmark run."""
+    from apsgd.simulate import PRESETS, draw_block, parse_config_text
+
+    tracing, workloads = (bench_module(name, monkeypatch) for name in ("tracing", "workloads"))
+    assert len(tracing.LAYERS) == 8
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"apsgd.{layer}")
+    for name in [*tracing.Tracer()._hooks, *tracing._STREAM_DRIVERS]:
+        layer, qualname = name.split(".", 1)
+        module = importlib.import_module(f"apsgd.{layer}")
+        assert callable(functools.reduce(getattr, qualname.split("."), module)), name
+    for workload in workloads.WORKLOADS.values():
+        dgp = PRESETS[workload.preset].spec(0.0)
+        assert draw_block(dgp, np.random.default_rng(0), 3).shape == (3, dgp.obs_dim)
+        if workload.config:
+            text = workloads.config_text(dict(workload.config, base_seed=1))
+            assert parse_config_text(text).workers == workload.config["workers"]

@@ -14,6 +14,7 @@ from apsgd import (
     CustomModel,
     EstimatorState,
     LearningRate,
+    MeanModel,
     NumericalError,
     chi2_quantile,
     efficiency_gap,
@@ -63,12 +64,6 @@ class TestDraws:
         np.testing.assert_array_equal(one, whole)
         np.testing.assert_array_equal(split, whole)
 
-    def test_mean_kind(self):
-        dgp = DgpSpec(kind="mean", theta_star=(2.0, -1.0), noise_sd=0.5)
-        rng = replication_rng(4, 0, 0)
-        zs = draw_block(dgp, rng, 50_000)
-        np.testing.assert_allclose(zs.mean(axis=0), [2.0, -1.0], atol=0.02)
-
     @pytest.mark.parametrize("seed", [0, 1, 7, 20240502])
     @pytest.mark.parametrize("size", [1, 5, 1280, 4099])
     def test_raw_words_are_the_bounded_integers(self, seed, size):
@@ -85,9 +80,8 @@ class TestDraws:
         [
             PRESETS["linear"].spec(0.0),
             PRESETS["logistic"].spec(0.01),
-            DgpSpec(kind="mean", theta_star=(2.0, -1.0, 0.5), noise_sd=0.5),
         ],
-        ids=["linear", "logistic", "mean"],
+        ids=["linear", "logistic"],
     )
     def test_lockstep_block_is_stacked_draws(self, dgp):
         """One draw for all replications equals each replication's own
@@ -104,33 +98,43 @@ class TestDraws:
             assert block.tobytes() == expected.tobytes()
 
 
-#: A DGP and a constraint per model kind: the regression presets, which the
-#: lockstep moves with the GLM walk, and the mean model, which takes the
-#: default walk (gradient, ``P``, step size, subtract).
+#: A DGP and a constraint per regression preset, which the lockstep moves
+#: with the GLM walk.
 LOCKSTEP_CASES = {
     "linear": (PRESETS["linear"].spec(0.0), PRESETS["linear"].constraint()),
     "logistic": (PRESETS["logistic"].spec(0.0), PRESETS["logistic"].constraint()),
-    "mean": (
-        DgpSpec(kind="mean", theta_star=(2.0, -1.0, 0.5, 0.5), noise_sd=0.5),
-        PRESETS["linear"].constraint(),
-    ),
 }
 
 
 def assert_lockstep_matches_one_row_blocks(kind, T):
     """The lockstep's blocks of 256 rows by 3 replications reproduce each
-    replication's stream advanced in one-row blocks, at 1e-12."""
-    dgp, con = LOCKSTEP_CASES[kind]
+    replication's stream advanced in one-row blocks, at 1e-12.
+
+    No DGP draws for the mean model, which takes the default walk
+    (gradient, ``P``, step size, subtract): its ``(3, p)`` states run the
+    lockstep's block engine over the linear preset's draws with the
+    response dropped, stacked as ``_draw_replications`` stacks them."""
+    dgp, con = LOCKSTEP_CASES["linear" if kind == "mean" else kind]
     schedule = LearningRate()
-    batch_c, batch_i = replicate_streams(
-        dgp, (con, Constraint.unconstrained(con.p)), schedule, T=T, replications=3,
-        base_seed=17, cell=0,
-    )
+    constraints = (con, Constraint.unconstrained(con.p))
+    draws = [draw_block(dgp, replication_rng(17, 0, k), T) for k in range(3)]
+    if kind == "mean":
+        model, draws = MeanModel(con.p), [rows[:, 1:] for rows in draws]
+        batch_c, batch_i = (
+            EstimatorState(model, constraint, schedule, theta0=np.tile(con.c, (3, 1)))
+            .run_stream([np.stack(draws, 1)])
+            for constraint in constraints
+        )
+    else:
+        model = dgp.model()
+        batch_c, batch_i = replicate_streams(
+            dgp, constraints, schedule, T=T, replications=3, base_seed=17, cell=0
+        )
     for k in range(3):
-        rows = draw_block(dgp, replication_rng(17, 0, k), T)[:, None]
-        seq_c = EstimatorState(dgp.model(), con, schedule, theta0=con.c).run_stream(rows)
+        rows = draws[k][:, None]
+        seq_c = EstimatorState(model, con, schedule, theta0=con.c).run_stream(rows)
         seq_i = EstimatorState(
-            dgp.model(), Constraint.unconstrained(con.p), schedule, theta0=con.c
+            model, Constraint.unconstrained(con.p), schedule, theta0=con.c
         ).run_stream(rows)
         for batch, seq in (
             (batch_c.theta_bar[k], seq_c.theta_bar),
@@ -144,9 +148,7 @@ def assert_lockstep_matches_one_row_blocks(kind, T):
 
 def wrapped(model):
     """``model`` behind ``CustomModel``, which moves with the default walk."""
-    return CustomModel(
-        model.param_dim, model.obs_dim, model.loss, model.gradient, model.hessian
-    )
+    return CustomModel(model.param_dim, model.obs_dim, model.gradient, model.hessian)
 
 
 class TestEngineEquivalence:
@@ -256,7 +258,7 @@ class TestNonFiniteGradients:
         def gradient(theta, z):
             return marked if z[0] > 0.5 else 0.1 * (theta - z)
 
-        model = CustomModel(2, 2, lambda theta, z: 0.0, gradient, lambda theta, z: np.eye(2))
+        model = CustomModel(2, 2, gradient, lambda theta, z: np.eye(2))
         con = Constraint.from_equalities([[1.0, 1.0]], [0.0])
         schedule = LearningRate(gamma=10.0)
         blocks = np.random.default_rng(0).uniform(-0.4, 0.4, size=(2, 10, 3, 2))
@@ -334,7 +336,7 @@ class TestNonFiniteMoments:
         def hessian(theta, z):
             return np.full((2, 2), np.inf) if z[0] > 0.5 else np.eye(2)
 
-        model = CustomModel(2, 2, lambda theta, z: 0.0, lambda theta, z: theta - z, hessian)
+        model = CustomModel(2, 2, lambda theta, z: theta - z, hessian)
         block = np.zeros((10, 3, 2))
         block[6, 2, 0] = block[8, 0, 0] = 1.0
         path = np.empty((10, 3, 2))
@@ -364,7 +366,7 @@ class TestNonFiniteMoments:
         def hessian(theta, z):
             return np.full((2, 2), np.inf) if z[1] > 0.5 else np.eye(2)
 
-        model = CustomModel(2, 2, lambda theta, z: 0.0, gradient, hessian)
+        model = CustomModel(2, 2, gradient, hessian)
         con = Constraint.from_equalities([[1.0, 1.0]], [0.0])
         blocks = np.random.default_rng(1).uniform(-0.4, 0.4, size=(2, 10, 3, 2))
         blocks[1, 3, 1, 1] = blocks[1, 7, 2, 0] = 1.0
