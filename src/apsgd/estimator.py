@@ -11,10 +11,12 @@ the model's ``_walk`` moves the iterates over the block along the projected
 gradient, row by row (by numpy calls per row, or for a single small linear
 or logistic stream by one generated Python function over the block's rows
 as floats), one cumulative sum turns them into running averages, and the
-block's curvature and gradient-outer-product sums, evaluated along those
-averages, are folded into the averages that inference consumes later.
-A block that fails is advanced again row by row.  States may be handed
-between threads between blocks.
+model's ``_moment_sums`` sums the block's curvatures and gradient outer
+products along those averages, which are folded into the averages that
+inference consumes later.  All three steps work in one reused
+``(_BLOCK, ..., p)`` buffer, the path, so a block needs no other array of
+its size than its observations.  A block that fails is advanced again row
+by row.  States may be handed between threads between blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .exceptions import ApsgdError, DataError, DimensionError, DomainError, NumericalError
 from .linalg import Constraint
-from .models import _BLOCK, LossModel, _gram
+from .models import _BLOCK, LossModel
 
 #: The per-stream arrays of a state; their leading axes are the batch shape.
 _STREAM_ARRAYS = ("theta", "theta_bar", "g_hat", "s_hat")
@@ -106,6 +108,12 @@ class EstimatorState:
     stream is cut into blocks changes its averages and moments by a few ulps
     only, and a single stream's iterates not at all, as long as every block
     walks by the same route.
+
+    The engine sums a block's moments with the model's
+    ``LossModel._moment_sums`` (for the regression families, from one margin
+    per row, with the weighted rows written into the path buffer of running
+    averages), so a block holds no array of its size beyond its observations
+    and that buffer.
 
     One rule locates every error: a block that fails is advanced again one
     row at a time.  An error at step ``s`` (a bad observation, or a gradient,
@@ -191,9 +199,10 @@ class EstimatorState:
         """Validate ``rows`` with the model's ``_check_obs`` and walk them; the
         model's ``_walk`` writes each iterate into ``path``, and one in-place
         cumulative sum turns them into running averages, along which the
-        block's moments are summed.  The state changes only once all of these
-        are finite.  An error names step ``t + 1``, which is exact for a
-        one-row block.
+        model's ``_moment_sums`` sums the block's moments, overwriting
+        ``path`` (so the last average is copied first).  The state changes
+        only once all of these are finite.  An error names step ``t + 1``,
+        which is exact for a one-row block.
         """
         model, con, t0 = self.model, self.constraint, self.t
         block = model._check_obs(rows, (len(rows), *self.theta.shape[:-1]))
@@ -210,13 +219,13 @@ class EstimatorState:
             path /= counts.reshape((-1,) + (1,) * (path.ndim - 1))
             if not np.isfinite(path).all():
                 raise NumericalError(self._path_fault(block[0], last))
-            outer_sum = _gram(model._gradient(path, block))
-            hess_sum = model._hessian_sum(path, block)
+            average = path[-1].copy()
+            hess_sum, outer_sum = model._moment_sums(path, block)
         if not (np.isfinite(hess_sum).all() and np.isfinite(outer_sum).all()):
             raise NumericalError(f"non-finite moment update at step {t0 + 1}")
         t = self.t = t0 + n
         self.theta = last
-        self.theta_bar[...] = path[-1]
+        self.theta_bar[...] = average
         w_old = t0 / t
         w_new = 1.0 / t
         self.g_hat *= w_old

@@ -31,11 +31,14 @@ class LossModel:
     symmetric.  Subclasses implement the unchecked kernels ``_gradient`` and
     ``_hessian``, which the block engine (``EstimatorState.run_stream``)
     calls directly on blocks of observations it has validated once with
-    ``_check_obs``.  The engine moves its iterates
-    over a block with ``_walk`` and sums its Hessians with ``_hessian_sum``.
-    Both have generic per-row defaults; the linear and logistic families
-    override both and the mean model the sum, so that no per-row gradient or
-    ``(n, ..., p, p)`` Hessian array is built.  On a single stream (a
+    ``_check_obs``.  The engine moves its iterates over a block with
+    ``_walk`` and sums the block's Hessians and gradient outer products with
+    ``_moment_sums``.  Both have generic per-row defaults; the linear and
+    logistic families override both, so that no per-row gradient or
+    ``(n, ..., p, p)`` Hessian array is built: their ``_moment_sums`` takes
+    one margin per row and writes its weighted rows into the engine's buffer
+    of running averages, so a block allocates nothing of the block's size
+    beyond the observations and that buffer.  On a single stream (a
     ``(p,)`` iterate) of at most ``_KERNEL_DIM`` parameters, the linear and
     logistic ``_walk`` runs a straight-line Python function over the
     block's rows as floats (``_row_kernel``) instead of numpy calls per row.
@@ -75,9 +78,12 @@ class LossModel:
     def _hessian(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _hessian_sum(self, theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Sum of ``_hessian(theta, z)`` over the first axis (the rows of a block)."""
-        return self._hessian(theta, z).sum(0)
+    def _moment_sums(self, theta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sums over the first axis (the rows of a block) of
+        ``_hessian(theta, z)`` and of the gradient outer products, the latter
+        as ``_gram(_gradient(theta, z))``.  An override may overwrite
+        ``theta``, the engine's buffer of running averages."""
+        return self._hessian(theta, z).sum(0), _gram(self._gradient(theta, z))
 
     def _walk(self, theta, block, P, steps, path) -> None:
         """Projected SGD over the rows of a validated ``(n, ..., obs_dim)`` block
@@ -188,10 +194,10 @@ def _row_kernel(weight: str, p: int):
     return namespace["walk"]
 
 
-def _curvature(y, x, theta):
-    """The logistic Hessian's weight ``s (1 - s)`` with ``s = expit(-y x @ theta)``."""
-    s = expit(-(y * np.vecdot(x, theta)))
-    return s * (1.0 - s)
+def _expit_margin(y, x, theta):
+    """``s = expit(-y x @ theta)``: the logistic gradient is ``-y s x`` and the
+    Hessian's curvature ``s (1 - s)``."""
+    return expit(-(y * np.vecdot(x, theta)))
 
 
 class MeanModel(LossModel):
@@ -210,9 +216,6 @@ class MeanModel(LossModel):
 
     def _hessian(self, theta, z):
         return np.broadcast_to(self._eye, theta.shape + (self.param_dim,))
-
-    def _hessian_sum(self, theta, z):
-        return np.broadcast_to(len(theta) * self._eye, theta.shape[1:] + (self.param_dim,))
 
 
 class _GlmModel(LossModel):
@@ -291,9 +294,12 @@ class LinearModel(_GlmModel):
     def _hessian(self, theta, z):
         return _outer(z[..., 1:])
 
-    def _hessian_sum(self, theta, z):
-        x = z[..., 1:]
-        return _gram(x)
+    def _moment_sums(self, theta, z):
+        """``LossModel._moment_sums`` from one margin per row; the gradient rows
+        ``(x @ theta - y) x`` are written into ``theta``."""
+        y, x = z[..., 0], z[..., 1:]
+        weight = self._weight(y, np.vecdot(x, theta))
+        return _gram(x), _gram(np.multiply(weight[..., None], x, out=theta))
 
 
 class LogisticModel(_GlmModel):
@@ -341,12 +347,17 @@ class LogisticModel(_GlmModel):
 
     def _hessian(self, theta, z):
         y, x = z[..., 0], z[..., 1:]
-        s = _curvature(y, x, theta)
-        return s[..., None, None] * _outer(x)
+        s = _expit_margin(y, x, theta)
+        return (s * (1.0 - s))[..., None, None] * _outer(x)
 
-    def _hessian_sum(self, theta, z):
+    def _moment_sums(self, theta, z):
+        """``LossModel._moment_sums`` from one margin and one ``expit`` per row;
+        the Hessian rows ``s (1 - s) x`` and then the gradient rows ``-y s x``
+        are written into ``theta``."""
         y, x = z[..., 0], z[..., 1:]
-        return _gram(_curvature(y, x, theta)[..., None] * x, x)
+        s = _expit_margin(y, x, theta)
+        hess_sum = _gram(np.multiply((s * (1.0 - s))[..., None], x, out=theta), x)
+        return hess_sum, _gram(np.multiply((-y * s)[..., None], x, out=theta))
 
 
 class CustomModel(LossModel):

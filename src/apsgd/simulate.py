@@ -15,15 +15,17 @@ implementation of the same documented scheme reproduces the streams.
 
 For throughput the runner advances all replications of a cell in lockstep as
 one batched ``(R, p)`` ``EstimatorState`` per stream, so a replication runs
-the same block engine as a CSV stream, in blocks of ``_BLOCK`` rows
-(``(_BLOCK, R, obs_dim)``-sized, as are the raw words).  Each replication's
-generator fills its row of one reused buffer of raw words, and one
-vectorised transform turns the buffer into the block's observations, which
-every state moves and folds at once (``EstimatorState._advance_block``).
-The move is the model's ``_walk``: for the linear and logistic families the
-projected step directions ``gamma_t x_t P`` of the whole block come from one
-matrix product, and each row then costs a margin, a weight and a
-multiply-subtract.
+the same block engine as a CSV stream, in blocks of ``_BLOCK`` rows.  A
+cell holds two reused buffers of a block's size: the observations
+``(_BLOCK, R, obs_dim)`` and the states' path ``(_BLOCK, R, p)``.  Each
+replication's generator turns its raw words into uniforms straight in its
+column of the observations, and vectorised transforms of the whole buffer
+finish the block, which every state moves and folds at once
+(``EstimatorState._advance_block``).  The move is the model's ``_walk``:
+for the linear and logistic families the projected step directions
+``gamma_t x_t P`` of the whole block come from one matrix product, and each
+row then costs a margin, a weight and a multiply-subtract.  The fold sums
+the block's moments in the path (``LossModel._moment_sums``).
 Inference then runs once per cell on the batched states: one
 ``coordinate_report`` (coverage) or ``spec_test_from_state`` (size/power).
 Each cell's wall time is kept on the result (``cell_seconds``).
@@ -34,6 +36,7 @@ because every replication owns its seed.
 from __future__ import annotations
 
 import itertools
+import numbers
 import pathlib
 import time
 import typing
@@ -112,50 +115,48 @@ class DgpSpec:
         return MODEL_FAMILIES[self.kind](len(self.theta_star))
 
 
-def _draw_replications(dgp: DgpSpec, rngs, words: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _draw_replications(dgp: DgpSpec, rngs, out: np.ndarray) -> np.ndarray:
     """The next ``n = len(out)`` observations of every generator in ``rngs``,
     written to ``out`` of shape ``(n, R, obs_dim)``.
 
-    Each generator fills its row of ``words``, a reused ``(R, m, obs_dim)``
-    buffer of 64-bit integers with ``m >= n``, with one call for raw words.
-    A word ``w`` gives the open-interval uniform ``(k + 0.5) / 2**53`` with
-    ``k = w >> 11``, which is bit for bit ``Generator.integers(0, 2**53)``
-    (its bounded draw never rejects for a power-of-two range), so 0 and 1
-    never occur and the inverse normal CDF is always finite.  Each
-    observation consumes its covariate uniforms first and one response
-    uniform last, in row order, so splitting a stream into blocks of any
-    size yields identical observations.
+    Generator ``i`` draws its ``n * obs_dim`` raw 64-bit words with one call
+    and writes their uniforms straight into its column ``out[:, i]`` (not
+    through a ``uint64`` view of ``out``: numpy copies an input that overlaps
+    an output of another type whole).  A word ``w`` gives the open-interval
+    uniform ``(k + 0.5) / 2**53`` with ``k = w >> 11``, which is bit for bit
+    ``Generator.integers(0, 2**53)`` (its bounded draw never rejects for a
+    power-of-two range), so 0 and 1 never occur and the inverse normal CDF
+    is always finite.  Each observation consumes its covariate uniforms
+    first and one response uniform last, in row order, so splitting a
+    stream into blocks of any size yields identical observations.
     """
     n, k = len(out), dgp.covariate_dim
-    for i, rng in enumerate(rngs):
-        words[i, :n] = rng.bit_generator.random_raw(n * dgp.obs_dim).reshape(n, -1)
-    words = words[:, :n]
-    words >>= 11
-    words = words.transpose(1, 0, 2)
-    theta = dgp.theta()
     y, x = out[..., 0], out[..., 1:]
-    np.add(words[..., :k], 0.5, out=x)
-    np.add(words[..., k], 0.5, out=y)
+    for i, rng in enumerate(rngs):
+        raw = rng.bit_generator.random_raw(n * dgp.obs_dim).reshape(n, dgp.obs_dim)
+        raw >>= 11
+        np.add(raw[:, :k], 0.5, out=x[:, i])
+        np.add(raw[:, k], 0.5, out=y[:, i])
     out /= _TWO53
-    ndtri(x, out=x)
-    lin = np.vecdot(x, theta)
     if dgp.kind == "linear":
-        ndtri(y, out=y)
+        ndtri(out, out=out)
         y *= dgp.noise_sd
-        y += lin
+        y += np.vecdot(x, dgp.theta())
     else:
-        y[...] = np.where(y < expit(lin), 1.0, -1.0)
+        ndtri(x, out=x)
+        y[...] = np.where(y < expit(np.vecdot(x, dgp.theta())), 1.0, -1.0)
     return out
 
 
 def draw_block(dgp: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` observations as an ``(n, obs_dim)`` array.
+    """Draw ``n >= 0`` observations as an ``(n, obs_dim)`` array.
 
     This is the one-stream case of the Monte Carlo lockstep's draws; see
     ``_draw_replications`` for the documented scheme.
     """
-    words = np.empty((1, n, dgp.obs_dim), dtype=np.uint64)
-    return _draw_replications(dgp, [rng], words, np.empty((n, 1, dgp.obs_dim)))[:, 0]
+    if not (isinstance(n, numbers.Integral) and n >= 0):
+        raise DomainError(f"the number of draws must be a non-negative integer, got {n!r}")
+    return _draw_replications(dgp, [rng], np.empty((n, 1, dgp.obs_dim)))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -346,13 +347,13 @@ def _advance_chunk(
         EstimatorState(dgp.model(), con, schedule, theta0=np.tile(con.c, (len(reps), 1)))
         for con in constraints
     ]
-    # one reused buffer each for the raw words, the observations and the
-    # states' paths; a block is drawn once every state has consumed the last
-    words = np.empty((len(reps), _BLOCK, dgp.obs_dim), dtype=np.uint64)
+    # the only block-sized buffers: the observations, drawn once every state
+    # has consumed the last block, and one path, in which each state in turn
+    # walks and then sums its moments
     obs = np.empty((_BLOCK, len(reps), dgp.obs_dim))
     path = np.empty((_BLOCK,) + states[0].theta.shape)
     for t in range(0, T, _BLOCK):
-        block = _draw_replications(dgp, rngs, words, obs[: min(_BLOCK, T - t)])
+        block = _draw_replications(dgp, rngs, obs[: min(_BLOCK, T - t)])
         for state in states:
             state._advance_block(block, path)
     return states

@@ -13,6 +13,7 @@ from apsgd import (
     LogisticModel,
     MeanModel,
 )
+from apsgd.models import _gram
 
 
 def mean_loss(theta, z):
@@ -260,22 +261,34 @@ class TestGradientOracleSweep:
             for row in np.ndindex(2, 3):
                 np.testing.assert_array_equal(batch[row], method(theta[row], z[row]))
 
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["stream", "lockstep"])
     @pytest.mark.parametrize("family", ["mean", "linear", "logistic", "custom"])
-    def test_hessian_sum_matches_summed_rows(self, family):
-        """The block kernel sums the rows of (n, R) Hessians without building them."""
+    def test_moment_sums_match_summed_rows(self, family, batch):
+        """The block kernel returns the summed Hessians and the Gram matrix of
+        the gradients of a ``(p,)`` stream's and an ``(R, p)`` lockstep's rows.
+
+        The Gram matrix is ``_gram(_gradient(...))`` bit for bit in every
+        family, as is the Hessian sum of the default kernel (mean, custom).
+        The linear and logistic kernels sum ``h x x^T`` as one matrix product
+        over the rows, which rounds differently from summing the ``_hessian``
+        rows, so those two agree to 1e-12 only."""
         if family == "custom":
             lin = LinearModel(4)
             model = CustomModel(4, 5, lin.gradient, lin.hessian)
         else:
             model = {"mean": MeanModel, "linear": LinearModel, "logistic": LogisticModel}[family](4)
         rng = np.random.default_rng(44)
-        theta = rng.standard_normal((7, 3, 4))
-        z = np.array([[random_observation(model, rng) for _ in range(3)] for _ in range(7)])
-        total = model._hessian_sum(theta, z)
-        assert total.shape == (3, 4, 4)
-        np.testing.assert_allclose(
-            total, model._hessian(theta, z).sum(0), rtol=1e-12, atol=1e-14
-        )
+        theta = rng.standard_normal((7, *batch, 4))
+        rows = [random_observation(model, rng) for _ in range(7 * math.prod(batch))]
+        z = np.reshape(rows, (7, *batch, model.obs_dim))
+        hess_sum, outer_sum = model._moment_sums(theta.copy(), z)
+        assert hess_sum.shape == outer_sum.shape == (*batch, 4, 4)
+        assert outer_sum.tobytes() == _gram(model._gradient(theta, z)).tobytes()
+        summed = model._hessian(theta, z).sum(0)
+        if family in ("mean", "custom"):
+            assert hess_sum.tobytes() == summed.tobytes()
+        else:
+            np.testing.assert_allclose(hess_sum, summed, rtol=1e-12, atol=1e-14)
 
 
 class TestScalarWeight:

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from apsgd import (
     ConfigError,
     Constraint,
     CustomModel,
+    DomainError,
     EstimatorState,
     LearningRate,
     MeanModel,
@@ -90,12 +92,59 @@ class TestDraws:
         R = 5
         rngs = [replication_rng(8, 1, k) for k in range(R)]
         singles = [replication_rng(8, 1, k) for k in range(R)]
-        words = np.empty((R, _BLOCK, dgp.obs_dim), dtype=np.uint64)
         obs = np.empty((_BLOCK, R, dgp.obs_dim))
         for n in (_BLOCK, 37):
-            block = _draw_replications(dgp, rngs, words, obs[:n])
+            block = _draw_replications(dgp, rngs, obs[:n])
             expected = np.stack([draw_block(dgp, rng, n) for rng in singles], 1)
             assert block.tobytes() == expected.tobytes()
+
+    def test_no_draws_is_an_empty_block(self):
+        dgp = PRESETS["logistic"].spec(0.0)
+        rng = replication_rng(9, 0, 0)
+        assert draw_block(dgp, rng, 0).shape == (0, dgp.obs_dim)
+        assert draw_block(dgp, rng, np.int64(3)).tobytes() == (
+            draw_block(dgp, replication_rng(9, 0, 0), 3).tobytes()
+        )
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 2.0, "3", None])
+    def test_a_draw_count_that_is_no_count_is_a_domain_error(self, n):
+        with pytest.raises(DomainError, match="non-negative integer"):
+            draw_block(PRESETS["linear"].spec(0.0), replication_rng(9, 0, 0), n)
+
+
+class TestLockstepMemory:
+    """A lockstep cell allocates two block-sized buffers, the observations
+    ``obs`` of shape ``(_BLOCK, R, obs_dim)`` and the states' path of shape
+    ``(_BLOCK, R, p)``; everything else it allocates per block is
+    ``(_BLOCK, R)``-sized, apart from the logistic walk's ``u = -y x``."""
+
+    R = 200
+
+    @pytest.mark.parametrize(
+        "kind, constrained", [("linear", False), ("logistic", True)], ids=["linear", "logistic"]
+    )
+    def test_traced_peak_is_the_observations_and_the_path(self, kind, constrained):
+        """The slack is four ``(_BLOCK, R)`` float arrays (1.56 MiB at
+        R = 200): the two that a block's moment sums hold at once, plus the
+        generators and headroom.  A raw-word buffer of the block's shape, or
+        a gradient array of the path's, does not fit in it."""
+        preset = PRESETS[kind]
+        dgp = preset.spec(0.0)
+        con = preset.constraint() if constrained else Constraint.unconstrained(dgp.covariate_dim)
+        column = _BLOCK * self.R * 8
+        bound = column * (dgp.obs_dim + con.p + 4)
+        if kind == "logistic":
+            bound += column * con.p
+        replicate_streams(dgp, (con,), LearningRate(), T=1, replications=1, base_seed=1)
+        tracemalloc.start()
+        try:
+            replicate_streams(
+                dgp, (con,), LearningRate(), T=2 * _BLOCK, replications=self.R, base_seed=1
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"traced peak {peak} B exceeds {bound} B"
 
 
 #: A DGP and a constraint per regression preset, which the lockstep moves
@@ -173,14 +222,13 @@ class TestEngineEquivalence:
             con = Constraint.unconstrained(con.p)
         R = 3
         rngs = [replication_rng(19, 0, k) for k in range(R)]
-        words = np.empty((R, _BLOCK, dgp.obs_dim), dtype=np.uint64)
         obs = np.empty((_BLOCK, R, dgp.obs_dim))
         path = np.empty((_BLOCK, R, con.p))
         start = np.tile(con.c, (R, 1))
         family = EstimatorState(dgp.model(), con, theta0=start)
         custom = EstimatorState(wrapped(dgp.model()), con, theta0=start)
         for n in (_BLOCK, _BLOCK, 17):
-            block = _draw_replications(dgp, rngs, words, obs[:n])
+            block = _draw_replications(dgp, rngs, obs[:n])
             family._advance_block(block, path)
             custom._advance_block(block, path)
         assert family.t == custom.t == 2 * _BLOCK + 17
@@ -435,9 +483,8 @@ class TestEstimationError:
 
         def mean_error(noise_sd):
             dgp = replace(preset.spec(0.0), noise_sd=noise_sd)
-            words = np.empty((R, T, dgp.obs_dim), dtype=np.uint64)
             rngs = [replication_rng(5, 0, k) for k in range(R)]
-            block = _draw_replications(dgp, rngs, words, np.empty((T, R, dgp.obs_dim)))
+            block = _draw_replications(dgp, rngs, np.empty((T, R, dgp.obs_dim)))
             state = EstimatorState(
                 dgp.model(), preset.constraint(), LearningRate(),
                 theta0=np.tile(theta_star, (R, 1)),
@@ -586,6 +633,25 @@ class TestGoldenOutputs:
         )
         assert sha256(result.kappa_samples[(600, 0.0)].tobytes()) == (
             "5443cc63ee8cf7d3bb3745588b28c0b2e3dbec940b9b81237f09571a6b7fa57c"
+        )
+
+    def test_logistic_coverage_cell(self):
+        """The cell that reads a constrained logistic stream's moments through
+        ``coordinate_report``; its states' ``g_hat`` and ``s_hat`` are pinned
+        too, since the CSV rounds them into rates."""
+        result = self.run("coverage", "logistic", 20, 5, (0.0,))
+        assert sha256(result.to_csv_text().encode()) == (
+            "1db637599be23a3a1d3ca127ec507013ee782b96ec32a3aa25dd370ad286a712"
+        )
+        preset = PRESETS["logistic"]
+        (state,) = replicate_streams(
+            preset.spec(0.0), (preset.constraint(),), LearningRate(), 600, 20, base_seed=5
+        )
+        assert sha256(state.g_hat.tobytes()) == (
+            "45ec76c6cb6e41b6f0b9ddd4177d53fc45e8586c9775bd3d7fcc24cd8542b84d"
+        )
+        assert sha256(state.s_hat.tobytes()) == (
+            "8232e78e27bdcb757508165987095918ebd334f9a05fc1e73b096773c117165a"
         )
 
     def test_logistic_shift_size_power_cells(self):
