@@ -1,9 +1,10 @@
-"""Loss models: gradient and Hessian, over leading batch axes.
+"""Loss models: the gradient and Hessian kernels of the block engine, over
+leading batch axes.
 
 A model knows its parameter dimension ``param_dim`` and the layout of one
 observation (``obs_dim``).  Regression observations are the concatenation
-``(y, x)`` with the response first.  Every evaluation takes ``theta`` of
-shape ``(..., param_dim)`` and ``z`` of shape ``(..., obs_dim)`` with the same
+``(y, x)`` with the response first.  Every kernel takes ``theta`` of shape
+``(..., param_dim)`` and ``z`` of shape ``(..., obs_dim)`` with the same
 leading axes, so one call serves a single stream or a stack of replications.
 Models are immutable after construction and their evaluations are pure, so
 instances are safe to share across threads.
@@ -26,41 +27,27 @@ class LossModel:
     seen through its derivatives only, since the estimator and its inference
     never evaluate the loss itself.
 
-    The public ``gradient`` and ``hessian`` validate their inputs and return
-    arrays of shape ``(..., p)`` and ``(..., p, p)``; the Hessian must be
-    symmetric.  Subclasses implement the unchecked kernels ``_gradient`` and
-    ``_hessian``, which the block engine (``EstimatorState.run_stream``)
-    calls directly on blocks of observations it has validated once with
-    ``_check_obs``.  The engine moves its iterates over a block with
-    ``_walk`` and sums the block's Hessians and gradient outer products with
-    ``_moment_sums``.  Both have generic per-row defaults; the linear and
-    logistic families override both, so that no per-row gradient or
-    ``(n, ..., p, p)`` Hessian array is built: their ``_moment_sums`` takes
-    one margin per row and writes its weighted rows into the engine's buffer
-    of running averages, so a block allocates nothing of the block's size
-    beyond the observations and that buffer.  On a single stream (a
-    ``(p,)`` iterate) of at most ``_KERNEL_DIM`` parameters, the linear and
-    logistic ``_walk`` runs a straight-line Python function over the
-    block's rows as floats (``_row_kernel``) instead of numpy calls per row.
+    Subclasses implement the kernels ``_gradient`` and ``_hessian``, which
+    return arrays of shape ``(..., p)`` and ``(..., p, p)`` (the Hessian
+    symmetric) and do not validate their inputs: the block engine
+    (``EstimatorState.run_stream``) calls them on blocks of observations it
+    has validated once with ``_check_obs``.  The engine moves its iterates
+    over a block with ``_walk`` and sums the block's Hessians and gradient
+    outer products with ``_moment_sums``.  Both have generic per-row
+    defaults; the linear and logistic families override both, so that no
+    per-row gradient or ``(n, ..., p, p)`` Hessian array is built: their
+    ``_moment_sums`` takes one margin per row and writes its weighted rows
+    into the engine's buffer of running averages, so a block allocates
+    nothing of the block's size beyond the observations and that buffer.  On
+    a single stream (a ``(p,)`` iterate) of at most ``_KERNEL_DIM``
+    parameters, the linear and logistic ``_walk`` runs a straight-line
+    Python function over the block's rows as floats (``_row_kernel``)
+    instead of numpy calls per row.
     """
 
     param_dim: int
     obs_dim: int
     family: str = "custom"
-
-    def gradient(self, theta, z) -> np.ndarray:
-        return self._gradient(*self._check(theta, z))
-
-    def hessian(self, theta, z) -> np.ndarray:
-        return self._hessian(*self._check(theta, z))
-
-    def _check(self, theta, z) -> tuple[np.ndarray, np.ndarray]:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape[-1:] != (self.param_dim,):
-            raise DimensionError(
-                f"theta has shape {theta.shape}, expected (..., {self.param_dim})"
-            )
-        return theta, self._check_obs(z, theta.shape[:-1])
 
     def _check_obs(self, z, batch_shape=()) -> np.ndarray:
         """``z`` as floats of shape ``batch_shape + (obs_dim,)``, values checked."""
@@ -361,15 +348,19 @@ class LogisticModel(_GlmModel):
 
 
 class CustomModel(LossModel):
-    """User-supplied gradient and Hessian callables behind the same interface.
+    """User-supplied gradient and Hessian callables behind the kernels.
 
-    The callables take one parameter vector and one observation; batched
-    evaluations call them once per row.  The Hessian callable is required
-    even though the iteration itself only consumes gradients: the streaming
-    curvature average needs it, and making it mandatory keeps inference
-    available for every model.  Output shapes are validated on every
-    evaluation, so a mismatch surfaces at the first call rather than deep
-    inside the estimator.
+    This is the one route for a loss outside ``MODEL_FAMILIES``, and it walks
+    by the generic ``LossModel._walk`` and ``_moment_sums``: wrapping a
+    family's own ``_gradient`` and ``_hessian`` fits that family by the
+    default engine, which is how the tests check the families' overrides
+    end to end.  The callables take one parameter vector and one
+    observation; batched evaluations call them once per row.  The Hessian
+    callable is required even though the iteration itself only consumes
+    gradients: the streaming curvature average needs it, and making it
+    mandatory keeps inference available for every model.  Output shapes are
+    validated on every evaluation, so a mismatch surfaces at the first call
+    rather than deep inside the estimator.
     """
 
     def __init__(self, p: int, obs_dim: int, gradient_fn, hessian_fn):

@@ -40,7 +40,6 @@ import numbers
 import pathlib
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
@@ -133,7 +132,7 @@ def _draw_replications(dgp: DgpSpec, rngs, out: np.ndarray) -> np.ndarray:
     n, k = len(out), dgp.covariate_dim
     y, x = out[..., 0], out[..., 1:]
     for i, rng in enumerate(rngs):
-        raw = rng.bit_generator.random_raw(n * dgp.obs_dim).reshape(n, dgp.obs_dim)
+        raw = rng.bit_generator.random_raw((n, k + 1))
         raw >>= 11
         np.add(raw[:, :k], 0.5, out=x[:, i])
         np.add(raw[:, k], 0.5, out=y[:, i])
@@ -386,6 +385,9 @@ def replicate_streams(
     bounds = np.linspace(0, replications, min(workers, replications) + 1).astype(int)
     chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     tasks = [(dgp, constraints, schedule, T, reps, base_seed, cell) for reps in chunks]
+    # imported here so that only a run with workers loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         parts = list(pool.map(_advance_chunk, *zip(*tasks)))
     return tuple(EstimatorState.concatenate(chunk) for chunk in zip(*parts))
@@ -435,10 +437,6 @@ class ExperimentResult:
                 f"{row.metric},{row.value!r},{row.mc_stderr!r},{self.config.base_seed}"
             )
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(self.to_csv_text())
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -124,9 +124,9 @@ class TestFirstRow:
         state = EstimatorState(model, Constraint.unconstrained(2))
         z = np.array([1.0, 0.5, -0.5])
         state.run_stream([[z]])
-        g = model.gradient(state.theta_bar, z)
+        g = model._gradient(state.theta_bar, z)
         np.testing.assert_allclose(state.s_hat, np.outer(g, g), atol=1e-14)
-        np.testing.assert_allclose(state.g_hat, model.hessian(state.theta_bar, z))
+        np.testing.assert_allclose(state.g_hat, model._hessian(state.theta_bar, z))
 
 
 class TestRunStream:
@@ -240,10 +240,10 @@ class TestRunStream:
         def gradient(theta, z):
             if fault == "gradient" and z[1] == 7.0:
                 return np.full(4, np.inf)
-            return base.gradient(theta, z)
+            return base._gradient(theta, z)
 
         def hessian(theta, z):
-            return np.full((4, 4), np.inf) if z[1] == 7.0 else base.hessian(theta, z)
+            return np.full((4, 4), np.inf) if z[1] == 7.0 else base._hessian(theta, z)
 
         model = base if fault == "label" else CustomModel(4, 5, gradient, hessian)
         con = PRESETS["logistic"].constraint()
@@ -525,10 +525,10 @@ class TestRecursiveBatchEquivalence:
             averages.append(state.theta_bar.copy())
         T = len(obs)
         theta_bar = sum(iterates) / T
-        g_batch = sum(model.hessian(avg, z) for avg, z in zip(averages, obs)) / T
+        g_batch = sum(model._hessian(avg, z) for avg, z in zip(averages, obs)) / T
         s_batch = (
             sum(
-                np.outer(model.gradient(avg, z), model.gradient(avg, z))
+                np.outer(model._gradient(avg, z), model._gradient(avg, z))
                 for avg, z in zip(averages, obs)
             )
             / T
@@ -677,7 +677,7 @@ class TestBatchedState:
 
     def test_custom_model_matches_single_streams(self):
         lin = LinearModel(4)
-        model = CustomModel(4, 5, lin.gradient, lin.hessian)
+        model = CustomModel(4, 5, lin._gradient, lin._hessian)
         con = PRESETS["linear"].constraint()
         obs = batched_stream(200, 3, seed=10)
         batch = EstimatorState(model, con, theta0=np.tile(con.c, (3, 1))).run_stream([obs])

@@ -56,7 +56,7 @@ def fd_hessian(model, theta, z):
         dn = theta.copy()
         up[i] += h
         dn[i] -= h
-        out[:, i] = (model.gradient(up, z) - model.gradient(dn, z)) / (2.0 * h)
+        out[:, i] = (model._gradient(up, z) - model._gradient(dn, z)) / (2.0 * h)
     return 0.5 * (out + out.T)
 
 
@@ -74,19 +74,20 @@ class TestMeanModel:
     def test_gradient_vanishes_at_observation(self):
         m = MeanModel(3)
         z = np.array([0.3, -1.0, 2.0])
-        np.testing.assert_allclose(m.gradient(z, z), np.zeros(3))
+        np.testing.assert_allclose(m._gradient(z, z), np.zeros(3))
 
     def test_hand_derivative(self):
         m = MeanModel(2)
-        np.testing.assert_allclose(m.gradient([0.0, 0.0], [1.0, 2.0]), [-1.0, -2.0])
-        np.testing.assert_allclose(m.hessian([0.0, 0.0], [1.0, 2.0]), np.eye(2))
+        theta, z = np.zeros(2), np.array([1.0, 2.0])
+        np.testing.assert_allclose(m._gradient(theta, z), [-1.0, -2.0])
+        np.testing.assert_allclose(m._hessian(theta, z), np.eye(2))
 
     def test_hessian_constant(self):
         m = MeanModel(2)
         rng = np.random.default_rng(0)
         for _ in range(5):
             theta, z = rng.standard_normal(2), rng.standard_normal(2)
-            np.testing.assert_array_equal(m.hessian(theta, z), np.eye(2))
+            np.testing.assert_array_equal(m._hessian(theta, z), np.eye(2))
 
 
 class TestLinearModel:
@@ -95,13 +96,13 @@ class TestLinearModel:
         theta = np.array([1.0, -2.0])
         x = np.array([0.5, 3.0])
         z = np.concatenate(([x @ theta], x))
-        np.testing.assert_allclose(m.gradient(theta, z), np.zeros(2), atol=1e-14)
+        np.testing.assert_allclose(m._gradient(theta, z), np.zeros(2), atol=1e-14)
 
     def test_hand_derivative(self):
         m = LinearModel(2)
         z = np.array([1.0, 1.0, 1.0])  # y=1, x=(1,1)
-        np.testing.assert_allclose(m.gradient([0.0, 0.0], z), [-1.0, -1.0])
-        np.testing.assert_allclose(m.hessian([0.0, 0.0], z), np.ones((2, 2)))
+        np.testing.assert_allclose(m._gradient(np.zeros(2), z), [-1.0, -1.0])
+        np.testing.assert_allclose(m._hessian(np.zeros(2), z), np.ones((2, 2)))
 
     def test_finite_difference_gradient(self):
         m = LinearModel(3)
@@ -109,7 +110,7 @@ class TestLinearModel:
         for _ in range(20):
             theta = rng.standard_normal(3)
             z = random_observation(m, rng)
-            g = m.gradient(theta, z)
+            g = m._gradient(theta, z)
             np.testing.assert_allclose(
                 fd_gradient(linear_loss, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
             )
@@ -121,8 +122,8 @@ class TestLogisticModel:
         m = LogisticModel(2)
         x = np.array([0.7, -1.2])
         z = np.concatenate(([1.0], x))
-        np.testing.assert_allclose(m.gradient(np.zeros(2), z), -x / 2.0)
-        np.testing.assert_allclose(m.hessian(np.zeros(2), z), np.outer(x, x) / 4.0)
+        np.testing.assert_allclose(m._gradient(np.zeros(2), z), -x / 2.0)
+        np.testing.assert_allclose(m._hessian(np.zeros(2), z), np.outer(x, x) / 4.0)
 
     def test_saturation_is_finite(self):
         """Margins of +-700 stay finite: gradient and hessian."""
@@ -130,18 +131,18 @@ class TestLogisticModel:
         for margin in (700.0, -700.0):
             z = np.array([1.0, 1.0])
             theta = np.array([margin])
-            g = m.gradient(theta, z)
+            g = m._gradient(theta, z)
             assert np.all(np.isfinite(g))
             assert np.linalg.norm(g) <= np.linalg.norm(z[1:]) + 1e-12
-            assert np.all(np.isfinite(m.hessian(theta, z)))
+            assert np.all(np.isfinite(m._hessian(theta, z)))
         # correctly classified saturation: gradient goes to zero
         z = np.array([1.0, 1.0])
-        assert np.linalg.norm(m.gradient(np.array([700.0]), z)) <= 1e-200
+        assert np.linalg.norm(m._gradient(np.array([700.0]), z)) <= 1e-200
 
     def test_label_validation(self):
         m = LogisticModel(2)
         with pytest.raises(DataError):
-            m.gradient(np.zeros(2), np.array([0.0, 1.0, 2.0]))
+            m._check_obs(np.array([0.0, 1.0, 2.0]))
 
     def test_finite_difference_gradient_and_hessian(self):
         m = LogisticModel(3)
@@ -149,8 +150,8 @@ class TestLogisticModel:
         for _ in range(20):
             theta = rng.standard_normal(3)
             z = random_observation(m, rng)
-            g = m.gradient(theta, z)
-            h = m.hessian(theta, z)
+            g = m._gradient(theta, z)
+            h = m._hessian(theta, z)
             np.testing.assert_allclose(
                 fd_gradient(logistic_loss, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
             )
@@ -162,12 +163,12 @@ class TestLogisticModel:
 class TestCustomModel:
     def test_wrapping_is_transparent(self):
         inner = MeanModel(2)
-        wrapped = CustomModel(2, 2, inner.gradient, inner.hessian)
+        wrapped = CustomModel(2, 2, inner._gradient, inner._hessian)
         rng = np.random.default_rng(1)
         for _ in range(5):
             theta, z = rng.standard_normal(2), rng.standard_normal(2)
-            np.testing.assert_array_equal(wrapped.gradient(theta, z), inner.gradient(theta, z))
-            np.testing.assert_array_equal(wrapped.hessian(theta, z), inner.hessian(theta, z))
+            np.testing.assert_array_equal(wrapped._gradient(theta, z), inner._gradient(theta, z))
+            np.testing.assert_array_equal(wrapped._hessian(theta, z), inner._hessian(theta, z))
 
     def test_gaussian_likelihood_matches_scaled_linear(self):
         """Gaussian log-likelihood with known variance is the linear loss / sigma^2."""
@@ -175,17 +176,17 @@ class TestCustomModel:
         lin = LinearModel(2)
 
         def gradient(theta, z):
-            return lin.gradient(theta, z) / sigma2
+            return lin._gradient(theta, z) / sigma2
 
         def hessian(theta, z):
-            return lin.hessian(theta, z) / sigma2
+            return lin._hessian(theta, z) / sigma2
 
         model = CustomModel(2, 3, gradient, hessian)
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(2)
         z = random_observation(lin, rng)
         np.testing.assert_allclose(
-            model.gradient(theta, z) * sigma2, lin.gradient(theta, z), atol=1e-14
+            model._gradient(theta, z) * sigma2, lin._gradient(theta, z), atol=1e-14
         )
 
     def test_poisson_regression_finite_differences(self):
@@ -210,7 +211,7 @@ class TestCustomModel:
             x = rng.standard_normal(2)
             y = float(rng.poisson(np.exp(np.clip(x @ theta, -5, 5))))
             z = np.concatenate(([y], x))
-            g = model.gradient(theta, z)
+            g = model._gradient(theta, z)
             np.testing.assert_allclose(
                 fd_gradient(loss, theta, z), g, atol=1e-6 * max(1.0, np.linalg.norm(g))
             )
@@ -218,7 +219,7 @@ class TestCustomModel:
     def test_dimension_mismatch_surfaces_at_first_call(self):
         bad = CustomModel(2, 2, lambda t, z: np.zeros(3), lambda t, z: np.eye(2))
         with pytest.raises(DimensionError):
-            bad.gradient(np.zeros(2), np.zeros(2))
+            bad._gradient(np.zeros(2), np.zeros(2))
 
 
 @pytest.mark.parametrize("p", [0, -1, 2.5, math.nan, math.inf, "4"])
@@ -238,8 +239,8 @@ class TestGradientOracleSweep:
         for _ in range(100):
             theta = rng.standard_normal(4)
             z = random_observation(model, rng)
-            g = model.gradient(theta, z)
-            h = model.hessian(theta, z)
+            g = model._gradient(theta, z)
+            h = model._hessian(theta, z)
             assert np.linalg.norm(fd_gradient(LOSSES[factory], theta, z) - g) <= 1e-5 * max(
                 1.0, np.linalg.norm(g)
             )
@@ -256,7 +257,7 @@ class TestGradientOracleSweep:
         z = np.array(
             [[random_observation(model, rng) for _ in range(3)] for _ in range(2)]
         )
-        for method in (model.gradient, model.hessian):
+        for method in (model._gradient, model._hessian):
             batch = method(theta, z)
             for row in np.ndindex(2, 3):
                 np.testing.assert_array_equal(batch[row], method(theta[row], z[row]))
@@ -274,7 +275,7 @@ class TestGradientOracleSweep:
         rows, so those two agree to 1e-12 only."""
         if family == "custom":
             lin = LinearModel(4)
-            model = CustomModel(4, 5, lin.gradient, lin.hessian)
+            model = CustomModel(4, 5, lin._gradient, lin._hessian)
         else:
             model = {"mean": MeanModel, "linear": LinearModel, "logistic": LogisticModel}[family](4)
         rng = np.random.default_rng(44)

@@ -30,11 +30,11 @@ def test_no_exported_name_looks_like_a_test():
 
 def test_the_cli_does_not_import_scipy_linalg_or_stats():
     """Every command line run pays for what ``apsgd.cli`` imports; importing
-    ``scipy.linalg`` alone costs tens of milliseconds at start-up."""
-    code = (
-        "import sys, apsgd.cli; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.stats') if m in sys.modules))"
-    )
+    ``scipy.linalg`` alone costs tens of milliseconds at start-up.  The
+    process pool, and the ``multiprocessing`` it loads, is imported only by a
+    Monte Carlo run with ``workers > 1``."""
+    unwanted = ("scipy.linalg", "scipy.stats", "concurrent.futures.process", "multiprocessing")
+    code = f"import sys, apsgd.cli; print(sorted(m for m in {unwanted} if m in sys.modules))"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},

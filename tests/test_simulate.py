@@ -197,7 +197,7 @@ def assert_lockstep_matches_one_row_blocks(kind, T):
 
 def wrapped(model):
     """``model`` behind ``CustomModel``, which moves with the default walk."""
-    return CustomModel(model.param_dim, model.obs_dim, model.gradient, model.hessian)
+    return CustomModel(model.param_dim, model.obs_dim, model._gradient, model._hessian)
 
 
 class TestEngineEquivalence:
@@ -805,7 +805,7 @@ class TestCsvOutput:
         )
         result = run_experiment(config)
         path = tmp_path / "out.csv"
-        result.write_csv(str(path))
+        path.write_text(result.to_csv_text())
         lines = path.read_text().splitlines()
         assert lines[0] == "mode,dgp,T,r,coordinate,metric,value,mc_stderr,seed"
         assert len(lines) == 1 + 4  # one row per coordinate
@@ -823,6 +823,6 @@ class TestCsvOutput:
         )
         one = tmp_path / "a.csv"
         two = tmp_path / "b.csv"
-        run_experiment(config).write_csv(str(one))
-        run_experiment(config).write_csv(str(two))
+        one.write_text(run_experiment(config).to_csv_text())
+        two.write_text(run_experiment(config).to_csv_text())
         assert one.read_bytes() == two.read_bytes()
