@@ -42,10 +42,10 @@ _VARIANCE_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class InferenceReport:
-    """Per-coordinate summaries plus the plug-in covariance they came from.
+    """Per-coordinate summaries of the plug-in covariance's diagonal.
 
-    ``names`` has one entry per coordinate; the other arrays have the state's
-    shape ``(..., p)``, and ``covariance`` has shape ``(..., p, p)``.
+    ``names`` has one entry per coordinate; the arrays have the state's shape
+    ``(..., p)``.
     """
 
     names: tuple[str, ...]
@@ -54,7 +54,6 @@ class InferenceReport:
     ci_lower: np.ndarray
     ci_upper: np.ndarray
     p_value: np.ndarray
-    covariance: np.ndarray
     sample_size: int
     alpha: float
 
@@ -126,6 +125,17 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
+def _test_df(constraint: Constraint) -> int:
+    """The test's degrees of freedom ``p - d``, which must be positive."""
+    df = constraint.p - constraint.d
+    if df == 0:
+        raise DegenerateTestError(
+            "constraint has no effective rows (d = p), the test has 0 degrees "
+            "of freedom"
+        )
+    return df
+
+
 def coordinate_report(
     state: EstimatorState, alpha: float = 0.05, names: list[str] | None = None
 ) -> InferenceReport:
@@ -145,8 +155,7 @@ def coordinate_report(
         names = [f"theta{j + 1}" for j in range(p)]
     if len(names) != p:
         raise DimensionError(f"got {len(names)} names for {p} coordinates")
-    cov = asymptotic_covariance(state)
-    var = np.diagonal(cov, axis1=-2, axis2=-1) / state.t
+    var = np.diagonal(asymptotic_covariance(state), axis1=-2, axis2=-1) / state.t
     pinned = np.linalg.norm(state.constraint.P, axis=0) <= RANK_THRESHOLD
     var = np.where(pinned, 0.0, var)
     negative = var < -_VARIANCE_CLAMP
@@ -166,7 +175,6 @@ def coordinate_report(
         ci_lower=theta_bar - z * se,
         ci_upper=theta_bar + z * se,
         p_value=p_value,
-        covariance=cov,
         sample_size=state.t,
         alpha=alpha,
     )
@@ -196,12 +204,7 @@ def spec_test_from_state(
             f"constraint is on R^{p} but the unconstrained stream is on "
             f"R^{unconstrained.constraint.p}"
         )
-    df = p - constraint.d
-    if df == 0:
-        raise DegenerateTestError(
-            "constraint has no effective rows (d = p), the test has 0 degrees "
-            "of freedom"
-        )
+    df = _test_df(constraint)
     if unconstrained.constraint.d != p:
         raise DomainError(
             f"the test reads an unconstrained stream on R^{p}, got one with "
@@ -246,11 +249,7 @@ def specification_test(
     observation at which it arose.
     """
     _check_alpha(alpha)
-    if constraint.d == constraint.p:
-        raise DegenerateTestError(
-            "constraint has no effective rows (d = p), the test has 0 degrees "
-            "of freedom"
-        )
+    _test_df(constraint)
     free = Constraint.unconstrained(constraint.p)
     state = EstimatorState(model, free, schedule, theta0=constraint.c).run_stream(blocks)
     return spec_test_from_state(state, constraint, alpha=alpha)

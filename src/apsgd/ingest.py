@@ -72,10 +72,12 @@ class CsvSchema:
 
 
 def parse_schema(text: str) -> CsvSchema:
-    """Parse a ``--schema`` string: ``response=RMSD;features=F1,F2;header=yes``."""
+    """Parse a ``--schema`` string: ``response=RMSD;features=F1,F2;header=yes``,
+    each key at most once."""
     response: str | int | None = 0
     features = None
     has_header = None
+    seen = set()
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -83,6 +85,9 @@ def parse_schema(text: str) -> CsvSchema:
         if "=" not in part:
             raise DataError(f"schema entry {part!r} is not key=value")
         key, value = (s.strip() for s in part.split("=", 1))
+        if key in seen:
+            raise DataError(f"schema key {key!r} is given twice")
+        seen.add(key)
         if key == "response":
             response = None if value.lower() == "none" else _name_or_index(value)
         elif key == "features":
@@ -269,6 +274,9 @@ def resolve_schema(source: RowSource, schema: CsvSchema) -> ResolvedSchema:
         )
     else:
         feature_indices = tuple(locate(f, "feature") for f in schema.features)
+        for j, i in enumerate(feature_indices):
+            if i in feature_indices[:j]:
+                raise DataError(f"feature column {column_names[i]!r} is selected twice")
     if response_index is not None and response_index in feature_indices:
         raise DataError("response column cannot also be a feature")
     if not feature_indices:

@@ -46,6 +46,13 @@ def _raise_first(bad: np.ndarray, error: type, message) -> None:
         raise error(f"matrix {k}: {message(k)}" if k else message(k))
 
 
+def _positive_dim(p: int) -> int:
+    # false for NaN and, through inf % 1, for inf
+    if not (isinstance(p, numbers.Real) and p >= 1 and p % 1 == 0):
+        raise DimensionError(f"parameter dimension must be a positive integer, got {p}")
+    return int(p)
+
+
 def _as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
     if not np.all(np.isfinite(arr)):
@@ -144,9 +151,7 @@ class Constraint:
     @classmethod
     def unconstrained(cls, p: int) -> "Constraint":
         """The trivial constraint on R^p (``P = I``, ``c = 0``, ``d = p``)."""
-        if not (isinstance(p, numbers.Real) and p >= 1 and p % 1 == 0):
-            raise DimensionError(f"parameter dimension must be a positive integer, got {p}")
-        return cls.from_equalities(np.zeros((0, int(p))), np.zeros(0))
+        return cls.from_equalities(np.zeros((0, _positive_dim(p))), np.zeros(0))
 
     @property
     def p(self) -> int:

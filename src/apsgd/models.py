@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 from scipy.special import expit
 
 from .exceptions import DataError, DimensionError
+from .linalg import _positive_dim
 
 
 class LossModel:
@@ -47,7 +47,6 @@ class LossModel:
 
     param_dim: int
     obs_dim: int
-    family: str = "custom"
 
     def _check_obs(self, z, batch_shape=()) -> np.ndarray:
         """``z`` as floats of shape ``batch_shape + (obs_dim,)``, values checked."""
@@ -98,13 +97,6 @@ class LossModel:
             theta = np.subtract(theta, row, out=row)
 
 
-def _positive_dim(p: int) -> int:
-    # false for NaN and, through inf % 1, for inf
-    if not (isinstance(p, numbers.Real) and p >= 1 and p % 1 == 0):
-        raise DimensionError(f"parameter dimension must be a positive integer, got {p}")
-    return int(p)
-
-
 def _outer(x: np.ndarray) -> np.ndarray:
     return x[..., :, None] @ x[..., None, :]
 
@@ -112,8 +104,9 @@ def _outer(x: np.ndarray) -> np.ndarray:
 #: Rows per block that the engine moves and folds at once, for CSV streams
 #: (which ``ingest`` reads in blocks of this size) and the Monte Carlo
 #: lockstep alike.  Larger blocks were no faster and hold more memory: a
-#: block, its path of averages and its gradients are ``(_BLOCK, ..., p)``-sized
-#: arrays.
+#: block and its path of averages are ``(_BLOCK, ...)``-sized arrays, and so
+#: are the signed features ``u = -y x`` that the logistic row walk (the
+#: lockstep's) builds.
 _BLOCK = 256
 
 
@@ -189,8 +182,6 @@ def _expit_margin(y, x, theta):
 
 class MeanModel(LossModel):
     """Squared-error location loss ``0.5 * ||z - theta||^2``."""
-
-    family = "mean"
 
     def __init__(self, p: int):
         self.param_dim = _positive_dim(p)
@@ -271,7 +262,6 @@ class LinearModel(_GlmModel):
     Observations are ``(y, x_1, ..., x_p)``.
     """
 
-    family = "linear"
     _scalar_weight = "m - y"
 
     @staticmethod
@@ -297,7 +287,6 @@ class LogisticModel(_GlmModel):
     saturate instead of overflowing.
     """
 
-    family = "logistic"
     _scalar_weight = "-y / (1.0 + exp(y * m))"
 
     def _check_obs(self, z, batch_shape=()) -> np.ndarray:

@@ -48,7 +48,7 @@ from scipy.special import expit, ndtri
 
 from .estimator import _BLOCK, EstimatorState, LearningRate
 from .exceptions import ConfigError, DomainError
-from .inference import coordinate_report, spec_test_from_state
+from .inference import _check_alpha, coordinate_report, spec_test_from_state
 from .distributions import normal_quantile
 from .linalg import Constraint
 from .models import MODEL_FAMILIES, LossModel
@@ -160,13 +160,13 @@ def draw_block(dgp: DgpSpec, rng: np.random.Generator, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DgpPreset:
-    """A named DGP plus the equality constraint its experiments test.
+    """A DGP plus the equality constraint its experiments test; its name is
+    its key in ``PRESETS``.
 
     ``shift_coordinate`` is the entry of ``theta_base`` that receives the
     misspecification shift ``r`` of an experiment's grid cell.
     """
 
-    name: str
     kind: str
     theta_base: tuple[float, ...]
     shift_coordinate: int
@@ -186,21 +186,18 @@ class DgpPreset:
 #: parameterisation used for size/power runs (larger first coefficient).
 PRESETS: dict[str, DgpPreset] = {
     "linear": DgpPreset(
-        name="linear",
         kind="linear",
         theta_base=(1.5, -3.0, 2.0, 1.0),
         shift_coordinate=3,
         constraint_row=(0.0, 1.0, 1.0, 1.0),
     ),
     "logistic": DgpPreset(
-        name="logistic",
         kind="logistic",
         theta_base=(1.0, -2.0, -2.0, 1.5),
         shift_coordinate=2,
         constraint_row=(0.0, 1.0, -1.0, 0.0),
     ),
     "logistic_shift": DgpPreset(
-        name="logistic_shift",
         kind="logistic",
         theta_base=(3.0, -2.0, -2.0, 1.0),
         shift_coordinate=2,
@@ -250,14 +247,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"sample_sizes must be positive and strictly increasing, got {sizes}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         grid = self.r_grid
         if not grid or not np.isfinite(grid).all() or len(set(grid)) != len(grid):
             raise ConfigError(f"r_grid must be non-empty, finite and without repeats, got {grid}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         try:
+            _check_alpha(self.alpha)
             self.schedule()
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
@@ -282,9 +278,10 @@ def _config_value(kind, text: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Parse a flat ``key = value`` config (``#`` starts a comment); keys left
-    out keep the defaults of ``ExperimentConfig``."""
+    """Parse a flat ``key = value`` config (``#`` starts a comment), each key
+    at most once; keys left out keep the defaults of ``ExperimentConfig``."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -297,7 +294,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 f"{source}:{lineno}: unknown key {key!r}; valid keys are "
                 f"{sorted(_CONFIG_KEYS)}"
             )
-        raw[key] = value
+        if key in raw:
+            raise ConfigError(
+                f"{source}:{lineno}: key {key!r} is already set on line {first_line[key]}"
+            )
+        raw[key], first_line[key] = value, lineno
     missing = _REQUIRED_KEYS - raw.keys()
     if missing:
         raise ConfigError(f"{source}: missing required keys {sorted(missing)}")
@@ -400,8 +401,6 @@ def replicate_streams(
 class CellStat:
     """One aggregate: a (grid cell, coordinate, metric) triple with its MC error."""
 
-    mode: str
-    dgp: str
     T: int
     r: float
     coordinate: str
@@ -430,11 +429,12 @@ class ExperimentResult:
     CSV_HEADER = "mode,dgp,T,r,coordinate,metric,value,mc_stderr,seed"
 
     def to_csv_text(self) -> str:
+        config = self.config
         lines = [self.CSV_HEADER]
         for row in self.rows:
             lines.append(
-                f"{row.mode},{row.dgp},{row.T},{row.r!r},{row.coordinate},"
-                f"{row.metric},{row.value!r},{row.mc_stderr!r},{self.config.base_seed}"
+                f"{config.mode},{config.preset},{row.T},{row.r!r},{row.coordinate},"
+                f"{row.metric},{row.value!r},{row.mc_stderr!r},{config.base_seed}"
             )
         return "\n".join(lines) + "\n"
 
@@ -468,8 +468,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for name, value, stderr in zip(names, values, stderrs):
             result.rows.append(
                 CellStat(
-                    mode=config.mode, dgp=config.preset, T=T, r=r,
-                    coordinate=name, metric=metric,
+                    T=T, r=r, coordinate=name, metric=metric,
                     value=float(value), mc_stderr=float(stderr),
                 )
             )

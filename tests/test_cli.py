@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from apsgd import LearningRate, NumericalError, cli, ingest
+from apsgd import LearningRate, NumericalError, cli, ingest, simulate
 from apsgd.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -505,6 +505,22 @@ def test_simulate_seed_overrides_the_config(tmp_path, capsys):
     expected = run_experiment(replace(parse_config_text(SMALL_CONFIG), base_seed=5))
     assert output.read_text(encoding="utf-8") == expected.to_csv_text()
     assert "seed = 5" in capsys.readouterr().out
+
+
+def test_simulate_full_swaps_in_the_full_grid(tmp_path, capsys, monkeypatch):
+    """``--full`` replaces the config's sample sizes and replication count
+    with the full grid's, here shrunk to a tiny one."""
+    monkeypatch.setattr(simulate, "FULL_SAMPLE_SIZES", (300, 600))
+    monkeypatch.setattr(simulate, "FULL_REPLICATIONS", 4)
+    config = tmp_path / "experiment.cfg"
+    config.write_text(SMALL_CONFIG, encoding="utf-8")
+    output = tmp_path / "out.csv"
+    assert main(["simulate", str(config), "--output", str(output), "--full"]) == EXIT_OK
+    rows = output.read_text(encoding="utf-8").splitlines()[1:]
+    assert sorted({int(row.split(",")[2]) for row in rows}) == [300, 600]
+    expected = replace(parse_config_text(SMALL_CONFIG), sample_sizes=(300, 600), replications=4)
+    assert output.read_text(encoding="utf-8") == run_experiment(expected).to_csv_text()
+    assert "replications = 4" in capsys.readouterr().out
 
 
 def test_simulate_checks_its_output_before_the_first_cell(tmp_path, capsys, monkeypatch):

@@ -91,6 +91,22 @@ class TestInit:
         state = EstimatorState(MeanModel(3), Constraint.unconstrained(3), theta0=v)
         np.testing.assert_array_equal(state.theta, v)
 
+    @pytest.mark.parametrize(
+        "constraint, theta0, message",
+        [
+            (Constraint.unconstrained(2), None,
+             r"^constraint is on R\^2 but model has 3 parameters$"),
+            (Constraint.unconstrained(3), [1.0, 2.0],
+             r"^theta0 has shape \(2,\), expected \(\.\.\., 3\)$"),
+            (Constraint.unconstrained(3), 1.0,
+             r"^theta0 has shape \(\), expected \(\.\.\., 3\)$"),
+        ],
+        ids=["constraint", "theta0", "scalar_theta0"],
+    )
+    def test_a_start_of_another_dimension_is_a_dimension_error(self, constraint, theta0, message):
+        with pytest.raises(DimensionError, match=message):
+            EstimatorState(MeanModel(3), constraint, theta0=theta0)
+
 
 class TestFirstRow:
     """A block of one row is one projected SGD step."""
@@ -689,13 +705,16 @@ class TestBatchedState:
                     getattr(batch[k], name), getattr(single, name), rtol=1e-12, atol=1e-14
                 )
 
-    @pytest.mark.parametrize("model", [LinearModel(4), LogisticModel(4)], ids=["linear", "logistic"])
-    def test_json_roundtrip_and_indexing_are_exact(self, model):
+    @pytest.mark.parametrize(
+        "model, preset", [(LinearModel(4), "linear"), (LogisticModel(4), "logistic")],
+        ids=["linear", "logistic"],
+    )
+    def test_json_roundtrip_and_indexing_are_exact(self, model, preset):
         """Without a projection the batched arithmetic is row-wise, so each
         stream of the batch matches its own run as a batch of one bit for
         bit.  A ``(p,)`` stream walks by the Python kernel instead (see
         ``TestKernelWalk``), so the reference is a ``(1, p)`` state."""
-        obs = batched_stream(150, 3, seed=11, preset=model.family)
+        obs = batched_stream(150, 3, seed=11, preset=preset)
         free = Constraint.unconstrained(4)
         batch = EstimatorState(model, free, theta0=np.zeros((3, 4))).run_stream([obs])
         restored = through_json(batch, model)

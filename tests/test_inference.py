@@ -157,13 +157,27 @@ class TestCoordinateReport:
         report = coordinate_report(state, names=["a", "b"])
         assert report.names == ("a", "b")
 
+    def test_a_name_count_other_than_p_is_a_dimension_error(self):
+        state = EstimatorState(MeanModel(2), Constraint.unconstrained(2))
+        state.run_stream(mean_stream(50))
+        with pytest.raises(DimensionError, match="^got 3 names for 2 coordinates$"):
+            coordinate_report(state, names=["a", "b", "c"])
+
+
+DEGENERATE = r"^constraint has no effective rows \(d = p\), the test has 0 degrees of freedom$"
+
 
 class TestSpecificationTest:
     def test_degenerate_when_no_effective_constraint(self):
-        with pytest.raises(DegenerateTestError):
+        with pytest.raises(DegenerateTestError, match=DEGENERATE):
             specification_test(
                 dgp1_stream(50), LinearModel(4), Constraint.unconstrained(4)
             )
+
+    def test_degenerate_from_an_advanced_state(self):
+        free = moment_state(Constraint.unconstrained(2), [0.5, 0.5], np.eye(2))
+        with pytest.raises(DegenerateTestError, match=DEGENERATE):
+            spec_test_from_state(free, Constraint.from_equalities(np.zeros((1, 2)), [0.0]))
 
     def test_statistic_zero_when_the_free_average_is_feasible(self):
         """kappa is 0, up to the rounding of ``P``, when the unconstrained
@@ -290,7 +304,7 @@ class TestBatchedStates:
         for k in range(5):
             single = coordinate_report(state[k], alpha=0.1)
             np.testing.assert_array_equal(cov[k], asymptotic_covariance(state[k]))
-            for name in ("theta_bar", "std_error", "ci_lower", "ci_upper", "p_value", "covariance"):
+            for name in ("theta_bar", "std_error", "ci_lower", "ci_upper", "p_value"):
                 np.testing.assert_array_equal(getattr(report, name)[k], getattr(single, name))
 
     def test_spec_test_equals_each_replication(self):

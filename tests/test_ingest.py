@@ -61,6 +61,13 @@ class TestSchemaParsing:
         with pytest.raises(DataError):
             parse_schema("respond=0")
 
+    @pytest.mark.parametrize("text", ["response=y;response=a", "header=no; features=1;header=yes"])
+    def test_a_repeated_key_is_a_data_error(self, text):
+        """A key given twice is refused rather than keeping its last value."""
+        key = text.split(";")[-1].split("=")[0]
+        with pytest.raises(DataError, match=f"^schema key '{key}' is given twice$"):
+            parse_schema(text)
+
 
 class TestResolve:
     def test_header_sniffing(self, small_csv):
@@ -85,6 +92,16 @@ class TestResolve:
     def test_missing_column(self, small_csv):
         with pytest.raises(DataError, match="not found"):
             resolve_schema(RowSource(small_csv), CsvSchema(response="nope"))
+
+    @pytest.mark.parametrize(
+        "features, column", [(("a", "a"), "a"), (("a", 1), "a"), (("b", "a", 2), "b")]
+    )
+    def test_a_feature_selected_twice_is_a_data_error(self, small_csv, features, column):
+        """Caught on the column it resolves to, when the schema is bound: a
+        repeated feature would otherwise surface only after the whole
+        stream, as a singular curvature average."""
+        with pytest.raises(DataError, match=f"^feature column '{column}' is selected twice$"):
+            resolve_schema(RowSource(small_csv), CsvSchema(features=features))
 
     def test_response_cannot_be_feature(self, small_csv):
         with pytest.raises(DataError):

@@ -222,6 +222,15 @@ class TestCustomModel:
             bad._gradient(np.zeros(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("family", [MeanModel, LinearModel, LogisticModel])
+def test_an_observation_of_another_width_is_a_dimension_error(family):
+    model = family(4)
+    width = model.obs_dim
+    message = rf"^observation has shape \(2, {width - 1}\), expected \(2, {width}\)$"
+    with pytest.raises(DimensionError, match=message):
+        model._check_obs(np.zeros((2, width - 1)), batch_shape=(2,))
+
+
 @pytest.mark.parametrize("p", [0, -1, 2.5, math.nan, math.inf, "4"])
 @pytest.mark.parametrize("family", [MeanModel, LinearModel, LogisticModel])
 def test_a_dimension_that_is_not_a_positive_integer_is_a_dimension_error(family, p):

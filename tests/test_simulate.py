@@ -111,6 +111,16 @@ class TestDraws:
         with pytest.raises(DomainError, match="non-negative integer"):
             draw_block(PRESETS["linear"].spec(0.0), replication_rng(9, 0, 0), n)
 
+    @pytest.mark.parametrize(
+        "kind, noise_sd, message",
+        [("mean", 3.0, "^unknown dgp kind 'mean'$"),
+         ("linear", 0.0, "^noise_sd must be positive, got 0.0$"),
+         ("linear", float("nan"), "^noise_sd must be positive, got nan$")],
+    )
+    def test_a_dgp_of_no_known_kind_or_noise_is_a_domain_error(self, kind, noise_sd, message):
+        with pytest.raises(DomainError, match=message):
+            DgpSpec(kind=kind, theta_star=(1.0, 2.0), noise_sd=noise_sd)
+
 
 class TestLockstepMemory:
     """A lockstep cell allocates two block-sized buffers, the observations
@@ -716,6 +726,18 @@ class TestConfigs:
         )
         assert parse_config_text(text) == replace(config, **given)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("mode = coverage\npreset linear\n", "^exp.cfg:2: expected 'key = value'$"),
+         ("mode = coverage\n\nmode = size_power\n",
+          "^exp.cfg:3: key 'mode' is already set on line 1$")],
+        ids=["no_equals", "repeated_key"],
+    )
+    def test_a_malformed_line_is_named(self, text, message):
+        """A repeated key is refused, not overwritten by its last value."""
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text, source="exp.cfg")
+
     def test_unknown_key_lists_valid_keys(self):
         with pytest.raises(ConfigError, match="valid keys"):
             parse_config_text("mode = coverage\nbogus = 1")
@@ -725,19 +747,22 @@ class TestConfigs:
             parse_config_text("mode = coverage\npreset = linear\nsample_sizes = 10")
 
     def test_invalid_values(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(
-                mode="coverage", preset="linear", sample_sizes=(100, 50),
-                replications=5,
-            )
-        with pytest.raises(ConfigError):
-            ExperimentConfig(
-                mode="coverage", preset="linear", sample_sizes=(100,), replications=0
-            )
-        with pytest.raises(ConfigError):
-            ExperimentConfig(
-                mode="nope", preset="linear", sample_sizes=(100,), replications=5
-            )
+        """Each bad field is named with its value; alpha by the same check and
+        text as ``coordinate_report``'s."""
+        base = dict(mode="coverage", preset="linear", sample_sizes=(100,), replications=5)
+        for field, message in [
+            (dict(sample_sizes=(100, 50)),
+             r"^sample_sizes must be positive and strictly increasing, got \(100, 50\)$"),
+            (dict(replications=0), "^replications must be >= 1, got 0$"),
+            (dict(mode="nope"), "^mode must be one of .*, got 'nope'$"),
+            (dict(preset="probit"),
+             r"^preset must be one of \['linear', 'logistic', 'logistic_shift'\], got 'probit'$"),
+            (dict(workers=0), "^workers must be >= 1, got 0$"),
+            (dict(alpha=1.5), r"^alpha must lie strictly in \(0, 1\), got 1.5$"),
+            (dict(alpha=float("nan")), r"^alpha must lie strictly in \(0, 1\), got nan$"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig(**{**base, **field})
 
     @pytest.mark.parametrize(
         "r_grid", [(), (0.0, 0.0), (0.0, 0.1, -0.0), (float("nan"),), (0.0, float("inf"))]
